@@ -186,7 +186,7 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
-def _verify_payload(name, report, pseudos) -> dict:
+def _verify_payload(name, report) -> dict:
     hyp = report.hypotheses
     return {
         "name": name,
@@ -204,7 +204,9 @@ def _verify_payload(name, report, pseudos) -> dict:
         "partC": {"s": report.s},
         "failures": [list(p) for p in report.failures],
         "pseudo": {
-            "found": [{"column": p.column, "epsilon": p.epsilon} for p in pseudos]
+            "found": [
+                {"column": p.column, "epsilon": p.epsilon} for p in report.inverse_pseudos
+            ]
         },
     }
 
@@ -237,7 +239,7 @@ def _cmd_verify(args) -> int:
     name, d = _load_diagram(args)
     report = verify_gkh(d, name=name, base=args.base)
     if args.json:
-        _emit(_verify_payload(name, report, pseudo_from_inverse_columns(d, args.base)))
+        _emit(_verify_payload(name, report))
     else:
         _print_verify(name, report)
     return 0 if report.passed else 1

@@ -10,7 +10,9 @@ reduced coloring group.
 With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
-columns separate.
+columns separate. ColoringAnalysis factors C once per (diagram, base) and
+derives all of this from that one certified Smith form; the determinant
+alone stays on Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -19,15 +21,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd, prod
+from typing import TYPE_CHECKING
 
 from .diagram import Diagram
 from .linalg import (
     IntMatrix,
+    LinalgError,
     count_solutions_mod,
     determinant,
-    scaled_inverse,
     smith_normal_form,
 )
+
+if TYPE_CHECKING:
+    from .pseudo import PseudoColoring
 
 
 class ColoringError(Exception):
@@ -143,116 +149,6 @@ def link_determinant(d: Diagram, base: int | None = None) -> int:
         return 0
 
 
-def coloring_group(d: Diagram, base: int | None = None) -> ColoringGroup:
-    c = _reduced_matrix(d, base)
-    diag = smith_normal_form(c).diagonal
-    if any(x == 0 for x in diag):
-        raise ZeroDeterminantError("determinant 0: the reduced coloring group is infinite")
-    return ColoringGroup(tuple(sorted((x for x in diag if x > 1), reverse=True)))
-
-
-@dataclass(frozen=True)
-class ColoringMatrix:
-    """The pair C, L = n1 * C^(-1) for a chosen base arc."""
-
-    base_arc: int
-    modulus: int
-    arc_count: int
-    c: IntMatrix
-    l: IntMatrix
-
-    @cached_property
-    def l_mod(self) -> IntMatrix:
-        return self.l.mod(self.modulus)
-
-    @property
-    def arc_indices(self) -> tuple[int, ...]:
-        """Arc behind each row/column of the reduced matrices."""
-        return tuple(a for a in range(self.arc_count) if a != self.base_arc)
-
-    def extended_rows(self) -> tuple[tuple[int, ...], ...]:
-        """One row of L mod n1 per arc, the base arc contributing zeros."""
-        width = self.l.cols
-        rows = []
-        k = 0
-        for a in range(self.arc_count):
-            if a == self.base_arc:
-                rows.append((0,) * width)
-            else:
-                rows.append(self.l_mod.row(k))
-                k += 1
-        return tuple(rows)
-
-    def column_coloring(self, j: int) -> FoxColoring:
-        """The Fox n1-coloring read off column j of L, base arc colored 0."""
-        if not 0 <= j < self.l.cols:
-            raise ColoringError(f"column {j} out of range for {self.l.cols} columns")
-        rows = self.extended_rows()
-        return FoxColoring(self.modulus, tuple(r[j] for r in rows))
-
-
-def coloring_matrix(d: Diagram, base: int | None = None) -> ColoringMatrix:
-    group = coloring_group(d, base)
-    c = _reduced_matrix(d, base)
-    n1 = group.annihilator
-    # n1 annihilates the cokernel, so n1 * C^(-1) is integral
-    l = scaled_inverse(c, n1)
-    return ColoringMatrix(
-        base_arc=_resolve_base(d, base),
-        modulus=n1,
-        arc_count=len(d.arcs),
-        c=c,
-        l=l,
-    )
-
-
-def is_fox_coloring(d: Diagram, colors, k: int) -> bool:
-    """Check the coloring relation at every crossing, colors indexed by arc."""
-    colors = tuple(colors)
-    if len(colors) != len(d.arcs):
-        raise ColoringError(
-            f"{len(colors)} colors for {len(d.arcs)} arcs"
-        )
-    if k < 1:
-        raise ColoringError("modulus must be >= 1")
-    return all(
-        (
-            2 * colors[d.arc_of(c.over_in)]
-            - colors[d.arc_of(c.under_in)]
-            - colors[d.arc_of(c.under_out)]
-        )
-        % k
-        == 0
-        for c in d.crossings
-    )
-
-
-def count_colorings(d: Diagram, k: int) -> int:
-    """Number of Fox k-colorings, constant colorings included."""
-    return count_solutions_mod(crossing_matrix(d), k)
-
-
-def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
-    """All Fox k-colorings, via the Smith form of the crossing matrix.
-
-    Bails out once the assignment space k**arcs passes limit; the error
-    still carries the count, so callers can fall back to it.
-    """
-    cprime = crossing_matrix(d)
-    if k ** cprime.cols > limit:
-        raise EnumerationLimitError(count_solutions_mod(cprime, k), limit)
-    snf = smith_normal_form(cprime)
-    axes = []
-    for x in snf.diagonal:
-        g = gcd(x, k) if x else k
-        axes.append(range(0, k, k // g))
-    axes.extend([range(k)] * (cprime.cols - len(snf.diagonal)))
-    out = []
-    for y in product(*axes):
-        out.append(FoxColoring(k, snf.v.mul_vector(y)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DistinguishingReport:
     """Which arc pairs the columns of L mod n1 tell apart, and how few suffice.
@@ -284,40 +180,241 @@ class DistinguishingReport:
         return not self.failures
 
 
+class ColoringAnalysis:
+    """C(D) for one base arc and its Smith form U C V = D, factored once.
+
+    Everything else is a lazy field derived from that one certified
+    factorization. With D = diag(d_i): the group is the d_i > 1,
+    L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), the
+    minimal distinguishing set is (n1/n_i) V[:, i], and column j of
+    C^(-1) is integral exactly when column j of L is 0 mod n1, in which
+    case it is that column divided by n1.
+    """
+
+    def __init__(self, d: Diagram, base: int | None = None):
+        self.diagram = d
+        self.c = _reduced_matrix(d, base)
+        self.base_arc = _resolve_base(d, base)
+        self.arc_count = len(d.arcs)
+        self.snf = smith_normal_form(self.c)
+
+    @cached_property
+    def group(self) -> ColoringGroup:
+        diag = self.snf.diagonal
+        if any(x == 0 for x in diag):
+            raise ZeroDeterminantError("determinant 0: the reduced coloring group is infinite")
+        return ColoringGroup(tuple(sorted((x for x in diag if x > 1), reverse=True)))
+
+    @property
+    def modulus(self) -> int:
+        return self.group.annihilator
+
+    @cached_property
+    def l(self) -> IntMatrix:
+        n1 = self.modulus
+        u = self.snf.u
+        scaled_u = IntMatrix(
+            u.rows,
+            u.cols,
+            tuple(n1 // x * y for i, x in enumerate(self.snf.diagonal) for y in u.row(i)),
+        )
+        l = self.snf.v @ scaled_u
+        product = self.c @ l
+        for k, x in enumerate(product.entries):
+            i, j = divmod(k, product.cols)
+            if x != n1 * (i == j):
+                raise LinalgError(
+                    f"C L != n1 I: row {i} of C times column {j} of L is {x}, "
+                    f"not {n1 * (i == j)}"
+                )
+        return l
+
+    @cached_property
+    def l_mod(self) -> IntMatrix:
+        return self.l.mod(self.modulus)
+
+    @property
+    def arc_indices(self) -> tuple[int, ...]:
+        """Arc behind each row/column of the reduced matrices."""
+        return tuple(a for a in range(self.arc_count) if a != self.base_arc)
+
+    @cached_property
+    def _extended_rows(self) -> tuple[tuple[int, ...], ...]:
+        lmod = self.l_mod
+        zero = (0,) * lmod.cols
+        rows = [lmod.row(k) for k in range(lmod.rows)]
+        rows.insert(self.base_arc, zero)
+        return tuple(rows)
+
+    def extended_rows(self) -> tuple[tuple[int, ...], ...]:
+        """One row of L mod n1 per arc, the base arc contributing zeros."""
+        return self._extended_rows
+
+    def column_coloring(self, j: int) -> FoxColoring:
+        """The Fox n1-coloring read off column j of L, base arc colored 0."""
+        if not 0 <= j < self.l.cols:
+            raise ColoringError(f"column {j} out of range for {self.l.cols} columns")
+        return FoxColoring(self.modulus, tuple(r[j] for r in self.extended_rows()))
+
+    @cached_property
+    def report(self) -> DistinguishingReport:
+        rows = self.extended_rows()
+        n1 = self.modulus
+        width = self.l.cols
+        separators = []
+        masks = [0] * width
+        pair_index = 0
+        for i, j in combinations(range(self.arc_count), 2):
+            least = None
+            for col in range(width):
+                if (rows[i][col] - rows[j][col]) % n1 != 0:
+                    if least is None:
+                        least = col
+                    masks[col] |= 1 << pair_index
+            separators.append((i, j, least))
+            pair_index += 1
+        perfect = tuple(
+            col
+            for col in range(width)
+            if len({rows[a][col] % n1 for a in range(self.arc_count)}) == self.arc_count
+        )
+        t, t_columns = _minimum_cover(masks, pair_index)
+        if any(least is None for _, _, least in separators):
+            t, t_columns = None, ()
+        return DistinguishingReport(
+            base_arc=self.base_arc,
+            modulus=n1,
+            arc_count=self.arc_count,
+            separators=tuple(separators),
+            perfect_columns=perfect,
+            t=t,
+            t_columns=t_columns,
+        )
+
+    @cached_property
+    def minimal_set(self) -> tuple[FoxColoring, ...]:
+        """One Fox n1-coloring per invariant factor n_i: (n1 / n_i) V[:, i]."""
+        n1 = self.modulus
+        picked = [(x, i) for i, x in enumerate(self.snf.diagonal) if x > 1]
+        picked.sort(key=lambda p: -p[0])
+        colorings = []
+        for factor, i in picked:
+            scale = n1 // factor
+            colors = [scale * x % n1 for x in self.snf.v.col(i)]
+            colors.insert(self.base_arc, 0)
+            bad = _fox_violation(self.diagram, colors, n1)
+            if bad is not None:
+                raise ColoringError(
+                    f"distinguishing coloring {len(colorings)} (factor {factor}, "
+                    f"column {i} of V) breaks the Fox relation mod {n1} at crossing {bad}"
+                )
+            colorings.append(FoxColoring(n1, tuple(colors)))
+        return tuple(colorings)
+
+    @cached_property
+    def minimal_set_failures(self) -> tuple[tuple[int, int], ...]:
+        """Arc pairs that every coloring of the minimal set colors alike."""
+        return tuple(
+            (i, j)
+            for i, j in combinations(range(self.arc_count), 2)
+            if all(f.colors[i] == f.colors[j] for f in self.minimal_set)
+        )
+
+    @cached_property
+    def inverse_pseudos(self) -> tuple[PseudoColoring, ...]:
+        """Pseudo colorings read off the integral columns of C^(-1).
+
+        Each integral column, extended by 0 on the base arc, has defect +1
+        at its own crossing; the base row defect follows from the row
+        relation and the classification keeps exactly the unit cases.
+        """
+        from .pseudo import classify_assignment  # pseudo imports this module
+
+        n1 = self.modulus
+        found = []
+        for j in range(self.l.cols):
+            column = self.l.col(j)
+            if any(x % n1 for x in column):
+                continue
+            colors = [x // n1 for x in column]
+            colors.insert(self.base_arc, 0)
+            result = classify_assignment(self.diagram, colors, column=j)
+            if result.kind == "pseudo":
+                found.append(result.pseudo)
+        return tuple(found)
+
+
+# every coloring_matrix result is an analysis; the old name stays importable
+ColoringMatrix = ColoringAnalysis
+
+
+def coloring_group(d: Diagram, base: int | None = None) -> ColoringGroup:
+    return ColoringAnalysis(d, base).group
+
+
+def coloring_matrix(d: Diagram, base: int | None = None) -> ColoringAnalysis:
+    analysis = ColoringAnalysis(d, base)
+    analysis.l  # n1 annihilates the cokernel, so n1 * C^(-1) is integral
+    return analysis
+
+
+def is_fox_coloring(d: Diagram, colors, k: int) -> bool:
+    """Check the coloring relation at every crossing, colors indexed by arc."""
+    colors = tuple(colors)
+    if len(colors) != len(d.arcs):
+        raise ColoringError(
+            f"{len(colors)} colors for {len(d.arcs)} arcs"
+        )
+    if k < 1:
+        raise ColoringError("modulus must be >= 1")
+    return _fox_violation(d, colors, k) is None
+
+
+def _fox_violation(d: Diagram, colors, k: int) -> int | None:
+    """Index of the first crossing where the coloring relation fails mod k."""
+    return next(
+        (
+            i
+            for i, c in enumerate(d.crossings)
+            if (
+                2 * colors[d.arc_of(c.over_in)]
+                - colors[d.arc_of(c.under_in)]
+                - colors[d.arc_of(c.under_out)]
+            )
+            % k
+        ),
+        None,
+    )
+
+
+def count_colorings(d: Diagram, k: int) -> int:
+    """Number of Fox k-colorings, constant colorings included."""
+    return count_solutions_mod(crossing_matrix(d), k)
+
+
+def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
+    """All Fox k-colorings, via the Smith form of the crossing matrix.
+
+    Bails out once the assignment space k**arcs passes limit; the error
+    still carries the count, so callers can fall back to it.
+    """
+    cprime = crossing_matrix(d)
+    if k ** cprime.cols > limit:
+        raise EnumerationLimitError(count_solutions_mod(cprime, k), limit)
+    snf = smith_normal_form(cprime)
+    axes = []
+    for x in snf.diagonal:
+        g = gcd(x, k) if x else k
+        axes.append(range(0, k, k // g))
+    axes.extend([range(k)] * (cprime.cols - len(snf.diagonal)))
+    out = []
+    for y in product(*axes):
+        out.append(FoxColoring(k, snf.v.mul_vector(y)))
+    return tuple(out)
+
+
 def distinguishing_report(d: Diagram, base: int | None = None) -> DistinguishingReport:
-    cm = coloring_matrix(d, base)
-    rows = cm.extended_rows()
-    n1 = cm.modulus
-    width = cm.l.cols
-    separators = []
-    masks = [0] * width
-    pair_index = 0
-    for i, j in combinations(range(cm.arc_count), 2):
-        least = None
-        for col in range(width):
-            if (rows[i][col] - rows[j][col]) % n1 != 0:
-                if least is None:
-                    least = col
-                masks[col] |= 1 << pair_index
-        separators.append((i, j, least))
-        pair_index += 1
-    perfect = tuple(
-        col
-        for col in range(width)
-        if len({rows[a][col] % n1 for a in range(cm.arc_count)}) == cm.arc_count
-    )
-    t, t_columns = _minimum_cover(masks, pair_index)
-    if any(least is None for _, _, least in separators):
-        t, t_columns = None, ()
-    return DistinguishingReport(
-        base_arc=cm.base_arc,
-        modulus=n1,
-        arc_count=cm.arc_count,
-        separators=tuple(separators),
-        perfect_columns=perfect,
-        t=t,
-        t_columns=t_columns,
-    )
+    return ColoringAnalysis(d, base).report
 
 
 def _minimum_cover(masks, pair_count):
@@ -354,36 +451,9 @@ def minimal_distinguishing_set(
     the arc pairs that any n1-colorings can. With verify=True a pair left
     together by all of them raises CoverageError.
     """
-    c = _reduced_matrix(d, base)
-    group = coloring_group(d, base)
-    n1 = group.annihilator
-    snf = smith_normal_form(c)
-    base_arc = _resolve_base(d, base)
-    arc_count = len(d.arcs)
-    picked = [(x, i) for i, x in enumerate(snf.diagonal) if x > 1]
-    picked.sort(key=lambda p: -p[0])
-    colorings = []
-    for factor, i in picked:
-        col = snf.v.col(i)
-        scale = n1 // factor
-        colors = []
-        k = 0
-        for a in range(arc_count):
-            if a == base_arc:
-                colors.append(0)
-            else:
-                colors.append(scale * col[k] % n1)
-                k += 1
-        colorings.append(FoxColoring(n1, tuple(colors)))
-    assert all(is_fox_coloring(d, f.colors, n1) for f in colorings)
-    if verify:
-        left_together = [
-            (i, j)
-            for i, j in combinations(range(arc_count), 2)
-            if all(f.colors[i] == f.colors[j] for f in colorings)
-        ]
-        if left_together:
-            raise CoverageError(
-                f"arc pairs {left_together} are not distinguished"
-            )
-    return tuple(colorings)
+    analysis = ColoringAnalysis(d, base)
+    if verify and analysis.minimal_set_failures:
+        raise CoverageError(
+            f"arc pairs {list(analysis.minimal_set_failures)} are not distinguished"
+        )
+    return analysis.minimal_set

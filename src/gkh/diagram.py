@@ -159,7 +159,16 @@ class Diagram:
         if self.is_alternating:
             # alternation puts exactly one over-passage on every arc
             runs.sort(key=lambda r: over_at[r])
-            assert [over_at[r] for r in runs] == [(i,) for i in range(len(self.crossings))]
+            for i, run in enumerate(runs):
+                if over_at[run] != (i,):
+                    raise DiagramError(
+                        f"alternating arc {i} (edges {list(run)}) passes over crossings "
+                        f"{list(over_at[run])}, not exactly crossing {i}"
+                    )
+            if len(runs) != len(self.crossings):
+                raise DiagramError(
+                    f"alternating diagram has {len(runs)} arcs for {len(self.crossings)} crossings"
+                )
         else:
             runs.sort(key=min)
         return tuple(Arc(i, run, over_at[run]) for i, run in enumerate(runs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import IntMatrix
+from .linalg import IntMatrix, LinalgError
 
 
 def find_matrix_bijection(
@@ -89,7 +89,13 @@ def find_matrix_bijection(
     if alpha is None:
         return None
     out_rho = tuple(rho)
-    assert source.permuted(out_rho, alpha) == target
+    image = source.permuted(out_rho, alpha)
+    for i in range(target.rows):
+        if image.row(i) != target.row(i):
+            raise LinalgError(
+                f"relabeling sends a source row to target row {i} as {image.row(i)}, "
+                f"not {target.row(i)}"
+            )
     return out_rho, alpha
 
 

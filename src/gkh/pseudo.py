@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coloring import _reduced_matrix, _resolve_base, crossing_matrix
+from .coloring import ColoringAnalysis, crossing_matrix
 from .diagram import Diagram
-from .linalg import IntMatrix, rational_inverse, smith_normal_form
+from .linalg import smith_normal_form
 
 
 class PseudoError(Exception):
@@ -84,7 +84,10 @@ def row_relation_basis(d: Diagram) -> tuple[RowRelation, ...]:
     for i in range(transposed.cols):
         if i >= len(diag) or diag[i] == 0:
             vector = snf.v.col(i)
-            assert all(x == 0 for x in transposed.mul_vector(vector))
+            if any(transposed.mul_vector(vector)):
+                raise PseudoError(
+                    f"column {i} of V is not a relation among the crossing matrix rows"
+                )
             out.append(RowRelation(_normalized(tuple(vector))))
     return tuple(out)
 
@@ -140,24 +143,10 @@ def pseudo_from_inverse_columns(
 ) -> tuple[PseudoColoring, ...]:
     """Pseudo colorings read off the integral columns of C(D)^(-1).
 
-    Each integral column, extended by 0 on the base arc, has defect +1 at
-    its own crossing; the base row defect follows from the row relation
-    and the classification keeps exactly the unit cases.
+    Those columns are the columns of L that vanish mod n1, divided by n1;
+    see ColoringAnalysis.inverse_pseudos.
     """
-    c = _reduced_matrix(d, base)
-    base_arc = _resolve_base(d, base)
-    inverse = rational_inverse(c)
-    found = []
-    for j in range(c.cols):
-        entries = [inverse[i][j] for i in range(c.rows)]
-        if any(x.denominator != 1 for x in entries):
-            continue
-        column = [int(x) for x in entries]
-        colors = column[:base_arc] + [0] + column[base_arc:]
-        result = classify_assignment(d, colors, column=j)
-        if result.kind == "pseudo":
-            found.append(result.pseudo)
-    return tuple(found)
+    return ColoringAnalysis(d, base).inverse_pseudos
 
 
 def _passages(d: Diagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
@@ -192,6 +181,11 @@ def tunnel_pseudo(d: Diagram) -> PseudoColoring:
                 colors = [0] * len(d.arcs)
                 colors[tunnel_arc] = -1
                 result = classify_assignment(d, colors)
-                assert result.kind == "pseudo" and result.pseudo is not None
+                if result.kind != "pseudo":
+                    bad = {i: v for i, v in enumerate(result.defects) if v}
+                    raise PseudoError(
+                        f"tunnel arc {tunnel_arc} colored -1 leaves defects {bad} "
+                        "by crossing, not a pseudo coloring"
+                    )
                 return result.pseudo
     raise PseudoError("no usable tunnel: only degenerate underpass loops")

@@ -18,21 +18,16 @@ from math import gcd
 
 from .codec import BraidWord
 from .coloring import (
+    ColoringAnalysis,
     ColoringGroup,
-    CoverageError,
     FoxColoring,
     ZeroDeterminantError,
-    coloring_group,
-    coloring_matrix,
-    crossing_matrix,
-    distinguishing_report,
-    link_determinant,
-    minimal_distinguishing_set,
     _reduced_matrix,
+    link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
 from .linalg import block_diag, smith_normal_form
-from .pseudo import pseudo_from_inverse_columns
+from .pseudo import PseudoColoring
 
 
 class VerifyError(Exception):
@@ -73,7 +68,7 @@ class VerificationReport:
     part_c: bool
     s: int
     distinguishing: tuple[FoxColoring, ...]
-    inverse_pseudo_count: int
+    inverse_pseudos: tuple[PseudoColoring, ...]
 
     @property
     def passed(self) -> bool:
@@ -83,6 +78,10 @@ class VerificationReport:
     def guaranteed(self) -> bool:
         """Whether the hypotheses promise a pass in the first place."""
         return self.hypotheses.satisfied
+
+    @property
+    def inverse_pseudo_count(self) -> int:
+        return len(self.inverse_pseudos)
 
     @property
     def pseudo_free(self) -> bool:
@@ -108,33 +107,25 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
     hyp = hypotheses_of(d)
     if hyp.determinant == 0:
         raise ZeroDeterminantError("determinant 0: nothing to verify")
-    group = coloring_group(d, base)
-    cm = coloring_matrix(d, base)
-    rows = cm.extended_rows()
-    part_a = len(set(rows)) == len(rows)
-    report = distinguishing_report(d, base)
-    part_b = report.injective
-    try:
-        chosen = minimal_distinguishing_set(d, base)
-        part_c = True
-    except CoverageError:
-        chosen = minimal_distinguishing_set(d, base, verify=False)
-        part_c = False
+    analysis = ColoringAnalysis(d, base)
+    group = analysis.group
+    rows = analysis.extended_rows()
+    report = analysis.report
     return VerificationReport(
         name=name,
         hypotheses=hyp,
         group=group,
-        base_arc=cm.base_arc,
-        part_a=part_a,
-        part_b=part_b,
+        base_arc=analysis.base_arc,
+        part_a=len(set(rows)) == len(rows),
+        part_b=report.injective,
         failures=report.failures,
         t=report.t,
         t_columns=report.t_columns,
         perfect_columns=report.perfect_columns,
-        part_c=part_c,
+        part_c=not analysis.minimal_set_failures,
         s=group.s,
-        distinguishing=chosen,
-        inverse_pseudo_count=len(pseudo_from_inverse_columns(d, base)),
+        distinguishing=analysis.minimal_set,
+        inverse_pseudos=analysis.inverse_pseudos,
     )
 
 
@@ -181,21 +172,18 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
     total = parts[0]
     for part in parts[1:]:
         total = connected_sum(total, part)
-    group = coloring_group(total)
+    analysis = ColoringAnalysis(total)
     combined = smith_normal_form(block_diag(blocks)).diagonal
     direct_sum = tuple(sorted((x for x in combined if x > 1), reverse=True))
     junction_pairs = total.junction_arc_pairs
-    cm = coloring_matrix(total)
-    rows = cm.extended_rows()
-    joining_equal = all(rows[a] == rows[b] for a, b in junction_pairs)
-    report = distinguishing_report(total)
+    rows = analysis.extended_rows()
     return ConnectedSumReport(
         diagram=total,
-        group=group,
+        group=analysis.group,
         direct_sum_factors=direct_sum,
         junction_pairs=junction_pairs,
-        joining_equal=joining_equal,
-        failures=report.failures,
+        joining_equal=all(rows[a] == rows[b] for a, b in junction_pairs),
+        failures=analysis.report.failures,
     )
 
 
@@ -227,12 +215,10 @@ def closed_form_count(d: Diagram, k: int) -> int:
     Free factors of the reduced coloring group enter as gcd(0, k) = k, so
     split diagrams with determinant 0 still get an exact count.
     """
-    c = _reduced_matrix(d, None)
-    diagonal = smith_normal_form(c).diagonal
     total = k
-    for x in diagonal:
+    for x in ColoringAnalysis(d).snf.diagonal:
         total *= gcd(x, k) if x else k
-    return total * k ** (c.cols - len(diagonal))
+    return total
 
 
 def random_alternating_diagram(

@@ -1,0 +1,196 @@
+"""ColoringAnalysis: one certified Smith form per (diagram, base) against the oracles.
+
+L and the inverse-column pseudos are derived from U C V = D; the
+Fraction-based rational_inverse and scaled_inverse in linalg serve only
+as the independent answers they are compared with here.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gkh
+from gkh.coloring import (
+    ColoringAnalysis,
+    ZeroDeterminantError,
+    coloring_group,
+    coloring_matrix,
+    link_determinant,
+)
+from gkh.diagram import pretzel, turks_head
+from gkh.fixtures import fixture_diagram, fixture_names
+from gkh.linalg import (
+    IntMatrix,
+    LinalgError,
+    SnfDecomposition,
+    check_smith_form,
+    rational_inverse,
+    scaled_inverse,
+    smith_normal_form,
+)
+from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
+from gkh.verify import random_alternating_diagram, verify_gkh
+
+MODULES = [
+    importlib.import_module(f"gkh.{m}")
+    for m in ("linalg", "coloring", "diagram", "pseudo", "verify", "cli")
+]
+
+
+def oracle_pseudos(d, base):
+    """Pseudo colorings from the integral columns of the Fraction inverse."""
+    analysis = ColoringAnalysis(d, base)
+    inverse = rational_inverse(analysis.c)
+    found = []
+    for j in range(analysis.c.cols):
+        entries = [row[j] for row in inverse]
+        if any(x.denominator != 1 for x in entries):
+            continue
+        colors = [int(x) for x in entries]
+        colors.insert(analysis.base_arc, 0)
+        result = classify_assignment(d, colors, column=j)
+        if result.kind == "pseudo":
+            found.append(result.pseudo)
+    return tuple(found)
+
+
+def assert_matches_oracles(d, base=None):
+    analysis = ColoringAnalysis(d, base)
+    n1 = analysis.modulus
+    assert analysis.l == scaled_inverse(analysis.c, n1)
+    assert analysis.inverse_pseudos == oracle_pseudos(d, base)
+    assert pseudo_from_inverse_columns(d, base) == analysis.inverse_pseudos
+
+
+NONZERO_FIXTURES = [n for n in fixture_names() if link_determinant(fixture_diagram(n)) != 0]
+
+
+@pytest.mark.parametrize("name", NONZERO_FIXTURES)
+def test_fixture_every_base_matches_oracles(name):
+    d = fixture_diagram(name)
+    for base in range(len(d.arcs)):
+        assert_matches_oracles(d, base)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [turks_head(n) for n in range(5, 11)] + [pretzel(3, 3, 3, 3, 3)],
+    ids=[f"turks_head({n})" for n in range(5, 11)] + ["pretzel(3,3,3,3,3)"],
+)
+def test_families_match_oracles(d):
+    assert_matches_oracles(d)
+
+
+def test_kink_is_empty_with_modulus_one():
+    analysis = ColoringAnalysis(fixture_diagram("kink"))
+    assert analysis.c == IntMatrix.zeros(0, 0)
+    assert analysis.modulus == 1
+    assert analysis.l == IntMatrix.zeros(0, 0)
+    assert analysis.extended_rows() == ((),)
+    assert analysis.inverse_pseudos == ()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_random_alternating_matches_oracles(seed):
+    d = random_alternating_diagram(12, seed)
+    assert_matches_oracles(d)
+    assert_matches_oracles(d, 0)
+
+
+def test_determinant_zero_raises_typed_error():
+    analysis = ColoringAnalysis(fixture_diagram("split"))
+    with pytest.raises(ZeroDeterminantError):
+        analysis.l
+    with pytest.raises(ZeroDeterminantError):
+        pseudo_from_inverse_columns(fixture_diagram("split"))
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count SNF calls, Fraction inverses and L builds wherever they are bound."""
+    tally = {"snf": 0, "inverse": 0, "l": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, name in (("snf", "smith_normal_form"), ("inverse", "rational_inverse")):
+        original = getattr(gkh.linalg, name)
+        wrapped = counting(key, original)
+        for module in MODULES:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    build_l = functools.cached_property(counting("l", ColoringAnalysis.l.func))
+    build_l.__set_name__(ColoringAnalysis, "l")
+    monkeypatch.setattr(ColoringAnalysis, "l", build_l)
+    return tally
+
+
+def test_verify_factors_once_and_inverts_nothing(counts):
+    verify_gkh(turks_head(6))
+    assert counts == {"snf": 1, "inverse": 0, "l": 1}
+
+
+def test_determinant_never_factors(counts):
+    assert link_determinant(turks_head(6)) == 320
+    assert counts["snf"] == 0
+
+
+def test_group_builds_no_l(counts):
+    assert coloring_group(turks_head(6)).determinant == 320
+    assert counts == {"snf": 1, "inverse": 0, "l": 0}
+    coloring_matrix(turks_head(6))
+    assert counts["l"] == 1
+
+
+def test_corrupted_u_fails_the_certificate():
+    c = ColoringAnalysis(fixture_diagram("7_7")).c
+    snf = smith_normal_form(c)
+    entries = list(snf.u.entries)
+    entries[0] += 1
+    bad = SnfDecomposition(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    with pytest.raises(LinalgError):
+        check_smith_form(c, bad)
+    check_smith_form(c, snf)
+
+
+def test_certificate_rejects_a_non_smith_diagonal():
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    identity = IntMatrix.identity(2)
+    with pytest.raises(LinalgError):
+        check_smith_form(a, SnfDecomposition(identity, a, identity))
+
+
+def test_checks_survive_optimize_flag():
+    # under python -O a failing assert would vanish; the certificate must not
+    src = Path(gkh.__file__).resolve().parent.parent
+    code = (
+        "from gkh.linalg import *\n"
+        "a = IntMatrix.from_rows([[2, 0], [0, 3]])\n"
+        "i = IntMatrix.identity(2)\n"
+        "try:\n"
+        "    check_smith_form(a, SnfDecomposition(i, a, i))\n"
+        "except LinalgError:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert out.stdout.strip() == "raised"

@@ -173,6 +173,19 @@ def test_zero_determinant_group_is_input_error(capsys):
     assert code == 2 and "determinant 0" in err
 
 
+def test_zero_determinant_pseudo_is_input_error(capsys):
+    code, out, err = run(capsys, "pseudo", "--name", "split")
+    assert code == 2 and out == ""
+    assert err.startswith("kh:") and "determinant 0" in err
+
+
+def test_verify_json_reports_inverse_pseudos(capsys):
+    code, out, _ = run(capsys, "verify", "--name", "8_19", "--json")
+    assert code in (0, 1)
+    found = json.loads(out)["pseudo"]["found"]
+    assert [(p["column"], p["epsilon"]) for p in found] == [(2, 1), (5, 1), (6, -1)]
+
+
 def test_unknown_subcommand_usage(capsys):
     with pytest.raises(SystemExit) as info:
         main(["nonsense"])
