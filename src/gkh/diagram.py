@@ -195,17 +195,20 @@ class Diagram:
     def joining_arcs(self) -> tuple[int, ...]:
         return tuple(sorted({a for pair in self.junction_arc_pairs for a in pair}))
 
-    def _crossing_graph_without(self, ci: int) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {
-            i: set() for i in range(len(self.crossings)) if i != ci
-        }
-        for e in range(1, self.edge_count + 1):
-            u = self._tail_of[e][0]
-            v = self._head_of[e][0]
-            if u != ci and v != ci:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
+    @cached_property
+    def _multigraph(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per crossing, the (neighbour crossing, edge id) of every edge end.
+
+        Edge id k is edge label k + 1. Parallel edges stay distinct and a
+        loop (kink) appears twice in its crossing's list.
+        """
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.crossings]
+        for k in range(self.edge_count):
+            u = self._tail_of[k + 1][0]
+            v = self._head_of[k + 1][0]
+            adj[u].append((v, k))
+            adj[v].append((u, k))
+        return tuple(tuple(ends) for ends in adj)
 
     def _nugatory(self, ci: int) -> bool:
         """Can a simple closed curve meet the diagram only at crossing ci?
@@ -241,13 +244,13 @@ class Diagram:
                 anchors.append(found)
             if not anchors[0] or not anchors[1]:
                 return True
-            adj = self._crossing_graph_without(ci)
+            adj = self._multigraph
             queue = deque(anchors[0])
             seen = set(anchors[0])
             while queue:
                 q = queue.popleft()
-                for r in adj[q]:
-                    if r not in seen:
+                for r, _ in adj[q]:
+                    if r != ci and r not in seen:
                         seen.add(r)
                         queue.append(r)
             if not (seen & anchors[1]):
@@ -259,37 +262,58 @@ class Diagram:
         """True when no crossing is nugatory."""
         return not any(self._nugatory(i) for i in range(len(self.crossings)))
 
+    def _has_bridge(self, skip_edge: int | None = None) -> bool:
+        """Whether the crossing multigraph minus edge id skip_edge has a
+        bridge or a crossing that crossing 0 cannot reach.
+
+        One iterative lowpoint DFS (Tarjan 1974). It ignores the edge id it
+        arrived by rather than the parent crossing, so a parallel edge back
+        to the parent is a second path and bigons never look like bridges.
+        """
+        adj = self._multigraph
+        disc = [-1] * len(adj)
+        low = [0] * len(adj)
+        disc[0] = 0
+        timer = 1
+        stack = [(0, -1, iter(adj[0]))]
+        while stack:
+            u, via, ends = stack[-1]
+            for v, k in ends:
+                if k == via or k == skip_edge:
+                    continue
+                if disc[v] < 0:
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    stack.append((v, k, iter(adj[v])))
+                    break
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] > disc[p]:
+                        return True
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+        return timer < len(adj)
+
     @cached_property
     def is_prime_diagram(self) -> bool:
-        """Connected, and no two edges disconnect the underlying graph."""
-        n = len(self.crossings)
-        ends = [
-            (self._tail_of[e][0], self._head_of[e][0])
-            for e in range(1, self.edge_count + 1)
-        ]
+        """Connected, and no two edges disconnect the underlying graph.
 
-        def reaches_all(skip: tuple[int, ...]) -> bool:
-            adj: dict[int, list[int]] = {i: [] for i in range(n)}
-            for k, (u, v) in enumerate(ends):
-                if k not in skip:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            queue = deque([0])
-            seen = {0}
-            while queue:
-                q = queue.popleft()
-                for r in adj[q]:
-                    if r not in seen:
-                        seen.add(r)
-                        queue.append(r)
-            return len(seen) == n
-
-        if not reaches_all(()):
+        Equivalently: no bridge in the graph, nor in the graph minus any one
+        edge. That is E + 1 bridge searches, O(E (V + E)) in all. A loop is
+        never a bridge and removing it changes no other edge's status, so
+        loops are not removed in turn.
+        """
+        if self._has_bridge():
             return False
-        return all(
-            reaches_all((i, j))
-            for i in range(len(ends))
-            for j in range(i + 1, len(ends))
+        return not any(
+            self._has_bridge(k)
+            for u, ends in enumerate(self._multigraph)
+            for v, k in ends
+            if u < v
         )
 
     def mirrored(self) -> Diagram:

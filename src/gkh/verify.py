@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .codec import BraidWord
 from .coloring import (
@@ -26,7 +26,7 @@ from .coloring import (
     link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
-from .linalg import block_diag, smith_normal_form
+from .linalg import LinalgError, block_diag, smith_normal_form
 from .pseudo import PseudoColoring
 
 
@@ -108,6 +108,14 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
     if hyp.determinant == 0:
         raise ZeroDeterminantError("determinant 0: nothing to verify")
     analysis = ColoringAnalysis(d, base)
+    # U C V = D alone does not make U and V unimodular; the Bareiss
+    # determinant equal to the product of D's diagonal forces det U det V = +-1
+    diagonal_product = prod(analysis.snf.diagonal)
+    if diagonal_product != hyp.determinant:
+        raise LinalgError(
+            f"Smith form diagonal product {diagonal_product} != determinant "
+            f"{hyp.determinant}: the transforms are not unimodular"
+        )
     group = analysis.group
     rows = analysis.extended_rows()
     report = analysis.report

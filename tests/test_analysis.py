@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -174,9 +175,21 @@ def test_certificate_rejects_a_non_smith_diagonal():
         check_smith_form(a, SnfDecomposition(identity, a, identity))
 
 
+def run_optimized(code):
+    """stdout of code run under python -O, where every assert is stripped."""
+    src = Path(gkh.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    return out.stdout.strip()
+
+
 def test_checks_survive_optimize_flag():
     # under python -O a failing assert would vanish; the certificate must not
-    src = Path(gkh.__file__).resolve().parent.parent
     code = (
         "from gkh.linalg import *\n"
         "a = IntMatrix.from_rows([[2, 0], [0, 3]])\n"
@@ -186,11 +199,39 @@ def test_checks_survive_optimize_flag():
         "except LinalgError:\n"
         "    print('raised')\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        check=True,
+    assert run_optimized(code) == "raised"
+
+
+def doubled_smith_form(a):
+    """2U C V = 2D still holds and 2D is a divisor chain, but 2U is not unimodular."""
+    snf = smith_normal_form(a)
+
+    def doubled(m):
+        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
+
+    return SnfDecomposition(doubled(snf.u), doubled(snf.d), snf.v)
+
+
+def test_non_unimodular_transform_fails_verify(monkeypatch):
+    d = fixture_diagram("7_7")
+    c = ColoringAnalysis(d).c
+    check_smith_form(c, doubled_smith_form(c))  # U C V = D alone cannot see it
+    monkeypatch.setattr(gkh.coloring, "smith_normal_form", doubled_smith_form)
+    with pytest.raises(LinalgError, match="not unimodular"):
+        verify_gkh(d)
+
+
+def test_unimodularity_check_survives_optimize_flag():
+    code = (
+        "import gkh.coloring\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import *\n"
+        "from gkh.verify import verify_gkh\n"
+        f"{inspect.getsource(doubled_smith_form)}\n"
+        "gkh.coloring.smith_normal_form = doubled_smith_form\n"
+        "try:\n"
+        "    verify_gkh(fixture_diagram('7_7'))\n"
+        "except LinalgError:\n"
+        "    print('raised')\n"
     )
-    assert out.stdout.strip() == "raised"
+    assert run_optimized(code) == "raised"

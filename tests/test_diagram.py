@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from gkh.diagram import (
     pretzel,
     turks_head,
 )
+from gkh.fixtures import fixture_diagram, fixture_names
 
 
 def trefoil():
@@ -22,15 +25,15 @@ def trefoil():
 
 
 @st.composite
-def closable_braids(draw):
-    strands = draw(st.integers(min_value=2, max_value=4))
+def closable_braids(draw, max_strands=4, min_size=1, max_size=10):
+    strands = draw(st.integers(min_value=2, max_value=max_strands))
     letters = draw(
         st.lists(
             st.integers(min_value=1, max_value=strands - 1).flatmap(
                 lambda i: st.sampled_from([i, -i])
             ),
-            min_size=1,
-            max_size=10,
+            min_size=min_size,
+            max_size=max_size,
         )
     )
     used = {abs(x) for x in letters}
@@ -191,3 +194,62 @@ def test_mirror_roundtrip_random(word):
     d = braid_closure(word)
     assert d.mirrored().mirrored() == d
     assert d.mirrored().is_alternating == d.is_alternating
+
+
+def pairwise_prime_oracle(d):
+    """Brute force: one BFS for every pair of removed edges, O(E^3)."""
+    n = d.crossing_count
+    tail = {e: i for i, c in enumerate(d.crossings) for e in (c.over_out, c.under_out)}
+    head = {e: i for i, c in enumerate(d.crossings) for e in (c.over_in, c.under_in)}
+    ends = [(tail[e], head[e]) for e in range(1, d.edge_count + 1)]
+
+    def reaches_all(skip):
+        adj = {i: [] for i in range(n)}
+        for k, (u, v) in enumerate(ends):
+            if k not in skip:
+                adj[u].append(v)
+                adj[v].append(u)
+        queue = deque([0])
+        seen = {0}
+        while queue:
+            q = queue.popleft()
+            for r in adj[q]:
+                if r not in seen:
+                    seen.add(r)
+                    queue.append(r)
+        return len(seen) == n
+
+    if not reaches_all(()):
+        return False
+    return all(
+        reaches_all((i, j)) for i in range(len(ends)) for j in range(i + 1, len(ends))
+    )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_prime_matches_oracle_on_fixtures(name):
+    d = fixture_diagram(name)
+    assert d.is_prime_diagram == pairwise_prime_oracle(d)
+
+
+# mixed signs on up to 5 strands: non-alternating, kinked and split closures all occur
+@settings(max_examples=60, deadline=None)
+@given(closable_braids(5, 3, 16), closable_braids(5, 3, 16))
+def test_prime_matches_oracle_random(w1, w2):
+    d = braid_closure(w1)
+    assert d.is_prime_diagram == pairwise_prime_oracle(d)
+    s = connected_sum(d, braid_closure(w2))
+    assert s.is_prime_diagram == pairwise_prime_oracle(s)
+
+
+def test_prime_deterministic_cases():
+    bigons = pretzel(3, 3, 3)
+    assert bigons.is_prime_diagram and pairwise_prime_oracle(bigons)
+    # the two edges joining the summands are an exact 2-edge cut
+    sum31 = connected_sum(fixture_diagram("3_1"), fixture_diagram("3_1"))
+    assert not sum31.is_prime_diagram and not pairwise_prime_oracle(sum31)
+    big = turks_head(60)
+    assert big.is_prime_diagram
+    kink = from_pd(parse_pd("PD[X(2,1,1,2)]"))
+    for d in (bigons, sum31, big, pretzel(3, 3, -2), kink):
+        assert d.mirrored().is_prime_diagram == d.is_prime_diagram
