@@ -3,171 +3,52 @@
 Build a diagram from a planar diagram code or a braid word, then ask for
 its crossing matrix, determinant, reduced coloring group, and the
 distinguishing data behind the generalized Kauffman-Harary property.
-Everything is exact integer or rational arithmetic.
+Everything is exact integer arithmetic.
+
+The names below are the package's public surface; everything else stays
+importable from its submodule (`gkh.linalg`, `gkh.pseudo`, ...).
 
 >>> from gkh import braid_closure, parse_braid, coloring_group
 >>> coloring_group(braid_closure(parse_braid("1 1 1"))).invariant_factors
 (3,)
 """
 
-from __future__ import annotations
-
-from .codec import (
-    BraidError,
-    BraidWord,
-    CodecError,
-    PdCode,
-    PdInvariantError,
-    PdSyntaxError,
-    parse_braid,
-    parse_pd,
-    serialize_braid,
-    serialize_pd,
-)
+from .codec import CodecError, parse_braid, parse_pd
 from .coloring import (
     ColoringAnalysis,
     ColoringError,
-    ColoringGroup,
-    ColoringMatrix,
-    CoverageError,
-    DistinguishingReport,
-    EnumerationLimitError,
-    FoxColoring,
     ZeroDeterminantError,
     coloring_group,
     coloring_matrix,
-    count_colorings,
     crossing_matrix,
     distinguishing_report,
-    enumerate_colorings,
-    is_fox_coloring,
-    link_determinant,
-    minimal_distinguishing_set,
-    reduced_crossing_matrix,
 )
-from .diagram import (
-    Arc,
-    Crossing,
-    Diagram,
-    DiagramError,
-    braid_closure,
-    connected_sum,
-    from_pd,
-    pretzel,
-    turks_head,
-)
-from .fixtures import FixtureEntry, FixtureError, fixture, fixture_diagram, fixture_names
-from .linalg import (
-    IntMatrix,
-    LinalgError,
-    NonIntegralEntryError,
-    SingularMatrixError,
-    SnfDecomposition,
-    check_smith_form,
-    count_solutions_mod,
-    determinant,
-    rational_inverse,
-    scaled_inverse,
-    smith_normal_form,
-)
-from .pseudo import (
-    Classification,
-    PseudoColoring,
-    PseudoError,
-    RowRelation,
-    classify_assignment,
-    pseudo_from_inverse_columns,
-    row_relation,
-    row_relation_basis,
-    tunnel_pseudo,
-)
-from .verify import (
-    ConnectedSumReport,
-    GenerationError,
-    Hypotheses,
-    VerificationReport,
-    VerifyError,
-    brute_force_coloring_count,
-    closed_form_count,
-    hypotheses_of,
-    random_alternating_diagram,
-    verify_connected_sum,
-    verify_gkh,
-)
+from .diagram import DiagramError, braid_closure, from_pd, pretzel
+from .fixtures import FixtureError, fixture_diagram, fixture_names
+from .linalg import LinalgError
+from .pseudo import PseudoError
+from .verify import VerifyError, verify_gkh
 
 __all__ = [
-    "Arc",
-    "BraidError",
-    "BraidWord",
-    "Classification",
     "CodecError",
     "ColoringAnalysis",
     "ColoringError",
-    "ColoringGroup",
-    "ColoringMatrix",
-    "ConnectedSumReport",
-    "CoverageError",
-    "Crossing",
-    "Diagram",
     "DiagramError",
-    "DistinguishingReport",
-    "EnumerationLimitError",
-    "FixtureEntry",
     "FixtureError",
-    "FoxColoring",
-    "GenerationError",
-    "Hypotheses",
-    "IntMatrix",
     "LinalgError",
-    "NonIntegralEntryError",
-    "PdCode",
-    "PdInvariantError",
-    "PdSyntaxError",
-    "PseudoColoring",
     "PseudoError",
-    "RowRelation",
-    "SingularMatrixError",
-    "SnfDecomposition",
-    "VerificationReport",
     "VerifyError",
     "ZeroDeterminantError",
     "braid_closure",
-    "brute_force_coloring_count",
-    "check_smith_form",
-    "classify_assignment",
-    "closed_form_count",
     "coloring_group",
     "coloring_matrix",
-    "connected_sum",
-    "count_colorings",
-    "count_solutions_mod",
     "crossing_matrix",
-    "determinant",
     "distinguishing_report",
-    "enumerate_colorings",
-    "fixture",
     "fixture_diagram",
     "fixture_names",
     "from_pd",
-    "hypotheses_of",
-    "is_fox_coloring",
-    "link_determinant",
-    "minimal_distinguishing_set",
     "parse_braid",
     "parse_pd",
     "pretzel",
-    "pseudo_from_inverse_columns",
-    "random_alternating_diagram",
-    "rational_inverse",
-    "reduced_crossing_matrix",
-    "row_relation",
-    "row_relation_basis",
-    "scaled_inverse",
-    "serialize_braid",
-    "serialize_pd",
-    "smith_normal_form",
-    "tunnel_pseudo",
-    "turks_head",
-    "verify_connected_sum",
     "verify_gkh",
 ]

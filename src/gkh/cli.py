@@ -355,15 +355,21 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    failures = []
-    rows = []
+    records = []
     for seed in range(args.seed, args.seed + args.count):
         d = random_alternating_diagram(args.max_crossings, seed)
         report = verify_gkh(d, name=f"seed {seed}")
-        ok = report.passed and report.pseudo_free
-        if not ok:
-            failures.append(seed)
-        rows.append((seed, len(d.crossings), report.group.determinant, ok))
+        records.append(
+            {
+                "seed": seed,
+                "crossings": len(d.crossings),
+                "determinant": report.group.determinant,
+                "s": report.s,
+                "t": report.t,
+                "ok": report.passed and report.pseudo_free,
+            }
+        )
+    failures = [r["seed"] for r in records if not r["ok"]]
     if args.json:
         _emit(
             {
@@ -371,13 +377,14 @@ def _cmd_fuzz(args) -> int:
                 "maxCrossings": args.max_crossings,
                 "failures": failures,
                 "passed": not failures,
+                "seeds": records,
             }
         )
     else:
-        for seed, crossings, det, ok in rows:
+        for r in records:
             print(
-                f"seed {seed}: {crossings} crossings, determinant {det}, "
-                f"{'ok' if ok else 'FAIL'}"
+                f"seed {r['seed']}: {r['crossings']} crossings, determinant {r['determinant']}, "
+                f"{'ok' if r['ok'] else 'FAIL'}"
             )
         print(f"{args.count - len(failures)}/{args.count} passed")
     return 0 if not failures else 1

@@ -67,8 +67,7 @@ class FoxColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ColoringError("modulus must be >= 1")
+        _require_modulus(self.modulus)
         object.__setattr__(
             self, "colors", tuple(c % self.modulus for c in self.colors)
         )
@@ -107,15 +106,6 @@ def crossing_matrix(d: Diagram) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _resolve_base(d: Diagram, base: int | None) -> int:
-    count = len(d.arcs)
-    if base is None:
-        return count - 1
-    if not 0 <= base < count:
-        raise ColoringError(f"base arc {base} out of range for {count} arcs")
-    return base
-
-
 def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntMatrix:
     """C(D): the crossing matrix with the base row and column deleted.
 
@@ -132,19 +122,22 @@ def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntM
     return c_prime.without_row_col(base, base)
 
 
-def _reduced_matrix(d: Diagram, base: int | None) -> IntMatrix:
+def _reduced_matrix(d: Diagram, base: int | None) -> tuple[IntMatrix, int]:
+    """C(D) and the base arc it drops, by default the last arc."""
     cprime = crossing_matrix(d)
     if not cprime.is_square:
         raise ZeroDeterminantError(
             "some component never passes under; the crossing matrix is not square"
         )
-    return reduced_crossing_matrix(cprime, _resolve_base(d, base))
+    if base is None:
+        base = cprime.rows - 1
+    return reduced_crossing_matrix(cprime, base), base
 
 
 def link_determinant(d: Diagram, base: int | None = None) -> int:
     """delta(D) = |det C(D)|; 0 when the crossing matrix is not square."""
     try:
-        return abs(determinant(_reduced_matrix(d, base)))
+        return abs(determinant(_reduced_matrix(d, base)[0]))
     except ZeroDeterminantError:
         return 0
 
@@ -168,10 +161,6 @@ class DistinguishingReport:
     t_columns: tuple[int, ...]
 
     @property
-    def column_count(self) -> int:
-        return self.arc_count - 1
-
-    @property
     def failures(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j, c in self.separators if c is None)
 
@@ -193,8 +182,7 @@ class ColoringAnalysis:
 
     def __init__(self, d: Diagram, base: int | None = None):
         self.diagram = d
-        self.c = _reduced_matrix(d, base)
-        self.base_arc = _resolve_base(d, base)
+        self.c, self.base_arc = _reduced_matrix(d, base)
         self.arc_count = len(d.arcs)
         self.snf = smith_normal_form(self.c)
 
@@ -278,9 +266,10 @@ class ColoringAnalysis:
             for col in range(width)
             if len({rows[a][col] % n1 for a in range(self.arc_count)}) == self.arc_count
         )
-        t, t_columns = _minimum_cover(masks, pair_index)
         if any(least is None for _, _, least in separators):
             t, t_columns = None, ()
+        else:
+            t, t_columns = _minimum_cover(masks, pair_index)
         return DistinguishingReport(
             base_arc=self.base_arc,
             modulus=n1,
@@ -344,10 +333,6 @@ class ColoringAnalysis:
         return tuple(found)
 
 
-# every coloring_matrix result is an analysis; the old name stays importable
-ColoringMatrix = ColoringAnalysis
-
-
 def coloring_group(d: Diagram, base: int | None = None) -> ColoringGroup:
     return ColoringAnalysis(d, base).group
 
@@ -365,9 +350,13 @@ def is_fox_coloring(d: Diagram, colors, k: int) -> bool:
         raise ColoringError(
             f"{len(colors)} colors for {len(d.arcs)} arcs"
         )
+    _require_modulus(k)
+    return _fox_violation(d, colors, k) is None
+
+
+def _require_modulus(k: int) -> None:
     if k < 1:
         raise ColoringError("modulus must be >= 1")
-    return _fox_violation(d, colors, k) is None
 
 
 def _fox_violation(d: Diagram, colors, k: int) -> int | None:
@@ -389,6 +378,7 @@ def _fox_violation(d: Diagram, colors, k: int) -> int | None:
 
 def count_colorings(d: Diagram, k: int) -> int:
     """Number of Fox k-colorings, constant colorings included."""
+    _require_modulus(k)
     return count_solutions_mod(crossing_matrix(d), k)
 
 
@@ -398,6 +388,7 @@ def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxCo
     Bails out once the assignment space k**arcs passes limit; the error
     still carries the count, so callers can fall back to it.
     """
+    _require_modulus(k)
     cprime = crossing_matrix(d)
     if k ** cprime.cols > limit:
         raise EnumerationLimitError(count_solutions_mod(cprime, k), limit)
@@ -418,12 +409,13 @@ def distinguishing_report(d: Diagram, base: int | None = None) -> Distinguishing
 
 
 def _minimum_cover(masks, pair_count):
-    """Smallest column set covering all pairs, exact, lexicographic first."""
+    """Smallest column set covering all pairs, exact, lexicographic first.
+
+    The caller guarantees that all columns together cover every pair.
+    """
     full = (1 << pair_count) - 1
     if full == 0:
         return 0, ()
-    if sum_mask(masks) != full:
-        return None, ()
     for size in range(1, len(masks) + 1):
         for combo in combinations(range(len(masks)), size):
             acc = 0
@@ -434,25 +426,16 @@ def _minimum_cover(masks, pair_count):
     return None, ()
 
 
-def sum_mask(masks) -> int:
-    acc = 0
-    for m in masks:
-        acc |= m
-    return acc
-
-
-def minimal_distinguishing_set(
-    d: Diagram, base: int | None = None, verify: bool = True
-) -> tuple[FoxColoring, ...]:
+def minimal_distinguishing_set(d: Diagram, base: int | None = None) -> tuple[FoxColoring, ...]:
     """One Fox n1-coloring per invariant factor, read off the Smith form.
 
     For each factor n_i the coloring is (n1 / n_i) times the matching
     column of V, where C = U^(-1) D V^(-1); together they separate exactly
-    the arc pairs that any n1-colorings can. With verify=True a pair left
-    together by all of them raises CoverageError.
+    the arc pairs that any n1-colorings can. A pair left together by all
+    of them raises CoverageError.
     """
     analysis = ColoringAnalysis(d, base)
-    if verify and analysis.minimal_set_failures:
+    if analysis.minimal_set_failures:
         raise CoverageError(
             f"arc pairs {list(analysis.minimal_set_failures)} are not distinguished"
         )

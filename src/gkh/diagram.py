@@ -181,10 +181,6 @@ class Diagram:
         """Index of the arc containing edge e."""
         return self._arc_of[e]
 
-    def over_arc_at(self, i: int) -> int:
-        """Index of the arc passing over crossing i."""
-        return self.arc_of(self.crossings[i].over_in)
-
     @cached_property
     def junction_arc_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(

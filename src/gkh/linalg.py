@@ -30,21 +30,6 @@ class NonIntegralEntryError(LinalgError):
         super().__init__(f"entry ({row}, {col}) = {value} is not integral")
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from .codec import BraidWord
 from .coloring import (
@@ -176,7 +176,7 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
     for part in parts:
         if link_determinant(part) == 0:
             raise ZeroDeterminantError("summand with determinant 0")
-        blocks.append(_reduced_matrix(part, None))
+        blocks.append(_reduced_matrix(part, None)[0])
     total = parts[0]
     for part in parts[1:]:
         total = connected_sum(total, part)
@@ -198,8 +198,8 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
 def brute_force_coloring_count(d: Diagram, k: int, limit: int = 1 << 24) -> int:
     """Count Fox k-colorings by checking every assignment, no linear algebra.
 
-    Deliberately dumb so it can stand as an oracle against the closed
-    form; the assignment space k**arcs is capped by limit.
+    Deliberately dumb so it can stand as an oracle against the Smith-form
+    count; the assignment space k**arcs is capped by limit.
     """
     arcs = len(d.arcs)
     if k < 1:
@@ -215,18 +215,6 @@ def brute_force_coloring_count(d: Diagram, k: int, limit: int = 1 << 24) -> int:
         if all((2 * colors[b] - colors[a] - colors[c]) % k == 0 for b, a, c in triples):
             count += 1
     return count
-
-
-def closed_form_count(d: Diagram, k: int) -> int:
-    """k * product of gcd(n_i, k) over the invariant factors.
-
-    Free factors of the reduced coloring group enter as gcd(0, k) = k, so
-    split diagrams with determinant 0 still get an exact count.
-    """
-    total = k
-    for x in ColoringAnalysis(d).snf.diagonal:
-        total *= gcd(x, k) if x else k
-    return total
 
 
 def random_alternating_diagram(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gkh.cli import main
+from gkh.verify import random_alternating_diagram, verify_gkh
 
 
 def run(capsys, *argv):
@@ -66,6 +67,13 @@ def test_colorings_over_limit_reports_count(capsys):
     payload = json.loads(out)
     assert payload["colorings"] is None
     assert payload["count"] == 15 * 15 * 3 * 3 * 3
+
+
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_colorings_modulus_below_one_is_input_error(capsys, modulus):
+    code, out, err = run(capsys, "colorings", "--name", "3_1", "--mod", modulus)
+    assert code == 2 and out == ""
+    assert err.startswith("kh: ") and "modulus must be >= 1" in err
 
 
 def test_distinguish_json(capsys):
@@ -156,6 +164,26 @@ def test_fuzz_deterministic(capsys):
     assert first == second
     code, out, _ = first
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_fuzz_json_has_one_record_per_seed(capsys):
+    code, out, _ = run(
+        capsys, "fuzz", "--seed", "7", "--count", "4", "--max-crossings", "8", "--json"
+    )
+    assert code == 0
+    records = json.loads(out)["seeds"]
+    assert [r["seed"] for r in records] == [7, 8, 9, 10]
+    for r in records:
+        d = random_alternating_diagram(8, r["seed"])
+        report = verify_gkh(d)
+        assert r == {
+            "seed": r["seed"],
+            "crossings": len(d.crossings),
+            "determinant": report.group.determinant,
+            "s": report.s,
+            "t": report.t,
+            "ok": report.passed and report.pseudo_free,
+        }
 
 
 def test_unknown_fixture_is_input_error(capsys):

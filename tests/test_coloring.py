@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkh.coloring import (
+    ColoringAnalysis,
     ColoringError,
+    CoverageError,
     EnumerationLimitError,
     FoxColoring,
     ZeroDeterminantError,
@@ -171,6 +173,20 @@ def test_enumeration_respects_custom_limit():
         enumerate_colorings(TREFOIL, 3, limit=8)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_counting_rejects_modulus_below_one(k):
+    for count_or_enumerate in (count_colorings, enumerate_colorings):
+        with pytest.raises(ColoringError, match="modulus must be >= 1"):
+            count_or_enumerate(TREFOIL, k)
+
+
+def test_minimal_set_raises_on_unseparated_pair():
+    square = fixture_diagram("square")
+    assert ColoringAnalysis(square).minimal_set_failures == ((1, 5),)
+    with pytest.raises(CoverageError, match=r"\(1, 5\)"):
+        minimal_distinguishing_set(square)
+
+
 def test_base_out_of_range():
     with pytest.raises(ColoringError):
         coloring_matrix(TREFOIL, base=3)
@@ -232,8 +248,11 @@ def test_minimal_set_size_is_group_rank(index):
     d = property_diagram(index)
     group = coloring_group(d)
     if group.s == 0:
-        assert minimal_distinguishing_set(d, verify=False) == ()
+        assert ColoringAnalysis(d).minimal_set == ()
         return
-    chosen = minimal_distinguishing_set(d, verify=d.is_prime_diagram and d.is_alternating)
+    if d.is_prime_diagram and d.is_alternating:
+        chosen = minimal_distinguishing_set(d)
+    else:
+        chosen = ColoringAnalysis(d).minimal_set
     assert len(chosen) == group.s
     assert all(f.modulus == group.annihilator for f in chosen)

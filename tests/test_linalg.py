@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from gkh.linalg import (
     rational_inverse,
     scaled_inverse,
     smith_normal_form,
-    xgcd,
 )
 
 
@@ -71,22 +69,6 @@ small_square_matrices = st.integers(min_value=1, max_value=5).flatmap(
         st.integers(min_value=-9, max_value=9), min_size=n * n, max_size=n * n
     ).map(lambda e: IntMatrix(n, n, tuple(e)))
 )
-
-
-def test_xgcd_basic():
-    for a, b in [(0, 0), (0, 5), (5, 0), (12, 18), (-12, 18), (7, -3), (-4, -6)]:
-        g, x, y = xgcd(a, b)
-        assert g == gcd(a, b)
-        assert a * x + b * y == g
-
-
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-def test_xgcd_bezout(a, b):
-    g, x, y = xgcd(a, b)
-    assert g >= 0
-    assert a * x + b * y == g
-    if a or b:
-        assert a % g == 0 and b % g == 0
 
 
 def test_matrix_shape_validation():

@@ -11,7 +11,6 @@ from gkh.verify import (
     GenerationError,
     VerifyError,
     brute_force_coloring_count,
-    closed_form_count,
     hypotheses_of,
     random_alternating_diagram,
     verify_connected_sum,
@@ -163,7 +162,6 @@ def test_brute_force_matches_closed_form():
         assert len(d.arcs) <= 8, name
         for k in range(2, 7):
             brute = brute_force_coloring_count(d, k)
-            assert brute == closed_form_count(d, k), (name, k)
             assert brute == count_colorings(d, k), (name, k)
 
 
