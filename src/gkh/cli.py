@@ -105,7 +105,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_det(args) -> int:
     _, d = _load_diagram(args)
-    value = link_determinant(d, args.base)
+    value = link_determinant(d)
     if args.json:
         return _emit({"determinant": value})
     print(value)
@@ -114,7 +114,7 @@ def _cmd_det(args) -> int:
 
 def _cmd_group(args) -> int:
     _, d = _load_diagram(args)
-    group = coloring_group(d, args.base)
+    group = coloring_group(d)
     if args.json:
         return _emit(
             {
@@ -403,12 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("det", help="diagram determinant")
     _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
     p.set_defaults(run=_cmd_det)
 
     p = sub.add_parser("group", help="reduced coloring group")
     _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
     p.set_defaults(run=_cmd_group)
 
     p = sub.add_parser("matrix", help="crossing and coloring matrices")

@@ -4,7 +4,8 @@ PD codes look like PD[X(1,3,2,4),X(3,1,4,2)]. Each X(a,b,c,d) lists the four
 edge labels around a crossing counterclockwise, starting at the incoming
 under-edge; (b, d) carry the over-strand. Edge labels must be 1..2n, each
 used exactly twice. Which of b, d enters the crossing is resolved later by
-orientation propagation, not here.
+orientation propagation, not here. The code must describe a planar
+diagram; the parser checks syntax and label use, not planarity.
 
 Braid words are whitespace or comma separated nonzero integers, optionally
 prefixed by "strands=k;". Letter +i crosses strand i over strand i+1,

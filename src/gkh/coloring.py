@@ -113,31 +113,27 @@ def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntM
     goes with it, which matches moving the base to the end and dropping
     the final row and column.
     """
-    if not c_prime.is_square:
-        raise ColoringError("crossing matrix must be square to reduce")
-    if base is None:
-        base = c_prime.rows - 1
-    if not 0 <= base < c_prime.rows:
-        raise ColoringError(f"base arc {base} out of range for {c_prime.rows} arcs")
-    return c_prime.without_row_col(base, base)
+    return _reduced(c_prime, base)[0]
 
 
-def _reduced_matrix(d: Diagram, base: int | None) -> tuple[IntMatrix, int]:
+def _reduced(c_prime: IntMatrix, base: int | None) -> tuple[IntMatrix, int]:
     """C(D) and the base arc it drops, by default the last arc."""
-    cprime = crossing_matrix(d)
-    if not cprime.is_square:
+    if not c_prime.is_square:
         raise ZeroDeterminantError(
             "some component never passes under; the crossing matrix is not square"
         )
     if base is None:
-        base = cprime.rows - 1
-    return reduced_crossing_matrix(cprime, base), base
+        base = c_prime.rows - 1
+    if not 0 <= base < c_prime.rows:
+        raise ColoringError(f"base arc {base} out of range for {c_prime.rows} arcs")
+    return c_prime.without_row_col(base, base), base
 
 
-def link_determinant(d: Diagram, base: int | None = None) -> int:
-    """delta(D) = |det C(D)|; 0 when the crossing matrix is not square."""
+def link_determinant(d: Diagram) -> int:
+    """delta(D) = |det C(D)| at any base arc; 0 when the crossing matrix is
+    not square."""
     try:
-        return abs(determinant(_reduced_matrix(d, base)[0]))
+        return abs(determinant(reduced_crossing_matrix(crossing_matrix(d))))
     except ZeroDeterminantError:
         return 0
 
@@ -182,7 +178,7 @@ class ColoringAnalysis:
 
     def __init__(self, d: Diagram, base: int | None = None):
         self.diagram = d
-        self.c, self.base_arc = _reduced_matrix(d, base)
+        self.c, self.base_arc = _reduced(crossing_matrix(d), base)
         self.arc_count = len(d.arcs)
         self.snf = smith_normal_form(self.c)
 
@@ -333,8 +329,9 @@ class ColoringAnalysis:
         return tuple(found)
 
 
-def coloring_group(d: Diagram, base: int | None = None) -> ColoringGroup:
-    return ColoringAnalysis(d, base).group
+def coloring_group(d: Diagram) -> ColoringGroup:
+    """The reduced coloring group, the same at every base arc."""
+    return ColoringAnalysis(d).group
 
 
 def coloring_matrix(d: Diagram, base: int | None = None) -> ColoringAnalysis:
@@ -359,20 +356,20 @@ def _require_modulus(k: int) -> None:
         raise ColoringError("modulus must be >= 1")
 
 
+def _crossing_defects(d: Diagram, colors) -> tuple[int, ...]:
+    """C'(D) . colors, read off the crossings: 2 * over - under_in - under_out."""
+    return tuple(
+        2 * colors[d.arc_of(c.over_in)]
+        - colors[d.arc_of(c.under_in)]
+        - colors[d.arc_of(c.under_out)]
+        for c in d.crossings
+    )
+
+
 def _fox_violation(d: Diagram, colors, k: int) -> int | None:
     """Index of the first crossing where the coloring relation fails mod k."""
     return next(
-        (
-            i
-            for i, c in enumerate(d.crossings)
-            if (
-                2 * colors[d.arc_of(c.over_in)]
-                - colors[d.arc_of(c.under_in)]
-                - colors[d.arc_of(c.under_out)]
-            )
-            % k
-        ),
-        None,
+        (i for i, x in enumerate(_crossing_defects(d, colors)) if x % k), None
     )
 
 
@@ -385,23 +382,23 @@ def count_colorings(d: Diagram, k: int) -> int:
 def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
     """All Fox k-colorings, via the Smith form of the crossing matrix.
 
-    Bails out once the assignment space k**arcs passes limit; the error
-    still carries the count, so callers can fall back to it.
+    With U C' V = D they are V y for y in a box with gcd(d_i, k) points on
+    axis i (k for a zero or missing d_i), so the box size is the count.
+    Bails out when the count passes limit; the error carries the count,
+    so callers can fall back to it.
     """
     _require_modulus(k)
     cprime = crossing_matrix(d)
-    if k ** cprime.cols > limit:
-        raise EnumerationLimitError(count_solutions_mod(cprime, k), limit)
     snf = smith_normal_form(cprime)
     axes = []
     for x in snf.diagonal:
         g = gcd(x, k) if x else k
         axes.append(range(0, k, k // g))
     axes.extend([range(k)] * (cprime.cols - len(snf.diagonal)))
-    out = []
-    for y in product(*axes):
-        out.append(FoxColoring(k, snf.v.mul_vector(y)))
-    return tuple(out)
+    count = prod(len(axis) for axis in axes)
+    if count > limit:
+        raise EnumerationLimitError(count, limit)
+    return tuple(FoxColoring(k, snf.v.mul_vector(y)) for y in product(*axes))
 
 
 def distinguishing_report(d: Diagram, base: int | None = None) -> DistinguishingReport:

@@ -10,6 +10,12 @@ diagrams compare equal.
 Arcs are the maximal strand runs between consecutive under-passages. In an
 alternating diagram every arc passes over exactly one crossing and arcs are
 indexed by that crossing; otherwise arcs are ordered by smallest edge label.
+
+Diagrams are taken to be planar: the crossing data must come from a link
+drawn in the plane, as every braid closure, pretzel and connected sum here
+does, and as a PD code does when it follows its counterclockwise
+convention. The reduced and prime predicates rely on planarity and give
+no meaningful answer for crossing data that cannot be drawn so.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ class Crossing:
     over_out: int
     under_in: int
     under_out: int
-
-    @property
-    def slots(self) -> tuple[int, int, int, int]:
-        return (self.over_in, self.over_out, self.under_in, self.under_out)
 
 
 @dataclass(frozen=True)
@@ -206,107 +208,87 @@ class Diagram:
             adj[v].append((u, k))
         return tuple(tuple(ends) for ends in adj)
 
-    def _nugatory(self, ci: int) -> bool:
-        """Can a simple closed curve meet the diagram only at crossing ci?
+    def _cuts(self, skip_edge: int | None = None) -> tuple[bool, bool]:
+        """Lowpoint search of the crossing multigraph minus edge id skip_edge.
 
-        Such a curve separates an adjacent pair of the four ends at ci from
-        the other pair; adjacent pairs always couple an over end with an
-        under end. We test both pairings for separation in the diagram
-        graph with crossing ci removed.
-        """
-        c = self.crossings[ci]
-        # in-ends hang from their tail crossing, out-ends from their head
-        far = {
-            "over_in": (c.over_in, self._tail_of),
-            "over_out": (c.over_out, self._head_of),
-            "under_in": (c.under_in, self._tail_of),
-            "under_out": (c.under_out, self._head_of),
-        }
-        pairings = [
-            (("over_in", "under_in"), ("over_out", "under_out")),
-            (("over_in", "under_out"), ("over_out", "under_in")),
-        ]
-        for side_a, side_b in pairings:
-            if {far[s][0] for s in side_a} & {far[s][0] for s in side_b}:
-                continue  # some edge runs directly between the two sides
-            anchors = []
-            for side in (side_a, side_b):
-                found = set()
-                for s in side:
-                    e, far_map = far[s]
-                    q = far_map[e][0]
-                    if q != ci:
-                        found.add(q)
-                anchors.append(found)
-            if not anchors[0] or not anchors[1]:
-                return True
-            adj = self._multigraph
-            queue = deque(anchors[0])
-            seen = set(anchors[0])
-            while queue:
-                q = queue.popleft()
-                for r, _ in adj[q]:
-                    if r != ci and r not in seen:
-                        seen.add(r)
-                        queue.append(r)
-            if not (seen & anchors[1]):
-                return True
-        return False
-
-    @cached_property
-    def is_reduced(self) -> bool:
-        """True when no crossing is nugatory."""
-        return not any(self._nugatory(i) for i in range(len(self.crossings)))
-
-    def _has_bridge(self, skip_edge: int | None = None) -> bool:
-        """Whether the crossing multigraph minus edge id skip_edge has a
-        bridge or a crossing that crossing 0 cannot reach.
-
-        One iterative lowpoint DFS (Tarjan 1974). It ignores the edge id it
-        arrived by rather than the parent crossing, so a parallel edge back
-        to the parent is a second path and bigons never look like bridges.
+        Returns (split, cut): split when some edge is a bridge or the graph
+        has more than one piece, cut when some crossing is a cut vertex.
+        One iterative lowpoint DFS (Tarjan 1974), rooted afresh at every
+        crossing not yet reached. It ignores the edge id it arrived by
+        rather than the parent crossing, so a parallel edge back to the
+        parent is a second path and bigons never look like bridges. A root
+        is a cut vertex only when it has a second DFS child.
         """
         adj = self._multigraph
         disc = [-1] * len(adj)
         low = [0] * len(adj)
-        disc[0] = 0
-        timer = 1
-        stack = [(0, -1, iter(adj[0]))]
-        while stack:
-            u, via, ends = stack[-1]
-            for v, k in ends:
-                if k == via or k == skip_edge:
-                    continue
-                if disc[v] < 0:
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, k, iter(adj[v])))
-                    break
-                if disc[v] < low[u]:
-                    low[u] = disc[v]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] > disc[p]:
-                        return True
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-        return timer < len(adj)
+        timer = 0
+        split = cut = False
+        while timer < len(adj):
+            root = disc.index(-1)
+            if timer:
+                split = True
+            disc[root] = low[root] = timer
+            timer += 1
+            root_children = 0
+            stack = [(root, -1, iter(adj[root]))]
+            while stack:
+                u, via, ends = stack[-1]
+                for v, k in ends:
+                    if k == via or k == skip_edge:
+                        continue
+                    if disc[v] < 0:
+                        disc[v] = low[v] = timer
+                        timer += 1
+                        stack.append((v, k, iter(adj[v])))
+                        break
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        if low[u] >= disc[p]:
+                            if low[u] > disc[p]:
+                                split = True
+                            if p != root:
+                                cut = True
+                            else:
+                                root_children += 1
+                        if low[u] < low[p]:
+                            low[p] = low[u]
+            if root_children > 1:
+                cut = True
+        return split, cut
+
+    @cached_property
+    def is_reduced(self) -> bool:
+        """True when no crossing is nugatory.
+
+        In a planar diagram a crossing is nugatory exactly when it carries a
+        loop (a kink) or is a cut vertex: the pieces left by a cut vertex
+        take two adjacent ends each, since an opposite split would need two
+        closed curves crossing once, so a simple closed curve separates
+        them through that crossing alone.
+        """
+        adj = self._multigraph
+        if any(v == u for u, ends in enumerate(adj) for v, _ in ends):
+            return False
+        return not self._cuts()[1]
 
     @cached_property
     def is_prime_diagram(self) -> bool:
         """Connected, and no two edges disconnect the underlying graph.
 
         Equivalently: no bridge in the graph, nor in the graph minus any one
-        edge. That is E + 1 bridge searches, O(E (V + E)) in all. A loop is
+        edge. That is E + 1 lowpoint searches, O(E (V + E)) in all. A loop is
         never a bridge and removing it changes no other edge's status, so
         loops are not removed in turn.
         """
-        if self._has_bridge():
+        if self._cuts()[0]:
             return False
         return not any(
-            self._has_bridge(k)
+            self._cuts(k)[0]
             for u, ends in enumerate(self._multigraph)
             for v, k in ends
             if u < v

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coloring import ColoringAnalysis, crossing_matrix
+from .coloring import ColoringAnalysis, _crossing_defects, crossing_matrix
 from .diagram import Diagram
 from .linalg import smith_normal_form
 
@@ -112,10 +112,9 @@ def classify_assignment(
     plus crossing.
     """
     colors = tuple(colors)
-    cprime = crossing_matrix(d)
-    if len(colors) != cprime.cols:
-        raise PseudoError(f"{len(colors)} colors for {cprime.cols} arcs")
-    defects = tuple(cprime.mul_vector(colors))
+    if len(colors) != len(d.arcs):
+        raise PseudoError(f"{len(colors)} colors for {len(d.arcs)} arcs")
+    defects = _crossing_defects(d, colors)
     nonzero = [(i, v) for i, v in enumerate(defects) if v]
     if not nonzero:
         return Classification("fox", colors, defects)

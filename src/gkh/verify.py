@@ -22,8 +22,9 @@ from .coloring import (
     ColoringGroup,
     FoxColoring,
     ZeroDeterminantError,
-    _reduced_matrix,
+    crossing_matrix,
     link_determinant,
+    reduced_crossing_matrix,
 )
 from .diagram import Diagram, braid_closure, connected_sum
 from .linalg import LinalgError, block_diag, smith_normal_form
@@ -117,15 +118,16 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
             f"{hyp.determinant}: the transforms are not unimodular"
         )
     group = analysis.group
-    rows = analysis.extended_rows()
     report = analysis.report
+    # rows of L mod n1 are pairwise distinct exactly when every pair is separated
+    injective = report.injective
     return VerificationReport(
         name=name,
         hypotheses=hyp,
         group=group,
         base_arc=analysis.base_arc,
-        part_a=len(set(rows)) == len(rows),
-        part_b=report.injective,
+        part_a=injective,
+        part_b=injective,
         failures=report.failures,
         t=report.t,
         t_columns=report.t_columns,
@@ -176,7 +178,7 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
     for part in parts:
         if link_determinant(part) == 0:
             raise ZeroDeterminantError("summand with determinant 0")
-        blocks.append(_reduced_matrix(part, None)[0])
+        blocks.append(reduced_crossing_matrix(crossing_matrix(part)))
     total = parts[0]
     for part in parts[1:]:
         total = connected_sum(total, part)
@@ -217,9 +219,10 @@ def brute_force_coloring_count(d: Diagram, k: int, limit: int = 1 << 24) -> int:
     return count
 
 
-def random_alternating_diagram(
-    max_crossings: int, seed: int, max_attempts: int = 400
-) -> Diagram:
+_MAX_ATTEMPTS = 400
+
+
+def random_alternating_diagram(max_crossings: int, seed: int) -> Diagram:
     """A random reduced alternating prime diagram with nonzero determinant.
 
     Draws braid words whose letter signs follow generator parity, which
@@ -228,7 +231,7 @@ def random_alternating_diagram(
     if max_crossings < 3:
         raise GenerationError("need at least 3 crossings")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         strands = rng.randint(2, 4)
         length = rng.randint(3, max_crossings)
         polarity = rng.choice((0, 1))
@@ -239,11 +242,6 @@ def random_alternating_diagram(
         if {abs(x) for x in letters} != set(range(1, strands)):
             continue
         d = braid_closure(BraidWord(strands, tuple(letters)))
-        if (
-            d.is_alternating
-            and d.is_reduced
-            and d.is_prime_diagram
-            and link_determinant(d) != 0
-        ):
+        if hypotheses_of(d).satisfied:
             return d
-    raise GenerationError(f"no usable diagram after {max_attempts} attempts")
+    raise GenerationError(f"no usable diagram after {_MAX_ATTEMPTS} attempts")

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from gkh.cli import main
+from gkh.coloring import is_fox_coloring
+from gkh.fixtures import fixture_diagram
 from gkh.verify import random_alternating_diagram, verify_gkh
 
 
@@ -61,12 +63,24 @@ def test_colorings_enumeration(capsys):
     assert "1 2 0" in lines
 
 
+def test_colorings_lists_a_small_count_over_many_arcs(capsys):
+    # 11**10 assignments, but only 1331 colorings
+    code, out, _ = run(capsys, "colorings", "--name", "10_123", "--mod", "11")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "1331 colorings mod 11"
+    colorings = {tuple(int(x) for x in line.split()) for line in lines[1:]}
+    assert len(lines) == 1332 and len(colorings) == 1331
+    d = fixture_diagram("10_123")
+    assert all(is_fox_coloring(d, c, 11) for c in colorings)
+
+
 def test_colorings_over_limit_reports_count(capsys):
-    code, out, _ = run(capsys, "colorings", "--name", "p33333", "--mod", "15", "--json")
+    code, out, _ = run(capsys, "colorings", "--name", "split", "--mod", "5000", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["colorings"] is None
-    assert payload["count"] == 15 * 15 * 3 * 3 * 3
+    assert payload["count"] == 5000 * 5000
 
 
 @pytest.mark.parametrize("modulus", ["0", "-3"])

@@ -23,7 +23,7 @@ from gkh.coloring import (
     reduced_crossing_matrix,
 )
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
-from gkh.linalg import IntMatrix
+from gkh.linalg import IntMatrix, determinant
 from gkh.verify import random_alternating_diagram
 
 TREFOIL = fixture_diagram("3_1")
@@ -109,13 +109,17 @@ def test_fixture_determinants_and_groups():
 
 def test_determinant_ignores_base_choice():
     d = fixture_diagram("7_7")
-    dets = {link_determinant(d, base) for base in range(len(d.arcs))}
+    cprime = crossing_matrix(d)
+    dets = {
+        abs(determinant(reduced_crossing_matrix(cprime, base)))
+        for base in range(len(d.arcs))
+    }
     assert dets == {21}
 
 
 def test_group_ignores_base_choice():
     d = fixture_diagram("w6")
-    groups = {coloring_group(d, base).invariant_factors for base in range(4)}
+    groups = {ColoringAnalysis(d, base).group.invariant_factors for base in range(4)}
     assert groups == {(40, 8)}
 
 
@@ -161,16 +165,24 @@ def test_column_coloring_range():
 
 
 def test_enumeration_limit_carries_count():
-    d = fixture_diagram("p33333")
+    # two kinks: C' is the 2x2 zero matrix, so 5000**2 colorings
+    d = fixture_diagram("split")
     with pytest.raises(EnumerationLimitError) as info:
-        enumerate_colorings(d, 15)
-    assert info.value.count == count_colorings(d, 15)
+        enumerate_colorings(d, 5000)
+    assert info.value.count == count_colorings(d, 5000) == 25_000_000
     assert info.value.limit == 1 << 24
 
 
 def test_enumeration_respects_custom_limit():
     with pytest.raises(EnumerationLimitError):
         enumerate_colorings(TREFOIL, 3, limit=8)
+    # the limit bounds the count, 6075, not the 15**15 assignments
+    d = fixture_diagram("p33333")
+    with pytest.raises(EnumerationLimitError) as info:
+        enumerate_colorings(d, 15, limit=6074)
+    assert info.value.count == 6075
+    found = enumerate_colorings(d, 15, limit=6075)
+    assert len(set(found)) == 6075 == count_colorings(d, 15)
 
 
 @pytest.mark.parametrize("k", [0, -3])

@@ -226,10 +226,56 @@ def pairwise_prime_oracle(d):
     )
 
 
+def per_crossing_reduced_oracle(d):
+    """Brute force: per crossing, one BFS per adjacent pairing of its ends.
+
+    A crossing is nugatory when a simple closed curve meets the diagram
+    only there. Such a curve separates an adjacent pair of the four ends
+    (an over end with an under end) from the other pair, which we test in
+    the graph with that crossing removed; O(V E) in all.
+    """
+    tail = {e: i for i, c in enumerate(d.crossings) for e in (c.over_out, c.under_out)}
+    head = {e: i for i, c in enumerate(d.crossings) for e in (c.over_in, c.under_in)}
+    adj = {i: [] for i in range(len(d.crossings))}
+    for e in tail:
+        adj[tail[e]].append(head[e])
+        adj[head[e]].append(tail[e])
+
+    def nugatory(ci):
+        c = d.crossings[ci]
+        # each end: its edge and the crossing at the edge's far end
+        far = {
+            "oi": (c.over_in, tail[c.over_in]),
+            "oo": (c.over_out, head[c.over_out]),
+            "ui": (c.under_in, tail[c.under_in]),
+            "uo": (c.under_out, head[c.under_out]),
+        }
+        for side_a, side_b in ((("oi", "ui"), ("oo", "uo")), (("oi", "uo"), ("oo", "ui"))):
+            if {far[s][0] for s in side_a} & {far[s][0] for s in side_b}:
+                continue  # a loop at ci joins the two sides
+            anchors = [{far[s][1] for s in side} - {ci} for side in (side_a, side_b)]
+            if not anchors[0] or not anchors[1]:
+                return True  # a loop at ci closes one side on itself
+            queue = deque(anchors[0])
+            seen = set(anchors[0])
+            while queue:
+                q = queue.popleft()
+                for r in adj[q]:
+                    if r != ci and r not in seen:
+                        seen.add(r)
+                        queue.append(r)
+            if not seen & anchors[1]:
+                return True
+        return False
+
+    return not any(nugatory(i) for i in range(len(d.crossings)))
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_prime_matches_oracle_on_fixtures(name):
     d = fixture_diagram(name)
     assert d.is_prime_diagram == pairwise_prime_oracle(d)
+    assert d.is_reduced == per_crossing_reduced_oracle(d)
 
 
 # mixed signs on up to 5 strands: non-alternating, kinked and split closures all occur
@@ -238,8 +284,10 @@ def test_prime_matches_oracle_on_fixtures(name):
 def test_prime_matches_oracle_random(w1, w2):
     d = braid_closure(w1)
     assert d.is_prime_diagram == pairwise_prime_oracle(d)
+    assert d.is_reduced == per_crossing_reduced_oracle(d)
     s = connected_sum(d, braid_closure(w2))
     assert s.is_prime_diagram == pairwise_prime_oracle(s)
+    assert s.is_reduced == per_crossing_reduced_oracle(s)
 
 
 def test_prime_deterministic_cases():
@@ -249,7 +297,18 @@ def test_prime_deterministic_cases():
     sum31 = connected_sum(fixture_diagram("3_1"), fixture_diagram("3_1"))
     assert not sum31.is_prime_diagram and not pairwise_prime_oracle(sum31)
     big = turks_head(60)
-    assert big.is_prime_diagram
+    assert big.is_prime_diagram and big.is_reduced
     kink = from_pd(parse_pd("PD[X(2,1,1,2)]"))
-    for d in (bigons, sum31, big, pretzel(3, 3, -2), kink):
+    # the kink of 1 1 1 2 sits on no cut vertex, so only its loop shows it
+    kinked = braid_closure(parse_braid("1 1 1 2"))
+    # 1 1 1 2 3 3 3 relabeled so that its nugatory crossing, a cut vertex
+    # with no loop, is crossing 0 and roots the search
+    rooted = from_pd(parse_pd(
+        "PD[X(9,12,10,13),X(13,10,14,11),X(11,14,12,1),X(8,1,9,2),"
+        "X(5,2,6,3),X(3,6,4,7),X(7,4,8,5)]"
+    ))
+    assert rooted.crossings[0].over_in == 1 and not rooted.is_reduced
+    for d in (bigons, sum31, big, pretzel(3, 3, -2), kink, kinked, rooted):
+        assert d.is_reduced == per_crossing_reduced_oracle(d)
         assert d.mirrored().is_prime_diagram == d.is_prime_diagram
+        assert d.mirrored().is_reduced == d.is_reduced
