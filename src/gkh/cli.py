@@ -355,6 +355,8 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 1:
+        raise VerifyError(f"fuzz count must be at least 1, got {args.count}")
     records = []
     for seed in range(args.seed, args.seed + args.count):
         d = random_alternating_diagram(args.max_crossings, seed)

@@ -24,13 +24,7 @@ from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from .diagram import Diagram
-from .linalg import (
-    IntMatrix,
-    LinalgError,
-    count_solutions_mod,
-    determinant,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, LinalgError, determinant, smith_normal_form
 
 if TYPE_CHECKING:
     from .pseudo import PseudoColoring
@@ -53,10 +47,6 @@ class EnumerationLimitError(ColoringError):
         super().__init__(
             f"enumeration space exceeds {limit}; the count alone is {count}"
         )
-
-
-class CoverageError(ColoringError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -217,11 +207,6 @@ class ColoringAnalysis:
     def l_mod(self) -> IntMatrix:
         return self.l.mod(self.modulus)
 
-    @property
-    def arc_indices(self) -> tuple[int, ...]:
-        """Arc behind each row/column of the reduced matrices."""
-        return tuple(a for a in range(self.arc_count) if a != self.base_arc)
-
     @cached_property
     def _extended_rows(self) -> tuple[tuple[int, ...], ...]:
         lmod = self.l_mod
@@ -234,33 +219,26 @@ class ColoringAnalysis:
         """One row of L mod n1 per arc, the base arc contributing zeros."""
         return self._extended_rows
 
-    def column_coloring(self, j: int) -> FoxColoring:
-        """The Fox n1-coloring read off column j of L, base arc colored 0."""
-        if not 0 <= j < self.l.cols:
-            raise ColoringError(f"column {j} out of range for {self.l.cols} columns")
-        return FoxColoring(self.modulus, tuple(r[j] for r in self.extended_rows()))
-
     @cached_property
     def report(self) -> DistinguishingReport:
+        # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
         rows = self.extended_rows()
-        n1 = self.modulus
         width = self.l.cols
         separators = []
         masks = [0] * width
         pair_index = 0
         for i, j in combinations(range(self.arc_count), 2):
+            row_i, row_j = rows[i], rows[j]
             least = None
             for col in range(width):
-                if (rows[i][col] - rows[j][col]) % n1 != 0:
+                if row_i[col] != row_j[col]:
                     if least is None:
                         least = col
                     masks[col] |= 1 << pair_index
             separators.append((i, j, least))
             pair_index += 1
         perfect = tuple(
-            col
-            for col in range(width)
-            if len({rows[a][col] % n1 for a in range(self.arc_count)}) == self.arc_count
+            col for col in range(width) if len({r[col] for r in rows}) == self.arc_count
         )
         if any(least is None for _, _, least in separators):
             t, t_columns = None, ()
@@ -268,7 +246,7 @@ class ColoringAnalysis:
             t, t_columns = _minimum_cover(masks, pair_index)
         return DistinguishingReport(
             base_arc=self.base_arc,
-            modulus=n1,
+            modulus=self.modulus,
             arc_count=self.arc_count,
             separators=tuple(separators),
             perfect_columns=perfect,
@@ -373,32 +351,37 @@ def _fox_violation(d: Diagram, colors, k: int) -> int | None:
     )
 
 
-def count_colorings(d: Diagram, k: int) -> int:
-    """Number of Fox k-colorings, constant colorings included."""
-    _require_modulus(k)
-    return count_solutions_mod(crossing_matrix(d), k)
+def _coloring_box(d: Diagram, k: int) -> tuple[IntMatrix, list[range]]:
+    """V and the box of y with V y running over all Fox k-colorings.
 
-
-def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
-    """All Fox k-colorings, via the Smith form of the crossing matrix.
-
-    With U C' V = D they are V y for y in a box with gcd(d_i, k) points on
-    axis i (k for a zero or missing d_i), so the box size is the count.
-    Bails out when the count passes limit; the error carries the count,
-    so callers can fall back to it.
+    With U C' V = D the colorings are V y for y in a box with gcd(d_i, k)
+    points on axis i (k for a zero or missing d_i), so the box size is
+    the count.
     """
     _require_modulus(k)
     cprime = crossing_matrix(d)
     snf = smith_normal_form(cprime)
-    axes = []
-    for x in snf.diagonal:
-        g = gcd(x, k) if x else k
-        axes.append(range(0, k, k // g))
-    axes.extend([range(k)] * (cprime.cols - len(snf.diagonal)))
+    axes = [range(0, k, k // gcd(x, k)) if x else range(k) for x in snf.diagonal]
+    axes.extend([range(k)] * (cprime.cols - len(axes)))
+    return snf.v, axes
+
+
+def count_colorings(d: Diagram, k: int) -> int:
+    """Number of Fox k-colorings, constant colorings included."""
+    return prod(len(axis) for axis in _coloring_box(d, k)[1])
+
+
+def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
+    """All Fox k-colorings, read off the Smith form of the crossing matrix.
+
+    Bails out when the count passes limit; the error carries the count,
+    so callers can fall back to it.
+    """
+    v, axes = _coloring_box(d, k)
     count = prod(len(axis) for axis in axes)
     if count > limit:
         raise EnumerationLimitError(count, limit)
-    return tuple(FoxColoring(k, snf.v.mul_vector(y)) for y in product(*axes))
+    return tuple(FoxColoring(k, v.mul_vector(y)) for y in product(*axes))
 
 
 def distinguishing_report(d: Diagram, base: int | None = None) -> DistinguishingReport:
@@ -422,18 +405,3 @@ def _minimum_cover(masks, pair_count):
                 return size, combo
     return None, ()
 
-
-def minimal_distinguishing_set(d: Diagram, base: int | None = None) -> tuple[FoxColoring, ...]:
-    """One Fox n1-coloring per invariant factor, read off the Smith form.
-
-    For each factor n_i the coloring is (n1 / n_i) times the matching
-    column of V, where C = U^(-1) D V^(-1); together they separate exactly
-    the arc pairs that any n1-colorings can. A pair left together by all
-    of them raises CoverageError.
-    """
-    analysis = ColoringAnalysis(d, base)
-    if analysis.minimal_set_failures:
-        raise CoverageError(
-            f"arc pairs {list(analysis.minimal_set_failures)} are not distinguished"
-        )
-    return analysis.minimal_set

@@ -455,39 +455,25 @@ def pretzel(*twists: int) -> Diagram:
     if any(t == 0 for t in twists):
         raise DiagramError("twist counts must be nonzero")
     k = len(twists)
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i, t in enumerate(twists):
-        for j in range(abs(t) + 1):
-            for side in "LR":
-                parent[(i, side, j)] = (i, side, j)
+    # a right end at height 0 or |t_i| meets the next column's left end at
+    # height 0 or |t_{i+1}|; each end meets exactly one other, so the pair's
+    # smaller label names the joined point
+    joined: dict[tuple, tuple] = {}
     for i, t in enumerate(twists):
         nx = (i + 1) % k
-        union((i, "R", 0), (nx, "L", 0))
-        union((i, "R", abs(t)), (nx, "L", abs(twists[nx])))
-    groups: dict[tuple, list[tuple]] = {}
-    for x in parent:
-        groups.setdefault(find(x), []).append(x)
-    rep = {x: min(g) for g in groups.values() for x in g}
+        for a, b in (((i, "R", 0), (nx, "L", 0)), ((i, "R", abs(t)), (nx, "L", abs(twists[nx])))):
+            joined[a] = joined[b] = min(a, b)
+
+    def point(*end):
+        return joined.get(end, end)
 
     passages = []
     for i, t in enumerate(twists):
         for j in range(abs(t)):
-            a = rep[(i, "L", j)]
-            b = rep[(i, "R", j)]
-            c = rep[(i, "L", j + 1)]
-            d = rep[(i, "R", j + 1)]
+            a = point(i, "L", j)
+            b = point(i, "R", j)
+            c = point(i, "L", j + 1)
+            d = point(i, "R", j + 1)
             # the strand entering top-left leaves bottom-right and vice versa
             passages.append((a, d, None))
             passages.append((b, c, None))

@@ -1,33 +1,18 @@
-"""Exact integer linear algebra: determinants, Smith normal form, inverses.
+"""Exact integer linear algebra: determinants and certified Smith normal forms.
 
-Everything here works over Z (or Q via fractions.Fraction); no floats.
-The Fraction inverses are kept as independent oracles for tests; the
-library derives C^(-1) from the Smith form instead.
+Everything here works over Z, with no floats or rationals. The library
+derives C^(-1), the coloring group and the coloring counts from the one
+Smith form; the independent inverses the tests compare against live in
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 
 class LinalgError(Exception):
     pass
-
-
-class SingularMatrixError(LinalgError):
-    pass
-
-
-class NonIntegralEntryError(LinalgError):
-    """A scaled inverse was requested but some entry is not an integer."""
-
-    def __init__(self, row: int, col: int, value: Fraction):
-        self.row = row
-        self.col = col
-        self.value = value
-        super().__init__(f"entry ({row}, {col}) = {value} is not integral")
 
 
 @dataclass(frozen=True)
@@ -59,10 +44,6 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -80,13 +61,6 @@ class IntMatrix:
 
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         """Product as row combinations; zero entries of self cost nothing,
@@ -125,18 +99,6 @@ class IntMatrix:
             if c != j
         )
         return IntMatrix(self.rows - 1, self.cols - 1, out)
-
-    def permuted(self, row_perm, col_perm) -> IntMatrix:
-        """Relabel: entry (i, j) moves to (row_perm[i], col_perm[j])."""
-        row_perm = tuple(row_perm)
-        col_perm = tuple(col_perm)
-        if sorted(row_perm) != list(range(self.rows)) or sorted(col_perm) != list(range(self.cols)):
-            raise LinalgError("not a permutation")
-        out = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[row_perm[i] * self.cols + col_perm[j]] = self.at(i, j)
-        return IntMatrix(self.rows, self.cols, tuple(out))
 
     def __str__(self) -> str:
         if not self.entries:
@@ -300,63 +262,3 @@ def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:
             f"Smith form certificate fails at ({i}, {j}): U A V has {product.entries[k]}, "
             f"D has {snf.d.entries[k]}"
         )
-
-
-def rational_inverse(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over Q via Gauss-Jordan elimination."""
-    if not a.is_square:
-        raise LinalgError("inverse needs a square matrix")
-    n = a.rows
-    m = [[Fraction(x) for x in a.row(i)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(tuple(r[n:]) for r in m)
-
-
-def scaled_inverse(a: IntMatrix, m: int) -> IntMatrix:
-    """Return m * a^(-1) as an integer matrix, or report the offending entry."""
-    inv = rational_inverse(a)
-    out = []
-    for i, r in enumerate(inv):
-        for j, x in enumerate(r):
-            y = m * x
-            if y.denominator != 1:
-                raise NonIntegralEntryError(i, j, y)
-            out.append(int(y))
-    return IntMatrix(a.rows, a.cols, tuple(out))
-
-
-def count_solutions_mod(a: IntMatrix, k: int) -> int:
-    """Number of x in (Z_k)^cols with a @ x == 0 mod k."""
-    if k < 1:
-        raise LinalgError("modulus must be >= 1")
-    snf = smith_normal_form(a)
-    count = 1
-    for x in snf.diagonal:
-        count *= gcd(x, k) if x else k
-    return count * k ** (a.cols - min(a.rows, a.cols))
-
-
-def block_diag(blocks) -> IntMatrix:
-    """Direct sum of matrices."""
-    blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.at(i, j)
-        r0 += b.rows
-        c0 += b.cols
-    return IntMatrix.from_rows(out) if blocks else IntMatrix.zeros(0, 0)

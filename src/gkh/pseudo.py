@@ -5,17 +5,16 @@ except at two crossings, where 2b - a - c equals +1 and epsilon (+1 or
 -1). Reduced prime alternating diagrams admit none, so finding one
 certifies non-alternation; conversely every non-alternating diagram
 yields one through a tunnel, a stretch of strand passing under twice in
-a row. Integral columns of C^(-1) are the other source.
+a row. Integral columns of C^(-1) are the other source. Either way the
+defects C'(D) . colors are read off the crossings, never from a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .coloring import ColoringAnalysis, _crossing_defects, crossing_matrix
+from .coloring import ColoringAnalysis, _crossing_defects
 from .diagram import Diagram
-from .linalg import smith_normal_form
 
 
 class PseudoError(Exception):
@@ -45,13 +44,6 @@ class PseudoColoring:
 
 
 @dataclass(frozen=True)
-class RowRelation:
-    """Primitive integer vector r with r . rows of C'(D) = 0."""
-
-    coefficients: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Classification:
     """What an integer arc assignment is: a Fox coloring over Z, a pseudo
     coloring, or neither."""
@@ -60,46 +52,6 @@ class Classification:
     colors: tuple[int, ...]
     defects: tuple[int, ...]
     pseudo: PseudoColoring | None = None
-
-
-def _normalized(vector: tuple[int, ...]) -> tuple[int, ...]:
-    content = 0
-    for x in vector:
-        content = gcd(content, x)
-    if content > 1:
-        vector = tuple(x // content for x in vector)
-    lead = next((x for x in vector if x), 0)
-    if lead < 0:
-        vector = tuple(-x for x in vector)
-    return vector
-
-
-def row_relation_basis(d: Diagram) -> tuple[RowRelation, ...]:
-    """A lattice basis for the left kernel of C'(D), each vector normalized."""
-    cprime = crossing_matrix(d)
-    transposed = cprime.transpose()
-    snf = smith_normal_form(transposed)
-    diag = snf.diagonal
-    out = []
-    for i in range(transposed.cols):
-        if i >= len(diag) or diag[i] == 0:
-            vector = snf.v.col(i)
-            if any(transposed.mul_vector(vector)):
-                raise PseudoError(
-                    f"column {i} of V is not a relation among the crossing matrix rows"
-                )
-            out.append(RowRelation(_normalized(tuple(vector))))
-    return tuple(out)
-
-
-def row_relation(d: Diagram) -> RowRelation:
-    """The relation among the rows of C'(D), when it is unique up to scale."""
-    basis = row_relation_basis(d)
-    if len(basis) != 1:
-        raise PseudoError(
-            f"left kernel of the crossing matrix has rank {len(basis)}, not 1"
-        )
-    return basis[0]
 
 
 def classify_assignment(

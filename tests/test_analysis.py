@@ -1,8 +1,8 @@
 """ColoringAnalysis: one certified Smith form per (diagram, base) against the oracles.
 
 L and the inverse-column pseudos are derived from U C V = D; the
-Fraction-based rational_inverse and scaled_inverse in linalg serve only
-as the independent answers they are compared with here.
+Fraction-based rational_inverse and scaled_inverse in tests/oracles.py
+are the independent answers they are compared with here.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from gkh.linalg import (
     LinalgError,
     SnfDecomposition,
     check_smith_form,
-    rational_inverse,
-    scaled_inverse,
     smith_normal_form,
 )
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_gkh
+from oracles import rational_inverse, scaled_inverse
 
 MODULES = [
     importlib.import_module(f"gkh.{m}")
@@ -93,9 +92,9 @@ def test_families_match_oracles(d):
 
 def test_kink_is_empty_with_modulus_one():
     analysis = ColoringAnalysis(fixture_diagram("kink"))
-    assert analysis.c == IntMatrix.zeros(0, 0)
+    assert analysis.c == IntMatrix(0, 0, ())
     assert analysis.modulus == 1
-    assert analysis.l == IntMatrix.zeros(0, 0)
+    assert analysis.l == IntMatrix(0, 0, ())
     assert analysis.extended_rows() == ((),)
     assert analysis.inverse_pseudos == ()
 
@@ -118,8 +117,8 @@ def test_determinant_zero_raises_typed_error():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count SNF calls, Fraction inverses and L builds wherever they are bound."""
-    tally = {"snf": 0, "inverse": 0, "l": 0}
+    """Count SNF calls and L builds wherever they are bound."""
+    tally = {"snf": 0, "l": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -128,12 +127,11 @@ def counts(monkeypatch):
 
         return wrapper
 
-    for key, name in (("snf", "smith_normal_form"), ("inverse", "rational_inverse")):
-        original = getattr(gkh.linalg, name)
-        wrapped = counting(key, original)
-        for module in MODULES:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapped)
+    original = gkh.linalg.smith_normal_form
+    wrapped = counting("snf", original)
+    for module in MODULES:
+        if getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", wrapped)
     build_l = functools.cached_property(counting("l", ColoringAnalysis.l.func))
     build_l.__set_name__(ColoringAnalysis, "l")
     monkeypatch.setattr(ColoringAnalysis, "l", build_l)
@@ -142,7 +140,7 @@ def counts(monkeypatch):
 
 def test_verify_factors_once_and_inverts_nothing(counts):
     verify_gkh(turks_head(6))
-    assert counts == {"snf": 1, "inverse": 0, "l": 1}
+    assert counts == {"snf": 1, "l": 1}
 
 
 def test_determinant_never_factors(counts):
@@ -152,7 +150,7 @@ def test_determinant_never_factors(counts):
 
 def test_group_builds_no_l(counts):
     assert coloring_group(turks_head(6)).determinant == 320
-    assert counts == {"snf": 1, "inverse": 0, "l": 0}
+    assert counts == {"snf": 1, "l": 0}
     coloring_matrix(turks_head(6))
     assert counts["l"] == 1
 
@@ -175,17 +173,23 @@ def test_certificate_rejects_a_non_smith_diagonal():
         check_smith_form(a, SnfDecomposition(identity, a, identity))
 
 
-def run_optimized(code):
-    """stdout of code run under python -O, where every assert is stripped."""
+def run_fresh(code, *flags):
+    """stdout of code run in a fresh interpreter with the given flags."""
     src = Path(gkh.__file__).resolve().parent.parent
     out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
     return out.stdout.strip()
+
+
+def test_import_loads_no_fractions():
+    # every inverse the library uses comes from the Smith form over Z
+    code = "import gkh, gkh.cli, sys; print('fractions' in sys.modules)"
+    assert run_fresh(code) == "False"
 
 
 def test_checks_survive_optimize_flag():
@@ -199,7 +203,7 @@ def test_checks_survive_optimize_flag():
         "except LinalgError:\n"
         "    print('raised')\n"
     )
-    assert run_optimized(code) == "raised"
+    assert run_fresh(code, "-O") == "raised"
 
 
 def doubled_smith_form(a):
@@ -234,4 +238,4 @@ def test_unimodularity_check_survives_optimize_flag():
         "except LinalgError:\n"
         "    print('raised')\n"
     )
-    assert run_optimized(code) == "raised"
+    assert run_fresh(code, "-O") == "raised"

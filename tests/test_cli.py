@@ -200,6 +200,13 @@ def test_fuzz_json_has_one_record_per_seed(capsys):
         }
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fuzz_count_below_one_is_input_error(capsys, count):
+    code, out, err = run(capsys, "fuzz", "--count", count)
+    assert code == 2 and out == ""
+    assert err.startswith("kh: ") and "at least 1" in err
+
+
 def test_unknown_fixture_is_input_error(capsys):
     code, _, err = run(capsys, "det", "--name", "nosuch")
     assert code == 2 and "unknown fixture" in err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gkh.coloring import (
     ColoringAnalysis,
     ColoringError,
-    CoverageError,
     EnumerationLimitError,
     FoxColoring,
     ZeroDeterminantError,
@@ -19,12 +18,12 @@ from gkh.coloring import (
     enumerate_colorings,
     is_fox_coloring,
     link_determinant,
-    minimal_distinguishing_set,
     reduced_crossing_matrix,
 )
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.linalg import IntMatrix, determinant
-from gkh.verify import random_alternating_diagram
+from gkh.verify import random_alternating_diagram, verify_gkh
+from oracles import transpose
 
 TREFOIL = fixture_diagram("3_1")
 
@@ -60,8 +59,6 @@ def test_trefoil_coloring_matrix():
     assert cm.modulus == 3
     assert cm.l.row_list() == [[2, 1], [1, 2]]
     assert cm.extended_rows() == ((2, 1), (1, 2), (0, 0))
-    assert cm.column_coloring(0) == FoxColoring(3, (2, 1, 0))
-    assert cm.arc_indices == (0, 1)
 
 
 def test_trefoil_distinguishing_report():
@@ -73,7 +70,7 @@ def test_trefoil_distinguishing_report():
 
 
 def test_trefoil_minimal_distinguishing_set():
-    (f,) = minimal_distinguishing_set(TREFOIL)
+    (f,) = ColoringAnalysis(TREFOIL).minimal_set
     assert f == FoxColoring(3, (1, 2, 0))
 
 
@@ -158,12 +155,6 @@ def test_is_fox_coloring_validates_input():
     assert not is_fox_coloring(TREFOIL, (1, 2, 1), 3)
 
 
-def test_column_coloring_range():
-    cm = coloring_matrix(TREFOIL)
-    with pytest.raises(ColoringError):
-        cm.column_coloring(2)
-
-
 def test_enumeration_limit_carries_count():
     # two kinks: C' is the 2x2 zero matrix, so 5000**2 colorings
     d = fixture_diagram("split")
@@ -192,11 +183,10 @@ def test_counting_rejects_modulus_below_one(k):
             count_or_enumerate(TREFOIL, k)
 
 
-def test_minimal_set_raises_on_unseparated_pair():
+def test_minimal_set_failures_name_the_unseparated_pair():
     square = fixture_diagram("square")
     assert ColoringAnalysis(square).minimal_set_failures == ((1, 5),)
-    with pytest.raises(CoverageError, match=r"\(1, 5\)"):
-        minimal_distinguishing_set(square)
+    assert not verify_gkh(square).part_c
 
 
 def test_base_out_of_range():
@@ -231,8 +221,8 @@ def test_l_columns_are_colorings(index):
     d = property_diagram(index)
     cm = coloring_matrix(d)
     for j in range(cm.l.cols):
-        coloring = cm.column_coloring(j)
-        assert is_fox_coloring(d, coloring.colors, cm.modulus)
+        colors = [row[j] for row in cm.extended_rows()]
+        assert is_fox_coloring(d, colors, cm.modulus)
 
 
 @given(st.integers(0, len(PROPERTY_NAMES) + 40))
@@ -241,7 +231,7 @@ def test_mirror_transposes_crossing_matrix(index):
     d = property_diagram(index)
     if not d.is_alternating:
         return
-    assert crossing_matrix(d.mirrored()) == crossing_matrix(d).transpose()
+    assert crossing_matrix(d.mirrored()) == transpose(crossing_matrix(d))
 
 
 @given(st.integers(0, len(PROPERTY_NAMES) + 40), st.integers(2, 8))
@@ -259,12 +249,12 @@ def test_count_matches_invariant_factors(index, k):
 def test_minimal_set_size_is_group_rank(index):
     d = property_diagram(index)
     group = coloring_group(d)
+    analysis = ColoringAnalysis(d)
     if group.s == 0:
-        assert ColoringAnalysis(d).minimal_set == ()
+        assert analysis.minimal_set == ()
         return
     if d.is_prime_diagram and d.is_alternating:
-        chosen = minimal_distinguishing_set(d)
-    else:
-        chosen = ColoringAnalysis(d).minimal_set
+        assert analysis.minimal_set_failures == ()
+    chosen = analysis.minimal_set
     assert len(chosen) == group.s
     assert all(f.modulus == group.annihilator for f in chosen)

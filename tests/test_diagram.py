@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkh.codec import BraidWord, PdCode, parse_braid, parse_pd
+from gkh.codec import BraidWord, PdCode, parse_braid, parse_pd, serialize_pd
 from gkh.diagram import (
     Crossing,
     Diagram,
@@ -91,6 +91,25 @@ def test_pretzels():
         pretzel()
     with pytest.raises(DiagramError):
         pretzel(2, 0, 2)
+
+
+# the labels fix the order of the arcs, so the columns of L and the frozen
+# t_columns of every pretzel report depend on them
+FROZEN_PRETZEL_PD = {
+    (3, 3, 3): "PD[X(12,1,13,2),X(2,11,3,12),X(10,3,11,4),X(4,15,5,16),X(14,5,15,6),"
+    "X(6,13,7,14),X(18,7,1,8),X(8,17,9,18),X(16,9,17,10)]",
+    (-2, 3, 7): "PD[X(1,14,2,15),X(13,2,14,3),X(18,3,19,4),X(4,19,5,20),X(20,5,21,6),"
+    "X(6,21,7,22),X(22,7,23,8),X(8,23,9,24),X(24,9,1,10),X(10,15,11,16),"
+    "X(16,11,17,12),X(12,17,13,18)]",
+    (5,): "PD[X(10,1,1,2),X(2,9,3,10),X(8,3,9,4),X(4,7,5,8),X(6,5,7,6)]",
+    (1, -1, 2, -2): "PD[X(6,1,7,2),X(5,2,6,3),X(12,3,9,4),X(4,9,5,10),X(7,10,8,11),"
+    "X(11,8,12,1)]",
+}
+
+
+@pytest.mark.parametrize("twists", list(FROZEN_PRETZEL_PD), ids=str)
+def test_pretzel_pd_is_frozen(twists):
+    assert serialize_pd(pretzel(*twists).to_pd()) == FROZEN_PRETZEL_PD[twists]
 
 
 def test_kink_is_not_reduced():

@@ -12,11 +12,10 @@ from gkh.pseudo import (
     PseudoError,
     classify_assignment,
     pseudo_from_inverse_columns,
-    row_relation,
-    row_relation_basis,
     tunnel_pseudo,
 )
 from gkh.verify import random_alternating_diagram
+from oracles import row_relation, row_relation_basis
 
 ALTERNATING_PRIME = [
     n
@@ -166,5 +165,5 @@ def test_l_column_lifts_have_two_defects():
             lift.insert(cm.base_arc, 0)
             defects = cp.mul_vector(lift)
             nonzero = {i: v for i, v in enumerate(defects) if v}
-            crossing_j = cm.arc_indices[j]
+            crossing_j = j if j < cm.base_arc else j + 1
             assert nonzero == {crossing_j: n1, cm.base_arc: -n1}, name

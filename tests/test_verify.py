@@ -5,17 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkh.codec import serialize_pd
-from gkh.coloring import ZeroDeterminantError, count_colorings, is_fox_coloring
+from gkh.coloring import (
+    ColoringAnalysis,
+    ZeroDeterminantError,
+    count_colorings,
+    is_fox_coloring,
+)
 from gkh.fixtures import fixture_diagram
+from gkh.linalg import smith_normal_form
 from gkh.verify import (
     GenerationError,
     VerifyError,
-    brute_force_coloring_count,
     hypotheses_of,
     random_alternating_diagram,
     verify_connected_sum,
     verify_gkh,
 )
+from oracles import block_diag, brute_force_coloring_count
 
 # name -> (t, t_columns, s, perfect column count)
 EXPECTED_REPORTS = {
@@ -138,6 +144,23 @@ def test_connected_sum_errors():
         verify_connected_sum([])
     with pytest.raises(ZeroDeterminantError):
         verify_connected_sum([fixture_diagram("split")])
+
+
+SUMMAND_FIXTURES = ["3_1", "3_1_mirror", "4_1", "5_2", "7_7", "10_123", "w6", "conway"]
+summands = st.one_of(
+    st.integers(0, 10_000).map(lambda seed: random_alternating_diagram(8, seed)),
+    st.sampled_from(SUMMAND_FIXTURES).map(fixture_diagram),
+)
+
+
+@given(st.lists(summands, min_size=2, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_connected_sum_factors_match_block_diagonal_oracle(parts):
+    r = verify_connected_sum(parts)
+    blocks = block_diag(ColoringAnalysis(part).c for part in parts)
+    expected = smith_normal_form(blocks).diagonal
+    assert r.direct_sum_factors == tuple(sorted((x for x in expected if x > 1), reverse=True))
+    assert r.group_matches
 
 
 SMALL_FIXTURES = [
