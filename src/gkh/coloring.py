@@ -29,6 +29,11 @@ from .linalg import IntMatrix, LinalgError, determinant, smith_normal_form
 if TYPE_CHECKING:
     from .pseudo import PseudoColoring
 
+# search nodes (columns placed in a slot or scanned for the last one) the
+# exact minimum cover may spend: pretzel 3^15 (t = 10) needs 7.7 million
+# and its mirror 12.8 million, the benchmark's pretzels at most 49 thousand
+COVER_BUDGET = 16_000_000
+
 
 class ColoringError(Exception):
     pass
@@ -36,6 +41,18 @@ class ColoringError(Exception):
 
 class ZeroDeterminantError(ColoringError):
     pass
+
+
+class CoverBudgetError(ColoringError):
+    """The exact cover search spent COVER_BUDGET nodes; t lies in [lower, upper]."""
+
+    def __init__(self, lower: int, upper: int):
+        self.lower = lower
+        self.upper = upper
+        super().__init__(
+            f"minimum cover search passed {COVER_BUDGET} nodes; "
+            f"t is between {lower} and {upper}"
+        )
 
 
 class EnumerationLimitError(ColoringError):
@@ -135,7 +152,11 @@ class DistinguishingReport:
     separators lists every arc pair i < j with the least column whose
     colorings differ on the two arcs, or None; t is the size of a smallest
     set of columns separating all pairs, with t_columns the first such set
-    in lexicographic order.
+    in lexicographic order, and both are None and () when some pair is
+    never separated. The pairs are read from one bitset per column, built
+    with O(arcs) big-int operations from the arcs of each color; t comes
+    from a pruned search that raises CoverBudgetError past COVER_BUDGET
+    nodes.
     """
 
     base_arc: int
@@ -221,35 +242,51 @@ class ColoringAnalysis:
 
     @cached_property
     def report(self) -> DistinguishingReport:
+        arcs = self.arc_count
+        all_arcs = (1 << arcs) - 1
+        # pair (i, j > i) is bit offsets[i] + j - i - 1, in combinations order
+        offsets = [0] * arcs
+        for i in range(1, arcs):
+            offsets[i] = offsets[i - 1] + arcs - i
+        pair_count = arcs * (arcs - 1) // 2
+        masks = []
+        perfect = []
         # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
-        rows = self.extended_rows()
-        width = self.l.cols
-        separators = []
-        masks = [0] * width
-        pair_index = 0
-        for i, j in combinations(range(self.arc_count), 2):
-            row_i, row_j = rows[i], rows[j]
-            least = None
-            for col in range(width):
-                if row_i[col] != row_j[col]:
-                    if least is None:
-                        least = col
-                    masks[col] |= 1 << pair_index
-            separators.append((i, j, least))
-            pair_index += 1
-        perfect = tuple(
-            col for col in range(width) if len({r[col] for r in rows}) == self.arc_count
+        for col, values in enumerate(zip(*self.extended_rows())):
+            arcs_of = {}
+            for i, v in enumerate(values):
+                arcs_of[v] = arcs_of.get(v, 0) | 1 << i
+            if len(arcs_of) == arcs:
+                perfect.append(col)
+            mask = 0
+            for i, v in enumerate(values):
+                mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
+            masks.append(mask)
+        least = [None] * pair_count
+        remaining = (1 << pair_count) - 1
+        for col, mask in enumerate(masks):
+            new = mask & remaining
+            if not new:
+                continue
+            remaining ^= new
+            bits = bin(new)[:1:-1]
+            k = bits.find("1")
+            while k >= 0:
+                least[k] = col
+                k = bits.find("1", k + 1)
+        separators = tuple(
+            (i, j, c) for (i, j), c in zip(combinations(range(arcs), 2), least)
         )
-        if any(least is None for _, _, least in separators):
+        if remaining:
             t, t_columns = None, ()
         else:
-            t, t_columns = _minimum_cover(masks, pair_index)
+            t, t_columns = _minimum_cover(masks, pair_count)
         return DistinguishingReport(
             base_arc=self.base_arc,
             modulus=self.modulus,
-            arc_count=self.arc_count,
-            separators=tuple(separators),
-            perfect_columns=perfect,
+            arc_count=arcs,
+            separators=separators,
+            perfect_columns=tuple(perfect),
             t=t,
             t_columns=t_columns,
         )
@@ -276,12 +313,21 @@ class ColoringAnalysis:
 
     @cached_property
     def minimal_set_failures(self) -> tuple[tuple[int, int], ...]:
-        """Arc pairs that every coloring of the minimal set colors alike."""
-        return tuple(
-            (i, j)
-            for i, j in combinations(range(self.arc_count), 2)
-            if all(f.colors[i] == f.colors[j] for f in self.minimal_set)
-        )
+        """Arc pairs that every coloring of the minimal set colors alike.
+
+        Arcs with equal color tuples form one group; the pairs inside the
+        groups, in (i, j) order, are the failures.
+        """
+        keys = [tuple(f.colors[i] for f in self.minimal_set) for i in range(self.arc_count)]
+        groups = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        failures = []
+        for i, key in enumerate(keys):
+            members = groups[key]
+            del members[0]  # members[0] is i; the rest are the later arcs of its group
+            failures.extend((i, j) for j in members)
+        return tuple(failures)
 
     @cached_property
     def inverse_pseudos(self) -> tuple[PseudoColoring, ...]:
@@ -391,17 +437,58 @@ def distinguishing_report(d: Diagram, base: int | None = None) -> Distinguishing
 def _minimum_cover(masks, pair_count):
     """Smallest column set covering all pairs, exact, lexicographic first.
 
-    The caller guarantees that all columns together cover every pair.
+    masks[c] has bit p set when column c separates pair p. For sizes 1, 2,
+    ... a depth-first search walks the column sets of that size in
+    lexicographic order, so the first cover found is the answer. With
+    suffix[c] the union of masks[c:], a prefix whose union acc has
+    acc | suffix[c] != full can be completed by no later column, and the
+    branch ends there; the last slot is a plain scan. The search runs on an
+    explicit stack and counts every column it places or scans against
+    COVER_BUDGET; past it, CoverBudgetError carries the size being searched
+    and the size of a greedy cover. The caller guarantees that all columns
+    together cover every pair.
     """
     full = (1 << pair_count) - 1
     if full == 0:
         return 0, ()
-    for size in range(1, len(masks) + 1):
-        for combo in combinations(range(len(masks)), size):
-            acc = 0
-            for c in combo:
-                acc |= masks[c]
-            if acc == full:
-                return size, combo
+    n = len(masks)
+    suffix = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        suffix[c] = suffix[c + 1] | masks[c]
+    nodes = 0
+    for size in range(1, n + 1):
+        chosen = []  # the columns in slots 0 .. depth-1
+        unions = [0]  # unions[d] is the union of the masks in slots < d
+        c = 0
+        while True:
+            if nodes > COVER_BUDGET:
+                raise CoverBudgetError(size, len(_greedy_cover(masks, full)))
+            depth = len(chosen)
+            acc = unions[depth]
+            if depth == size - 1:
+                nodes += n - c
+                for col in range(c, n):
+                    if acc | masks[col] == full:
+                        return size, (*chosen, col)
+            elif c <= n - size + depth and acc | suffix[c] == full:
+                nodes += 1
+                chosen.append(c)
+                unions.append(acc | masks[c])
+                c += 1
+                continue
+            if not chosen:
+                break
+            c = chosen.pop() + 1
+            unions.pop()
     return None, ()
 
+
+def _greedy_cover(masks, full) -> list[int]:
+    """Columns picked by most newly covered pairs until all are covered."""
+    picked = []
+    acc = 0
+    while acc != full:
+        col = max(range(len(masks)), key=lambda c: (masks[c] & ~acc).bit_count())
+        picked.append(col)
+        acc |= masks[col]
+    return picked

@@ -3,14 +3,15 @@
 None of this is product code. Each oracle reaches a quantity that the
 library derives from its one Smith form per (diagram, base arc) by
 another route: Gauss-Jordan over the rationals, block matrices, the left
-kernel of C'(D), or plain enumeration.
+kernel of C'(D), or plain enumeration: every arc pair compared on every
+column, every column subset tried in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from gkh.coloring import crossing_matrix
@@ -167,3 +168,43 @@ def brute_force_coloring_count(d, k: int, limit: int = 1 << 24) -> int:
         if all((2 * colors[b] - colors[a] - colors[c]) % k == 0 for b, a, c in triples):
             count += 1
     return count
+
+
+def pair_separators(rows):
+    """Compare every arc pair on every column of the rows of L mod n1.
+
+    Returns the separators (i, j, least separating column or None) in
+    combinations order, the column masks with bit p set when the column
+    separates pair p, and the columns that give every arc its own color.
+    """
+    arcs = len(rows)
+    width = len(rows[0]) if rows else 0
+    separators = []
+    masks = [0] * width
+    for p, (i, j) in enumerate(combinations(range(arcs), 2)):
+        least = None
+        for col in range(width):
+            if rows[i][col] != rows[j][col]:
+                if least is None:
+                    least = col
+                masks[col] |= 1 << p
+        separators.append((i, j, least))
+    perfect = tuple(
+        col for col in range(width) if len({r[col] for r in rows}) == arcs
+    )
+    return tuple(separators), masks, perfect
+
+
+def minimum_cover(masks, pair_count):
+    """Smallest column set covering all pairs: every subset, by size, in order."""
+    full = (1 << pair_count) - 1
+    if full == 0:
+        return 0, ()
+    for size in range(1, len(masks) + 1):
+        for combo in combinations(range(len(masks)), size):
+            acc = 0
+            for c in combo:
+                acc |= masks[c]
+            if acc == full:
+                return size, combo
+    return None, ()

@@ -1,0 +1,143 @@
+"""The distinguishing report and its minimum cover against the exhaustive oracles.
+
+ColoringAnalysis.report builds its column masks as bitsets and finds t
+with a pruned lexicographic search; tests/oracles.py compares every arc
+pair on every column and tries every column subset in order. Both must
+give the same separators, perfect columns, t and first witness.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gkh.coloring
+from gkh.cli import main
+from gkh.codec import serialize_pd
+from gkh.coloring import (
+    ColoringAnalysis,
+    CoverBudgetError,
+    _minimum_cover,
+    distinguishing_report,
+)
+from gkh.diagram import connected_sum, pretzel
+from gkh.fixtures import fixture, fixture_diagram, fixture_names
+from gkh.verify import random_alternating_diagram
+from oracles import minimum_cover, pair_separators
+
+NONZERO_FIXTURES = [n for n in fixture_names() if fixture(n).determinant != 0]
+PRETZELS = [(3,) * 8, (3,) * 9, (3,) * 10, (3,) * 9 + (5,)]
+
+
+def assert_report_matches_oracles(d):
+    for base in range(len(d.arcs)):
+        analysis = ColoringAnalysis(d, base)
+        report = analysis.report
+        separators, masks, perfect = pair_separators(analysis.extended_rows())
+        assert report.separators == separators
+        assert report.perfect_columns == perfect
+        if report.failures:
+            assert (report.t, report.t_columns) == (None, ())
+        else:
+            assert (report.t, report.t_columns) == minimum_cover(masks, len(separators))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(12, 16), st.integers(0, 10_000))
+def test_random_alternating_report_matches_oracles(max_crossings, seed):
+    assert_report_matches_oracles(random_alternating_diagram(max_crossings, seed))
+
+
+@pytest.mark.parametrize("name", NONZERO_FIXTURES)
+def test_fixture_report_matches_oracles(name):
+    assert_report_matches_oracles(fixture_diagram(name))
+
+
+@pytest.mark.parametrize("twists", PRETZELS, ids=lambda t: "pretzel" + "".join(map(str, t)))
+def test_pretzel_report_matches_oracles(twists):
+    assert_report_matches_oracles(pretzel(*twists))
+
+
+@pytest.mark.parametrize(
+    "masks, answer",
+    [
+        ([0b1, 0b10, 0b100, 0b1000], (4, (0, 1, 2, 3))),  # every column, to the last
+        ([0b0011, 0b0001, 0b0100, 0b1100], (2, (0, 3))),
+        ([0b0001, 0b0010, 0b1100, 0b0011], (2, (2, 3))),  # the last two columns only
+        ([0b1111], (1, (0,))),
+    ],
+)
+def test_minimum_cover_small_cases(masks, answer):
+    assert _minimum_cover(masks, 4) == answer == minimum_cover(masks, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 10) - 1), min_size=1, max_size=9))
+def test_minimum_cover_matches_exhaustive_search(masks):
+    # the last column takes the pairs no other column covers, so a cover exists
+    union = 0
+    for mask in masks:
+        union |= mask
+    masks[-1] |= ((1 << 10) - 1) ^ union
+    assert _minimum_cover(masks, 10) == minimum_cover(masks, 10)
+
+
+@pytest.mark.parametrize(
+    "k, t, columns",
+    [
+        (11, 7, (1, 4, 6, 13, 16, 22, 25)),
+        (12, 8, (0, 4, 10, 13, 19, 22, 28, 31)),
+        (13, 8, (1, 4, 10, 13, 19, 22, 28, 31)),
+    ],
+)
+def test_large_pretzel_cover_is_frozen(k, t, columns):
+    # values from the exhaustive search, which takes about 21 s on 3^13
+    report = distinguishing_report(pretzel(*[3] * k))
+    assert (report.t, report.t_columns) == (t, columns)
+
+
+def test_cover_budget_raises_with_bounds(monkeypatch):
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", 50)
+    with pytest.raises(CoverBudgetError) as info:
+        distinguishing_report(pretzel(*[3] * 10))
+    err = info.value
+    # t = 6, so the search is still below it; greedy can only overshoot
+    assert 1 <= err.lower <= 6 <= err.upper
+    assert f"between {err.lower} and {err.upper}" in str(err)
+
+
+@pytest.mark.parametrize("command", ["distinguish", "verify"])
+def test_cover_budget_exits_two(monkeypatch, capsys, command):
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", 50)
+    pd = serialize_pd(pretzel(*[3] * 10).to_pd())
+    assert main([command, "--pd", pd]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kh: minimum cover search passed 50 nodes")
+
+
+def old_minimal_set_failures(analysis):
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(analysis.arc_count), 2)
+        if all(f.colors[i] == f.colors[j] for f in analysis.minimal_set)
+    )
+
+
+@pytest.mark.parametrize("name", NONZERO_FIXTURES)
+def test_minimal_set_failures_match_pair_scan(name):
+    analysis = ColoringAnalysis(fixture_diagram(name))
+    assert analysis.minimal_set_failures == old_minimal_set_failures(analysis)
+    if name == "square":
+        assert analysis.minimal_set_failures == ((1, 5),)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_connected_sum_minimal_set_failures_match_pair_scan(seed):
+    # a connected sum is not prime, so its minimal set leaves pairs together
+    d = connected_sum(random_alternating_diagram(8, seed), random_alternating_diagram(8, seed + 1))
+    analysis = ColoringAnalysis(d)
+    assert analysis.minimal_set_failures == old_minimal_set_failures(analysis)
