@@ -418,7 +418,9 @@ def count_colorings(d: Diagram, k: int) -> int:
 
 
 def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
-    """All Fox k-colorings, read off the Smith form of the crossing matrix.
+    """All Fox k-colorings, read off the Smith form of the crossing matrix,
+    in sorted order of their color tuples, so the listing does not depend
+    on the choice of V.
 
     Bails out when the count passes limit; the error carries the count,
     so callers can fall back to it.
@@ -427,7 +429,8 @@ def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxCo
     count = prod(len(axis) for axis in axes)
     if count > limit:
         raise EnumerationLimitError(count, limit)
-    return tuple(FoxColoring(k, v.mul_vector(y)) for y in product(*axes))
+    found = (FoxColoring(k, v.mul_vector(y)) for y in product(*axes))
+    return tuple(sorted(found, key=lambda f: f.colors))
 
 
 def distinguishing_report(d: Diagram, base: int | None = None) -> DistinguishingReport:

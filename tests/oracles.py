@@ -3,8 +3,9 @@
 None of this is product code. Each oracle reaches a quantity that the
 library derives from its one Smith form per (diagram, base arc) by
 another route: Gauss-Jordan over the rationals, block matrices, the left
-kernel of C'(D), or plain enumeration: every arc pair compared on every
-column, every column subset tried in order.
+kernel of C'(D), gcds of minors, the dense smallest-pivot Smith form, or
+plain enumeration: every assignment of colors, every arc pair compared on
+every column, every column subset tried in order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from itertools import combinations, product
 from math import gcd
 
 from gkh.coloring import crossing_matrix
-from gkh.linalg import IntMatrix, LinalgError, smith_normal_form
+from gkh.linalg import (
+    IntMatrix,
+    LinalgError,
+    SnfDecomposition,
+    check_smith_form,
+    smith_normal_form,
+)
 from gkh.pseudo import PseudoError
 from gkh.verify import VerifyError
 
@@ -65,6 +72,101 @@ def scaled_inverse(a: IntMatrix, m: int) -> IntMatrix:
                 raise NonIntegralEntryError(i, j, y)
             out.append(int(y))
     return IntMatrix(a.rows, a.cols, tuple(out))
+
+
+def laplace_determinant(rows) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    total = 0
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * x * laplace_determinant(minor)
+    return total
+
+
+def determinantal_divisors(a: IntMatrix) -> tuple[int, ...]:
+    """The Smith diagonal from its definition: d_1 ... d_k is the gcd g_k
+    of the k x k minors, so d_k = g_k / g_(k-1), and 0 once g_k is 0."""
+    out = []
+    previous = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rows in combinations(range(a.rows), k):
+            for cols in combinations(range(a.cols), k):
+                g = gcd(g, laplace_determinant([[a.at(i, j) for j in cols] for i in rows]))
+        out.append(g // previous if previous else 0)
+        previous = g
+    return tuple(out)
+
+
+def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+    """Smith form by the dense loop alone: at every step the smallest
+    nonzero entry of the trailing block is the pivot, its row and column
+    are reduced, and a row that the pivot does not divide is added to it.
+    Its U and V are another valid choice than the library's."""
+    rows, cols = a.rows, a.cols
+    d = a.row_list()
+    u = IntMatrix.identity(rows).row_list()
+    v = IntMatrix.identity(cols).row_list()
+
+    def add_row(i, j, q):
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):
+        for r in d + v:
+            r[i] += q * r[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in d + v:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(rows, cols):
+        block = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        while True:
+            for i in range(t + 1, rows):
+                add_row(i, t, -(d[i][t] // d[t][t]))
+            left = [i for i in range(t + 1, rows) if d[i][t]]
+            if left:
+                swap_rows(t, min(left, key=lambda i: abs(d[i][t])))
+                continue
+            for j in range(t + 1, cols):
+                add_col(j, t, -(d[t][j] // d[t][t]))
+            left = [j for j in range(t + 1, cols) if d[t][j]]
+            if left:
+                swap_cols(t, min(left, key=lambda j: abs(d[t][j])))
+                continue
+            break
+        offender = next(
+            (i for i in range(t + 1, rows) for j in range(t + 1, cols) if d[i][j] % d[t][t]),
+            None,
+        )
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    res = SnfDecomposition(
+        IntMatrix(rows, rows, tuple(x for r in u for x in r)),
+        IntMatrix(rows, cols, tuple(x for r in d for x in r)),
+        IntMatrix(cols, cols, tuple(x for r in v for x in r)),
+    )
+    check_smith_form(a, res)
+    return res
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
@@ -148,11 +250,12 @@ def row_relation(d) -> RowRelation:
     return basis[0]
 
 
-def brute_force_coloring_count(d, k: int, limit: int = 1 << 24) -> int:
-    """Count Fox k-colorings by checking every assignment, no linear algebra.
+def brute_force_colorings(d, k: int, limit: int = 1 << 24) -> list[tuple[int, ...]]:
+    """Every Fox k-coloring, found by checking every assignment in
+    lexicographic order, no linear algebra.
 
     Deliberately dumb so it can stand as an oracle against the Smith-form
-    count; the assignment space k**arcs is capped by limit.
+    count and listing; the assignment space k**arcs is capped by limit.
     """
     arcs = len(d.arcs)
     if k < 1:
@@ -163,11 +266,15 @@ def brute_force_coloring_count(d, k: int, limit: int = 1 << 24) -> int:
         (d.arc_of(c.over_in), d.arc_of(c.under_in), d.arc_of(c.under_out))
         for c in d.crossings
     ]
-    count = 0
-    for colors in product(range(k), repeat=arcs):
-        if all((2 * colors[b] - colors[a] - colors[c]) % k == 0 for b, a, c in triples):
-            count += 1
-    return count
+    return [
+        colors
+        for colors in product(range(k), repeat=arcs)
+        if all((2 * colors[b] - colors[a] - colors[c]) % k == 0 for b, a, c in triples)
+    ]
+
+
+def brute_force_coloring_count(d, k: int, limit: int = 1 << 24) -> int:
+    return len(brute_force_colorings(d, k, limit))
 
 
 def pair_separators(rows):

@@ -23,7 +23,7 @@ from gkh.coloring import (
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.linalg import IntMatrix, determinant
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import transpose
+from oracles import brute_force_colorings, transpose
 
 TREFOIL = fixture_diagram("3_1")
 
@@ -83,6 +83,17 @@ def test_trefoil_enumeration_matches_count():
     assert len(found) == len(set(found)) == 9
     assert all(is_fox_coloring(TREFOIL, f.colors, 3) for f in found)
     assert FoxColoring(3, (1, 2, 0)) in found
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_enumeration_is_sorted_and_equals_brute_force(name):
+    # the order no longer depends on V: the listing is sorted by colors
+    d = fixture_diagram(name)
+    for k in (2, 3, 5, 7):
+        if k ** len(d.arcs) <= 1 << 16:
+            found = [f.colors for f in enumerate_colorings(d, k)]
+            assert found == sorted(found), (name, k)
+            assert found == brute_force_colorings(d, k), (name, k)
 
 
 def test_hopf_degenerate_rows():

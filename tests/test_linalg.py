@@ -8,32 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkh.linalg import IntMatrix, LinalgError, determinant, smith_normal_form
+from gkh.linalg import (
+    IntMatrix,
+    LinalgError,
+    SnfDecomposition,
+    check_smith_form,
+    determinant,
+    smith_normal_form,
+)
 from oracles import (
     NonIntegralEntryError,
     SingularMatrixError,
     block_diag,
+    determinantal_divisors,
+    laplace_determinant,
     permuted,
     rational_inverse,
     scaled_inverse,
     transpose,
 )
-
-
-def cofactor_determinant(rows):
-    """Independent oracle: Laplace expansion along the first row."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * cofactor_determinant(minor)
-    return total
 
 
 def snf_count_solutions_mod(a, k):
@@ -75,6 +68,87 @@ small_square_matrices = st.integers(min_value=1, max_value=5).flatmap(
         st.integers(min_value=-9, max_value=9), min_size=n * n, max_size=n * n
     ).map(lambda e: IntMatrix(n, n, tuple(e)))
 )
+
+
+def matrices(entries, max_rows=5, max_cols=5, min_rows=1):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda n: st.integers(0, max_cols).flatmap(
+            lambda m: st.lists(entries, min_size=n * m, max_size=n * m).map(
+                lambda e: IntMatrix(n, m, tuple(e))
+            )
+        )
+    )
+
+
+def product_of(shape):
+    """An r x c matrix of rank at most k: an r x k matrix times a k x c one."""
+    r, k, c = shape
+    entries = st.integers(-3, 3)
+    return st.tuples(
+        st.lists(entries, min_size=r * k, max_size=r * k),
+        st.lists(entries, min_size=k * c, max_size=k * c),
+    ).map(lambda e: IntMatrix(r, k, tuple(e[0])) @ IntMatrix(k, c, tuple(e[1])))
+
+
+singular_matrices = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+    lambda rc: st.integers(0, min(rc) - 1).flatmap(
+        lambda k: product_of((rc[0], k, rc[1]))
+    )
+)
+
+
+# dense; crossing-like (entries of C'); no unit entry, so the sparse unit
+# phase finds no pivot; singular, as a product through a narrower middle
+snf_inputs = st.one_of(
+    matrices(st.integers(-9, 9), min_rows=0),
+    matrices(st.sampled_from((0, 0, 0, 1, -1, 2))),
+    matrices(st.sampled_from((0, 2, -2, 3, -3, 4, 6))),
+    singular_matrices,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_inputs)
+def test_snf_diagonal_matches_determinantal_divisors(a):
+    snf = smith_normal_form(a)
+    assert snf.diagonal == determinantal_divisors(a)
+    assert abs(laplace_determinant(snf.u.row_list())) == 1
+    assert abs(laplace_determinant(snf.v.row_list())) == 1
+
+
+@pytest.mark.parametrize("cols", [0, 1, 3])
+def test_snf_of_a_matrix_with_no_rows(cols):
+    a = IntMatrix(0, cols, ())
+    snf = smith_normal_form(a)
+    assert (snf.d.rows, snf.d.cols) == (0, cols)
+    assert snf.u == IntMatrix(0, 0, ())
+    assert snf.v == IntMatrix.identity(cols)
+    assert snf.diagonal == ()
+
+
+def test_certificate_names_both_shapes_on_a_mismatch():
+    a = IntMatrix(0, 3, ())
+    # the shape the Smith form used to give a 0x3 matrix
+    bad = SnfDecomposition(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), IntMatrix.identity(3))
+    with pytest.raises(LinalgError, match=r"A \(0x3\).*D is 0x0"):
+        check_smith_form(a, bad)
+    b = IntMatrix.from_rows([[1, 2], [3, 4]])
+    snf = smith_normal_form(b)
+    with pytest.raises(LinalgError, match=r"A \(2x2\): U is 3x3"):
+        check_smith_form(b, SnfDecomposition(IntMatrix.identity(3), snf.d, snf.v))
+
+
+@settings(max_examples=100)
+@given(matrices(st.integers(-9, 9)))
+def test_without_row_col_drops_one_row_and_column(m):
+    for i in range(m.rows):
+        for j in range(m.cols):
+            expected = [
+                [m.at(r, c) for c in range(m.cols) if c != j] for r in range(m.rows) if r != i
+            ]
+            got = m.without_row_col(i, j)
+            assert (got.rows, got.cols) == (m.rows - 1, m.cols - 1)
+            assert got.row_list() == expected
 
 
 def test_matrix_shape_validation():
@@ -123,7 +197,21 @@ def test_determinant_known_values():
 @settings(max_examples=200)
 @given(small_square_matrices)
 def test_determinant_matches_cofactor_oracle(m):
-    assert determinant(m) == cofactor_determinant(m.row_list())
+    assert determinant(m) == laplace_determinant(m.row_list())
+
+
+sparse_square_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=n * n, max_size=n * n
+    ).map(lambda e: IntMatrix(n, n, tuple(e)))
+)
+
+
+@settings(max_examples=200)
+@given(sparse_square_matrices)
+def test_sparse_determinant_matches_cofactor_oracle(m):
+    # mostly zero pivot columns: rows are rescaled, skipped, or swapped up
+    assert determinant(m) == laplace_determinant(m.row_list())
 
 
 @settings(max_examples=200)
@@ -155,7 +243,7 @@ def test_snf_known_diagonal():
 @settings(max_examples=100)
 @given(small_square_matrices)
 def test_rational_inverse_or_singular(a):
-    det = cofactor_determinant(a.row_list())
+    det = laplace_determinant(a.row_list())
     if det == 0:
         with pytest.raises(SingularMatrixError):
             rational_inverse(a)

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkh.codec import serialize_pd
+import gkh.coloring
+from gkh.codec import BraidWord, serialize_pd
 from gkh.coloring import (
     ColoringAnalysis,
     ZeroDeterminantError,
     count_colorings,
     is_fox_coloring,
+    link_determinant,
 )
-from gkh.fixtures import fixture_diagram
+from gkh.diagram import braid_closure
+from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import smith_normal_form
 from gkh.verify import (
     GenerationError,
@@ -21,7 +27,7 @@ from gkh.verify import (
     verify_connected_sum,
     verify_gkh,
 )
-from oracles import block_diag, brute_force_coloring_count
+from oracles import block_diag, brute_force_coloring_count, dense_smith_normal_form
 
 # name -> (t, t_columns, s, perfect column count)
 EXPECTED_REPORTS = {
@@ -234,3 +240,43 @@ def test_report_ignores_base_arc_and_mirroring(seed):
     for base in range(len(d.arcs)):
         assert summary(verify_gkh(d, base=base)) == expected, base
     assert summary(verify_gkh(d.mirrored())) == expected
+
+
+def random_braid_diagrams(count, seed=8):
+    """Closures of random mixed-sign braids with nonzero determinant, so
+    non-examples (failing pairs, pseudos) are drawn as well."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        strands = rng.randint(2, 4)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 9))
+        )
+        if {abs(x) for x in letters} != set(range(1, strands)):
+            continue
+        d = braid_closure(BraidWord(strands, letters))
+        if link_determinant(d):
+            found.append(d)
+    return found
+
+
+REPORT_DIAGRAMS = [
+    fixture_diagram(n) for n in fixture_names() if link_determinant(fixture_diagram(n))
+] + [random_alternating_diagram(10, seed) for seed in range(20)] + random_braid_diagrams(20)
+
+
+@pytest.mark.parametrize("index", range(len(REPORT_DIAGRAMS)))
+def test_report_matches_the_dense_smith_form_at_every_base(index, monkeypatch):
+    # every field but the minimal set is read off L or the diagonal, which
+    # no choice of U and V changes; the minimal set is another basis of the
+    # same coloring group, so part_c, the pairs it separates, holds alike
+    d = REPORT_DIAGRAMS[index]
+    bases = range(len(d.arcs))
+    sparse = [verify_gkh(d, base=b) for b in bases]
+    monkeypatch.setattr(gkh.coloring, "smith_normal_form", dense_smith_normal_form)
+    dense = [verify_gkh(d, base=b) for b in bases]
+    for base, (report, expected) in enumerate(zip(sparse, dense)):
+        for field in dataclasses.fields(report):
+            if field.name != "distinguishing":
+                assert getattr(report, field.name) == getattr(expected, field.name), (base, field.name)
+        assert len(report.distinguishing) == len(expected.distinguishing) == report.s
