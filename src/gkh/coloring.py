@@ -44,15 +44,20 @@ class ZeroDeterminantError(ColoringError):
 
 
 class CoverBudgetError(ColoringError):
-    """The exact cover search spent COVER_BUDGET nodes; t lies in [lower, upper]."""
+    """The exact cover search spent COVER_BUDGET nodes; t lies in [lower, upper].
+
+    When the greedy cover is as small as the size being searched, t is
+    known and only the lexicographically first witness is missing.
+    """
 
     def __init__(self, lower: int, upper: int):
         self.lower = lower
         self.upper = upper
-        super().__init__(
-            f"minimum cover search passed {COVER_BUDGET} nodes; "
-            f"t is between {lower} and {upper}"
-        )
+        if lower == upper:
+            bound = f"t is exactly {lower}; only the lexicographically first witness is missing"
+        else:
+            bound = f"t is between {lower} and {upper}"
+        super().__init__(f"minimum cover search passed {COVER_BUDGET} nodes; {bound}")
 
 
 class EnumerationLimitError(ColoringError):

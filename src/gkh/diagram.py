@@ -208,58 +208,9 @@ class Diagram:
             adj[v].append((u, k))
         return tuple(tuple(ends) for ends in adj)
 
-    def _cuts(self, skip_edge: int | None = None) -> tuple[bool, bool]:
-        """Lowpoint search of the crossing multigraph minus edge id skip_edge.
-
-        Returns (split, cut): split when some edge is a bridge or the graph
-        has more than one piece, cut when some crossing is a cut vertex.
-        One iterative lowpoint DFS (Tarjan 1974), rooted afresh at every
-        crossing not yet reached. It ignores the edge id it arrived by
-        rather than the parent crossing, so a parallel edge back to the
-        parent is a second path and bigons never look like bridges. A root
-        is a cut vertex only when it has a second DFS child.
-        """
-        adj = self._multigraph
-        disc = [-1] * len(adj)
-        low = [0] * len(adj)
-        timer = 0
-        split = cut = False
-        while timer < len(adj):
-            root = disc.index(-1)
-            if timer:
-                split = True
-            disc[root] = low[root] = timer
-            timer += 1
-            root_children = 0
-            stack = [(root, -1, iter(adj[root]))]
-            while stack:
-                u, via, ends = stack[-1]
-                for v, k in ends:
-                    if k == via or k == skip_edge:
-                        continue
-                    if disc[v] < 0:
-                        disc[v] = low[v] = timer
-                        timer += 1
-                        stack.append((v, k, iter(adj[v])))
-                        break
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-                else:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        if low[u] >= disc[p]:
-                            if low[u] > disc[p]:
-                                split = True
-                            if p != root:
-                                cut = True
-                            else:
-                                root_children += 1
-                        if low[u] < low[p]:
-                            low[p] = low[u]
-            if root_children > 1:
-                cut = True
-        return split, cut
+    @cached_property
+    def _reduced_and_prime(self) -> tuple[bool, bool]:
+        return _cut_search(self._multigraph)
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -269,30 +220,26 @@ class Diagram:
         loop (a kink) or is a cut vertex: the pieces left by a cut vertex
         take two adjacent ends each, since an opposite split would need two
         closed curves crossing once, so a simple closed curve separates
-        them through that crossing alone.
+        them through that crossing alone. One lowpoint search, O(V + E),
+        finds both and decides is_prime_diagram as well.
         """
-        adj = self._multigraph
-        if any(v == u for u, ends in enumerate(adj) for v, _ in ends):
-            return False
-        return not self._cuts()[1]
+        return self._reduced_and_prime[0]
 
     @cached_property
     def is_prime_diagram(self) -> bool:
         """Connected, and no two edges disconnect the underlying graph.
 
-        Equivalently: no bridge in the graph, nor in the graph minus any one
-        edge. That is E + 1 lowpoint searches, O(E (V + E)) in all. A loop is
-        never a bridge and removing it changes no other edge's status, so
-        loops are not removed in turn.
+        An edge set disconnects a connected graph exactly when it contains
+        a nonempty cut, and over GF(2) the cuts are the edge sets orthogonal
+        to every cycle. Label each edge by the fundamental cycles of a DFS
+        tree through it: a non-tree edge by its own bit, a tree edge by the
+        bits of the non-tree edges leaving its subtree. {e} is a cut when
+        its label is 0 and {e, f} when the two labels are equal. Non-tree
+        labels are distinct single bits, so a 2-cut holds a tree edge whose
+        label repeats another tree label or is a single bit. The search of
+        is_reduced builds every label: O(V + E) XORs of E-bit integers.
         """
-        if self._cuts()[0]:
-            return False
-        return not any(
-            self._cuts(k)[0]
-            for u, ends in enumerate(self._multigraph)
-            for v, k in ends
-            if u < v
-        )
+        return self._reduced_and_prime[1]
 
     def mirrored(self) -> Diagram:
         """Swap over and under at every crossing; labels are preserved."""
@@ -309,6 +256,68 @@ class Diagram:
                 for c in self.crossings
             )
         )
+
+
+def _cut_search(adj) -> tuple[bool, bool]:
+    """(reduced, prime) of a multigraph from one iterative DFS.
+
+    adj lists per vertex the (neighbour, edge id) of every edge end, a loop
+    twice. Lowpoints (Tarjan 1974) find the cut vertices: the search skips
+    the edge id it arrived by, not the parent vertex, so a parallel edge
+    back to the parent is a second path; a root is a cut vertex when it has
+    two DFS children; the search restarts at every vertex not yet reached.
+    Non-tree edge k XORs 1 << k into acc at each end it is seen from, so a
+    loop cancels itself; when u finishes, acc[u] is the label of the tree
+    edge into u and goes into its parent's acc.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    acc = [0] * len(adj)
+    labels = set()
+    timer = 0
+    reduced = prime = True
+    while timer < len(adj):
+        root = disc.index(-1)
+        if timer:
+            prime = False
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, via, ends = stack[-1]
+            for v, k in ends:
+                if k == via:
+                    continue
+                if disc[v] < 0:
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    stack.append((v, k, iter(adj[v])))
+                    break
+                if v == u:
+                    reduced = False
+                acc[u] ^= 1 << k
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    label = acc[u]
+                    if label == 0 or label.bit_count() == 1 or label in labels:
+                        prime = False
+                    labels.add(label)
+                    acc[p] ^= label
+                    if low[u] >= disc[p]:
+                        if p != root:
+                            reduced = False
+                        else:
+                            root_children += 1
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+        if root_children > 1:
+            reduced = False
+    return reduced, prime
 
 
 def _orient(passages) -> list[int]:

@@ -205,7 +205,12 @@ def random_alternating_diagram(max_crossings: int, seed: int) -> Diagram:
     """A random reduced alternating prime diagram with nonzero determinant.
 
     Draws braid words whose letter signs follow generator parity, which
-    makes the closure alternating, then filters. Deterministic per seed.
+    makes the closure alternating, then filters on the three diagram
+    predicates. Deterministic per seed. The determinant needs no check: a
+    prime diagram is connected, and a connected alternating diagram is the
+    medial graph of its Tait graph, whose spanning trees its determinant
+    counts up to sign (Kirchhoff's matrix-tree theorem); there is at least
+    one.
     """
     if max_crossings < 3:
         raise GenerationError("need at least 3 crossings")
@@ -221,6 +226,6 @@ def random_alternating_diagram(max_crossings: int, seed: int) -> Diagram:
         if {abs(x) for x in letters} != set(range(1, strands)):
             continue
         d = braid_closure(BraidWord(strands, tuple(letters)))
-        if hypotheses_of(d).satisfied:
+        if d.is_alternating and d.is_reduced and d.is_prime_diagram:
             return d
     raise GenerationError(f"no usable diagram after {_MAX_ATTEMPTS} attempts")

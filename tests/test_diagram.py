@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from gkh.diagram import (
     Crossing,
     Diagram,
     DiagramError,
+    _cut_search,
     braid_closure,
     connected_sum,
     from_pd,
@@ -297,16 +299,65 @@ def test_prime_matches_oracle_on_fixtures(name):
     assert d.is_reduced == per_crossing_reduced_oracle(d)
 
 
+def split_closure(w1, w2):
+    """w2's strands to the right of w1's, never crossing them."""
+    shifted = tuple(x + w1.strands if x > 0 else x - w1.strands for x in w2.letters)
+    return braid_closure(BraidWord(w1.strands + w2.strands, w1.letters + shifted))
+
+
 # mixed signs on up to 5 strands: non-alternating, kinked and split closures all occur
 @settings(max_examples=60, deadline=None)
-@given(closable_braids(5, 3, 16), closable_braids(5, 3, 16))
-def test_prime_matches_oracle_random(w1, w2):
+@given(closable_braids(5, 3, 16), closable_braids(5, 3, 16), closable_braids(4, 1, 8))
+def test_prime_matches_oracle_random(w1, w2, w3):
     d = braid_closure(w1)
-    assert d.is_prime_diagram == pairwise_prime_oracle(d)
-    assert d.is_reduced == per_crossing_reduced_oracle(d)
     s = connected_sum(d, braid_closure(w2))
-    assert s.is_prime_diagram == pairwise_prime_oracle(s)
-    assert s.is_reduced == per_crossing_reduced_oracle(s)
+    for x in (d, s, connected_sum(s, braid_closure(w3)), split_closure(w1, w3)):
+        assert x.is_prime_diagram == pairwise_prime_oracle(x)
+        assert x.is_reduced == per_crossing_reduced_oracle(x)
+
+
+def two_k4_and_a_bridge():
+    edges = [(a, b) for low in (0, 4) for a, b in combinations(range(low, low + 4), 2)]
+    edges.append((3, 7))
+    adj = [[] for _ in range(8)]
+    for k, (u, v) in enumerate(edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    return adj
+
+
+def test_prime_conditions_one_at_a_time():
+    # four ends at every crossing make every cut of a diagram even, so a
+    # bridge needs a plain multigraph: its one small cut is edge 3-7, whose
+    # tree label is 0
+    assert _cut_search(two_k4_and_a_bridge()) == (False, False)
+    # the summands' two joining edges: in 3_1 # 3_1 the search takes one
+    # into the tree and its label is the other's single bit; in 4_1 # 3_1
+    # it takes both, and their labels are equal
+    tree_and_back = connected_sum(fixture_diagram("3_1"), fixture_diagram("3_1"))
+    tree_and_tree = connected_sum(fixture_diagram("4_1"), fixture_diagram("3_1"))
+    # two trefoils side by side: no cut vertex, but the search stops halfway
+    split = braid_closure(BraidWord(4, (1, 1, 1, 3, 3, 3)))
+    for d in (tree_and_back, tree_and_tree, split):
+        assert d.is_reduced and not d.is_prime_diagram
+    # a loop is listed twice at its crossing and cancels; only reduced sees it
+    kink = from_pd(parse_pd("PD[X(2,1,1,2)]"))
+    assert kink.is_prime_diagram and not kink.is_reduced
+    # parallel edges: the Hopf link's four and the bigons of a pretzel
+    hopf = braid_closure(parse_braid("1 1"))
+    bigons = pretzel(3, 3, 3)
+    for d in (hopf, bigons):
+        assert d.is_reduced and d.is_prime_diagram
+    for d in (tree_and_back, tree_and_tree, split, kink, hopf, bigons):
+        assert d.is_prime_diagram == pairwise_prime_oracle(d)
+        assert d.is_reduced == per_crossing_reduced_oracle(d)
+
+
+def test_prime_and_reduced_at_2000_crossings():
+    # 2000 crossings: one search takes about 0.01 s, the E + 1 searches it
+    # replaced about 7 s
+    d = turks_head(1000)
+    assert d.is_reduced and d.is_prime_diagram
 
 
 def test_prime_deterministic_cases():

@@ -118,6 +118,29 @@ def test_cover_budget_exits_two(monkeypatch, capsys, command):
     assert err.startswith("kh: minimum cover search passed 50 nodes")
 
 
+# on pretzel 3^10 (t = 6) this budget runs out while the search is at size
+# 6, where the greedy cover is too
+EXACT_T_BUDGET = 20_000
+
+
+def test_cover_budget_states_exact_t(monkeypatch):
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", EXACT_T_BUDGET)
+    with pytest.raises(CoverBudgetError) as info:
+        distinguishing_report(pretzel(*[3] * 10))
+    err = info.value
+    assert err.lower == err.upper == 6
+    assert str(err).endswith("t is exactly 6; only the lexicographically first witness is missing")
+
+
+def test_cover_budget_exact_t_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", EXACT_T_BUDGET)
+    pd = serialize_pd(pretzel(*[3] * 10).to_pd())
+    assert main(["distinguish", "--pd", pd]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kh: minimum cover search passed {EXACT_T_BUDGET} nodes")
+    assert "t is exactly 6;" in err
+
+
 def old_minimal_set_failures(analysis):
     return tuple(
         (i, j)

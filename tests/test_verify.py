@@ -220,6 +220,15 @@ def test_random_diagram_properties(seed):
     assert r.passed and r.pseudo_free
 
 
+@given(st.integers(0, 10**6), st.integers(3, 32))
+@settings(max_examples=60, deadline=None)
+def test_random_diagram_determinant_is_nonzero(seed, max_crossings):
+    # the generator filters on the diagram predicates alone; a connected
+    # alternating diagram counts the spanning trees of its Tait graph
+    d = random_alternating_diagram(max_crossings, seed)
+    assert link_determinant(d) != 0
+
+
 def test_random_diagram_rejects_small_bound():
     with pytest.raises(GenerationError):
         random_alternating_diagram(2, seed=0)
