@@ -112,6 +112,10 @@ def _cmd_det(args) -> int:
     return 0
 
 
+def _group_text(group) -> str:
+    return " + ".join(f"Z_{n}" for n in group.invariant_factors) or "trivial"
+
+
 def _cmd_group(args) -> int:
     _, d = _load_diagram(args)
     group = coloring_group(d)
@@ -122,10 +126,7 @@ def _cmd_group(args) -> int:
                 "determinant": group.determinant,
             }
         )
-    if group.invariant_factors:
-        print(" + ".join(f"Z_{n}" for n in group.invariant_factors))
-    else:
-        print("trivial")
+    print(_group_text(group))
     print(f"determinant {group.determinant}")
     return 0
 
@@ -220,8 +221,7 @@ def _print_verify(name, report):
         f"  alternating={hyp.alternating} reduced={hyp.reduced} "
         f"prime={hyp.prime} determinant={hyp.determinant}"
     )
-    factors = report.group.invariant_factors
-    print(f"  group {' + '.join(f'Z_{n}' for n in factors) if factors else 'trivial'}")
+    print(f"  group {_group_text(report.group)}")
     print(f"  part a: {'pass' if report.part_a else 'fail'} (rows pairwise distinct)")
     print(
         f"  part b: {'pass' if report.part_b else 'fail'}, "
@@ -347,8 +347,7 @@ def _cmd_sum(args) -> int:
         )
     else:
         print(f"sum of {' # '.join(args.parts)}: {'pass' if report.passed else 'FAIL'}")
-        factors = report.group.invariant_factors
-        print(f"  group {' + '.join(f'Z_{n}' for n in factors) if factors else 'trivial'}")
+        print(f"  group {_group_text(report.group)}")
         print(f"  junction pairs {[list(p) for p in report.junction_pairs]}")
         print(f"  undistinguished pairs {[list(p) for p in report.failures]}")
     return 0 if report.passed else 1

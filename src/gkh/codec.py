@@ -1,4 +1,4 @@
-"""Parsing and serialization of planar diagram codes and braid words.
+"""Parsing of planar diagram codes and braid words, and PD serialization.
 
 PD codes look like PD[X(1,3,2,4),X(3,1,4,2)]. Each X(a,b,c,d) lists the four
 edge labels around a crossing counterclockwise, starting at the incoming
@@ -190,6 +190,3 @@ def parse_braid(text: str) -> BraidWord:
         strands = max(abs(x) for x in letters) + 1
     return BraidWord(strands, tuple(letters))
 
-
-def serialize_braid(word: BraidWord) -> str:
-    return f"strands={word.strands}; " + " ".join(str(x) for x in word.letters)

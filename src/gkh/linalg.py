@@ -6,10 +6,11 @@ Smith form; the independent inverses the tests compare against live in
 the test suite.
 
 A reduced crossing matrix has at most three nonzeros a row, and all but a
-few of its pivots can be units. The Smith form therefore first pivots on
-+-1 entries of sparse rows, the least Markowitz cost first (Markowitz
-1957), and runs the dense smallest-pivot loop only on the block that is
-left: at most 9x9 on the fixtures and benchmark inputs. U and V stay
+few of its pivots can be units. The Smith form is one sparse loop over
+rows and columns kept as dicts: it pivots on the smallest entry, +-1
+first and the least Markowitz cost first among equals (Markowitz 1957),
+takes Euclid steps where no unit is left, and puts the few non-unit
+pivots into a divisor chain by gcd/lcm steps at the end. U and V stay
 sparse, which keeps the products that use them cheap. Every Smith form
 is certified by check_smith_form. The determinant stays on Bareiss
 elimination, independent of the Smith form, so that each certifies the
@@ -182,14 +183,19 @@ class SnfDecomposition:
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with transforms, nonnegative diagonal, zeros trailing.
 
-    Phase 1 pivots on +-1 entries of sparse rows, the least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1) first, ties to the smallest
-    (row, col). Row operations touch only the rows with a nonzero in the
-    pivot column; the pivot row is then cleared by column operations on V
-    alone, since the pivot column of D is already zero off the pivot. A -1
-    pivot is negated in U, and a unit needs no divisibility fix-up. Phase 2
-    moves the unit pivots onto the leading diagonal and runs the dense
-    loop (smallest pivot, reduce, divisibility fix-up) on what is left.
+    One sparse loop. Each pass pivots on the live entry x of least key
+    (|x|, Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), row,
+    col), so the +-1 entries come first, the cheapest first. Row operations
+    on D and U reduce the pivot column by the nearest multiples of x; once
+    the column is clear, column operations on V reduce the pivot row, which
+    touches only row p of D. A remainder either step leaves is at most
+    |x| / 2, below every live entry, so the next pass pivots on it (Euclid)
+    and the loop ends. A pivot alone in its row and column retires, its
+    sign folded into U. The units then lead the diagonal, and one sweep
+    makes the other pivots a divisor chain: a pair (a, b) with a not
+    dividing b becomes (g, ab / g), where g = gcd(a, b) = s a + t b, by the
+    rows (s, t), (-b / g, a / g) on U and the columns v_a + v_b,
+    -(t b / g) v_a + (s a / g) v_b on V, both of determinant 1.
     """
     rows, cols = a.rows, a.cols
     d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
@@ -206,124 +212,69 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         for i in live:
             row_cost = len(d_rows[i]) - 1
             for j, x in d_rows[i].items():
-                if x == 1 or x == -1:
-                    key = (row_cost * (len(in_col[j]) - 1), i, j)
+                x = abs(x)
+                if best is None or x <= best[0]:
+                    key = (x, row_cost * (len(in_col[j]) - 1), i, j)
                     if best is None or key < best:
                         best = key
-            if best is not None and best[0] == 0:
-                break  # no later row can beat a zero cost
+            if best is not None and best[:2] == (1, 0):
+                break  # a unit of cost 0: no later row can beat it
         if best is None:
             break
-        _, p, q = best
-        if d_rows[p][q] < 0:
-            d_rows[p] = {j: -x for j, x in d_rows[p].items()}
-            u_rows[p] = {j: -x for j, x in u_rows[p].items()}
+        _, _, p, q = best
         pivot_row, pivot_u = d_rows[p], u_rows[p]
+        x = pivot_row[q]
         for i in in_col[q] - {p}:
-            f = -d_rows[i][q]
+            f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
             _add_scaled(u_rows[i], f, pivot_u)
-        for j, x in pivot_row.items():
+        if len(in_col[q]) > 1:
+            continue
+        for j, y in list(pivot_row.items()):
             if j != q:
-                _add_scaled(v_cols[j], -x, v_cols[q])
-                in_col[j].discard(p)
-        d_rows[p] = {q: 1}
+                f = -((2 * y + x) // (2 * x))
+                _add_scaled(v_cols[j], f, v_cols[q])
+                y += f * x
+                if y:
+                    pivot_row[j] = y
+                else:
+                    del pivot_row[j]
+                    in_col[j].discard(p)
+        if len(pivot_row) > 1:
+            continue
+        if x < 0:
+            pivot_row[q] = -x
+            u_rows[p] = {j: -y for j, y in pivot_u.items()}
         live.remove(p)
         pivots.append((p, q))
 
-    k = len(pivots)
+    units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
+    chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
+    for k, (pa, qa) in enumerate(chain):
+        for pb, qb in chain[k + 1 :]:
+            x, y = d_rows[pa][qa], d_rows[pb][qb]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                d_rows[pa][qa], d_rows[pb][qb] = g, x // g * y
+                ua, ub = u_rows[pa], u_rows[pb]
+                u_rows[pa] = _combine(s, ua, t, ub)
+                u_rows[pb] = _combine(-(y // g), ua, x // g, ub)
+                va, vb = v_cols[qa], v_cols[qb]
+                v_cols[qa] = _combine(1, va, 1, vb)
+                v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
+    pivots = units + chain
+
     pivot_cols = {q for _, q in pivots}
     row_order = [p for p, _ in pivots] + live
     col_order = [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols]
-    d = [[d_rows[i].get(j, 0) for j in col_order] for i in row_order]
-    u = [[u_rows[i].get(j, 0) for j in range(rows)] for i in row_order]
-    v = [[0] * cols for _ in range(cols)]
-    for t, j in enumerate(col_order):
+    v = [0] * (cols * cols)
+    for k, j in enumerate(col_order):
         for i, x in v_cols[j].items():
-            v[i][t] = x
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = k
-    while t < min(rows, cols):
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
-        if pos[1] != t:
-            swap_cols(t, pos[1])
-        while True:
-            for i in range(t + 1, rows):
-                q = d[i][t] // d[t][t]
-                if q:
-                    add_row(i, t, -q)
-            left = [i for i in range(t + 1, rows) if d[i][t] != 0]
-            if left:
-                # remainder beats the pivot; promote it and redo
-                swap_rows(t, min(left, key=lambda i: abs(d[i][t])))
-                continue
-            for j in range(t + 1, cols):
-                q = d[t][j] // d[t][t]
-                if q:
-                    add_col(j, t, -q)
-            left = [j for j in range(t + 1, cols) if d[t][j] != 0]
-            if left:
-                swap_cols(t, min(left, key=lambda j: abs(d[t][j])))
-                continue
-            break
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            # pull the bad row up so the next pass shrinks the pivot
-            add_row(t, offender, 1)
-            continue
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-
+            v[i * cols + k] = x
     res = SnfDecomposition(
-        IntMatrix(rows, rows, tuple(x for r in u for x in r)),
-        IntMatrix(rows, cols, tuple(x for r in d for x in r)),
-        IntMatrix(cols, cols, tuple(x for r in v for x in r)),
+        IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
+        IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
+        IntMatrix(cols, cols, tuple(v)),
     )
     check_smith_form(a, res)
     return res
@@ -342,6 +293,24 @@ def _add_scaled(target: dict, f: int, source: dict, index=None, key=None) -> Non
             target.pop(j, None)
             if index is not None:
                 index[j].discard(key)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b > 0."""
+    s, s_next, t, t_next = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        s, s_next = s_next, s - k * s_next
+        t, t_next = t_next, t - k * t_next
+    return a, s, t
+
+
+def _combine(f: int, x: dict, g: int, y: dict) -> dict:
+    """f * x + g * y on {position: value} dicts, zeros dropped."""
+    out = {j: f * z for j, z in x.items()} if f else {}
+    _add_scaled(out, g, y)
+    return out
 
 
 def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:

@@ -199,6 +199,10 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
 
 
 _MAX_ATTEMPTS = 400
+# a bound on the braid length: verify_gkh on one draw takes under a second
+# at 200 crossings and several at 400, and kh fuzz passes the user's
+# --max-crossings straight through
+_MAX_CROSSINGS = 200
 
 
 def random_alternating_diagram(max_crossings: int, seed: int) -> Diagram:
@@ -210,10 +214,14 @@ def random_alternating_diagram(max_crossings: int, seed: int) -> Diagram:
     prime diagram is connected, and a connected alternating diagram is the
     medial graph of its Tait graph, whose spanning trees its determinant
     counts up to sign (Kirchhoff's matrix-tree theorem); there is at least
-    one.
+    one. A bound below 3 or above _MAX_CROSSINGS raises GenerationError.
     """
     if max_crossings < 3:
         raise GenerationError("need at least 3 crossings")
+    if max_crossings > _MAX_CROSSINGS:
+        raise GenerationError(
+            f"max crossings {max_crossings} is above the limit of {_MAX_CROSSINGS}"
+        )
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         strands = rng.randint(2, 4)

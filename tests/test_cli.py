@@ -207,6 +207,13 @@ def test_fuzz_count_below_one_is_input_error(capsys, count):
     assert err.startswith("kh: ") and "at least 1" in err
 
 
+def test_fuzz_refuses_an_unbounded_crossing_count(capsys):
+    # each draw would build a braid word of up to 10^8 letters
+    code, out, err = run(capsys, "fuzz", "--count", "2", "--max-crossings", "100000000")
+    assert code == 2 and out == ""
+    assert err.startswith("kh: ") and "above the limit" in err
+
+
 def test_unknown_fixture_is_input_error(capsys):
     code, _, err = run(capsys, "det", "--name", "nosuch")
     assert code == 2 and "unknown fixture" in err

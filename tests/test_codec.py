@@ -12,7 +12,6 @@ from gkh.codec import (
     PdSyntaxError,
     parse_braid,
     parse_pd,
-    serialize_braid,
     serialize_pd,
 )
 
@@ -24,21 +23,6 @@ def pd_codes(draw):
     labels = draw(st.permutations(labels))
     quads = tuple(tuple(labels[4 * i : 4 * i + 4]) for i in range(n))
     return PdCode(quads)
-
-
-@st.composite
-def braid_words(draw):
-    strands = draw(st.integers(min_value=2, max_value=6))
-    letters = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=strands - 1).flatmap(
-                lambda i: st.sampled_from([i, -i])
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    return BraidWord(strands, tuple(letters))
 
 
 def test_parse_pd_hopf():
@@ -93,8 +77,3 @@ def test_parse_braid_errors():
         parse_braid("strands=2; 2")
     with pytest.raises(BraidError):
         parse_braid("1 x 1")
-
-
-@given(braid_words())
-def test_braid_roundtrip(word):
-    assert parse_braid(serialize_braid(word)) == word

@@ -97,8 +97,8 @@ singular_matrices = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
 )
 
 
-# dense; crossing-like (entries of C'); no unit entry, so the sparse unit
-# phase finds no pivot; singular, as a product through a narrower middle
+# dense; crossing-like (entries of C'); no unit entry, so every pivot
+# comes from Euclid steps; singular, as a product through a narrower middle
 snf_inputs = st.one_of(
     matrices(st.integers(-9, 9), min_rows=0),
     matrices(st.sampled_from((0, 0, 0, 1, -1, 2))),
@@ -112,6 +112,24 @@ snf_inputs = st.one_of(
 def test_snf_diagonal_matches_determinantal_divisors(a):
     snf = smith_normal_form(a)
     assert snf.diagonal == determinantal_divisors(a)
+    assert abs(laplace_determinant(snf.u.row_list())) == 1
+    assert abs(laplace_determinant(snf.v.row_list())) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, diagonal",
+    [
+        ([[6, 0], [0, 4]], (2, 12)),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], (1, 1, 30)),
+        # no unit entry: 4 retires first, then Euclid on (6, 10) reaches -2,
+        # which retires as 2, so the sweep gets the pivots as (4, 2)
+        ([[4, 0, 0], [0, 6, 10]], (2, 4)),
+    ],
+)
+def test_snf_divisor_chain_sweep(rows, diagonal):
+    a = IntMatrix.from_rows(rows)
+    snf = smith_normal_form(a)
+    assert snf.diagonal == diagonal == determinantal_divisors(a)
     assert abs(laplace_determinant(snf.u.row_list())) == 1
     assert abs(laplace_determinant(snf.v.row_list())) == 1
 

@@ -20,6 +20,7 @@ from gkh.diagram import braid_closure
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import smith_normal_form
 from gkh.verify import (
+    _MAX_CROSSINGS,
     GenerationError,
     VerifyError,
     hypotheses_of,
@@ -232,6 +233,15 @@ def test_random_diagram_determinant_is_nonzero(seed, max_crossings):
 def test_random_diagram_rejects_small_bound():
     with pytest.raises(GenerationError):
         random_alternating_diagram(2, seed=0)
+
+
+def test_random_diagram_rejects_a_bound_above_the_limit():
+    # drawing at the limit only builds the braid (milliseconds); one crossing
+    # more, or 10^8, is refused before anything is drawn
+    assert len(random_alternating_diagram(_MAX_CROSSINGS, seed=0).crossings) <= _MAX_CROSSINGS
+    for bound in (_MAX_CROSSINGS + 1, 10**8):
+        with pytest.raises(GenerationError, match=f"above the limit of {_MAX_CROSSINGS}"):
+            random_alternating_diagram(bound, seed=0)
 
 
 @given(st.integers(0, 10_000))
