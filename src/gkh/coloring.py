@@ -11,8 +11,9 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one certified Smith form; the determinant
-alone stays on Bareiss elimination.
+derives all of this from that one certified Smith form: L mod n1 from its
+s non-unit factors alone, the exact L only when asked for. The
+determinant alone comes from linalg.determinant and never factors.
 """
 
 from __future__ import annotations
@@ -186,10 +187,12 @@ class ColoringAnalysis:
 
     Everything else is a lazy field derived from that one certified
     factorization. With D = diag(d_i): the group is the d_i > 1,
-    L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), the
-    minimal distinguishing set is (n1/n_i) V[:, i], and column j of
-    C^(-1) is integral exactly when column j of L is 0 mod n1, in which
-    case it is that column divided by n1.
+    L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), L mod
+    n1 from the d_i > 1 terms alone (each column checked as a Fox
+    n1-coloring), the minimal distinguishing set is (n1/n_i) V[:, i], and
+    column j of C^(-1) is integral exactly when column j of L is 0 mod n1,
+    in which case it is that column, built alone and checked against
+    C col = n1 e_j, divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -231,14 +234,45 @@ class ColoringAnalysis:
 
     @cached_property
     def l_mod(self) -> IntMatrix:
-        return self.l.mod(self.modulus)
+        rows = list(self._extended_rows)
+        del rows[self.base_arc]
+        return IntMatrix(len(rows), self.c.cols, tuple(x for r in rows for x in r))
 
     @cached_property
     def _extended_rows(self) -> tuple[tuple[int, ...], ...]:
-        lmod = self.l_mod
-        zero = (0,) * lmod.cols
-        rows = [lmod.row(k) for k in range(lmod.rows)]
-        rows.insert(self.base_arc, zero)
+        """L mod n1 from the s non-unit Smith factors, one row per arc.
+
+        A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod n1, so
+        L mod n1 is the sum of (n1 / d_i) V[:, i] U[i, :] over d_i > 1. The
+        base arc gets a row of zeros, and every column must then satisfy
+        the Fox relation mod n1 at every crossing, or LinalgError names it.
+        """
+        n1 = self.modulus
+        n = self.c.cols
+        rows = [[0] * n for _ in range(n)]
+        for i, x in enumerate(self.snf.diagonal):
+            if x > 1:
+                u_row = [y % n1 for y in self.snf.u.row(i)]
+                for k, y in enumerate(self.snf.v.col(i)):
+                    f = n1 // x * y % n1
+                    if f:
+                        rows[k] = [z + f * w for z, w in zip(rows[k], u_row)]
+        rows = [tuple(z % n1 for z in r) for r in rows]
+        rows.insert(self.base_arc, (0,) * n)
+        d = self.diagram
+        for index, c in enumerate(d.crossings):
+            over = rows[d.arc_of(c.over_in)]
+            under_in = rows[d.arc_of(c.under_in)]
+            under_out = rows[d.arc_of(c.under_out)]
+            bad = [
+                j
+                for j, (x, y, z) in enumerate(zip(over, under_in, under_out))
+                if (2 * x - y - z) % n1
+            ]
+            if bad:
+                raise LinalgError(
+                    f"column {bad[0]} of L mod {n1} breaks the Fox relation at crossing {index}"
+                )
         return tuple(rows)
 
     def extended_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -345,12 +379,18 @@ class ColoringAnalysis:
         from .pseudo import classify_assignment  # pseudo imports this module
 
         n1 = self.modulus
+        u, v = self.snf.u, self.snf.v
+        scale = [n1 // x for x in self.snf.diagonal]
         found = []
-        for j in range(self.l.cols):
-            column = self.l.col(j)
-            if any(x % n1 for x in column):
+        for j, column in enumerate(zip(*self._extended_rows)):
+            if any(column):
                 continue
-            colors = [x // n1 for x in column]
+            # column j of L, exactly: V (n1 / d_i) U[i, j]
+            lift = v.mul_vector(f * y for f, y in zip(scale, u.col(j)))
+            image = self.c.mul_vector(lift)
+            if any(x != n1 * (i == j) for i, x in enumerate(image)):
+                raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
+            colors = [x // n1 for x in lift]
             colors.insert(self.base_arc, 0)
             result = classify_assignment(self.diagram, colors, column=j)
             if result.kind == "pseudo":

@@ -2,10 +2,11 @@
 
 None of this is product code. Each oracle reaches a quantity that the
 library derives from its one Smith form per (diagram, base arc) by
-another route: Gauss-Jordan over the rationals, block matrices, the left
-kernel of C'(D), gcds of minors, the dense smallest-pivot Smith form, or
-plain enumeration: every assignment of colors, every arc pair compared on
-every column, every column subset tried in order.
+another route: Gauss-Jordan over the rationals, dense Bareiss
+elimination, block matrices, the left kernel of C'(D), gcds of minors, the
+dense smallest-pivot Smith form, faces traced around a PD code, or plain
+enumeration: every assignment of colors, every arc pair compared on every
+column, every column subset tried in order.
 """
 
 from __future__ import annotations
@@ -84,6 +85,82 @@ def laplace_determinant(rows) -> int:
             minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
             total += (-1) ** j * x * laplace_determinant(minor)
     return total
+
+
+def bareiss_determinant(a: IntMatrix) -> int:
+    """Exact determinant via Bareiss fraction-free elimination, dense.
+
+    Each row is updated in one pass over its trailing entries; a row with
+    0 in the pivot column is only rescaled by pivot / prev, or left alone
+    when the two are equal.
+    """
+    if not a.is_square:
+        raise LinalgError("determinant needs a square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.row_list()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k][k + 1 :]
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row = m[i]
+            x = row[k]
+            # exact division: Bareiss guarantees prev divides every entry
+            if x:
+                row[k + 1 :] = [(y * pivot - x * z) // prev for y, z in zip(row[k + 1 :], pivot_row)]
+            elif pivot != prev:
+                row[k + 1 :] = [y * pivot // prev for y in row[k + 1 :]]
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def pd_euler_characteristic(quads) -> tuple[int, int]:
+    """(V - E + F, connected pieces) of the surface a PD code's rotations span.
+
+    Each X(a, b, c, d) lists its edges counterclockwise, so a face is
+    traced by following an edge to its other end and turning one slot
+    on. A code drawn in the plane gives 2 per connected piece.
+    """
+    ends = {}
+    for k, quad in enumerate(quads):
+        for i, e in enumerate(quad):
+            ends.setdefault(e, []).append((k, i))
+    other = {}
+    for a, b in ends.values():
+        other[a], other[b] = b, a
+    seen = set()
+    faces = 0
+    for start in other:
+        if start in seen:
+            continue
+        faces += 1
+        slot = start
+        while slot not in seen:
+            seen.add(slot)
+            k, i = other[slot]
+            slot = (k, (i + 1) % 4)
+    piece = list(range(len(quads)))
+
+    def root(k):
+        while piece[k] != k:
+            k = piece[k]
+        return k
+
+    for (k, _), (m, _) in ends.values():
+        piece[root(k)] = root(m)
+    pieces = len({root(k) for k in range(len(quads))})
+    return len(quads) - len(ends) + faces, pieces
 
 
 def determinantal_divisors(a: IntMatrix) -> tuple[int, ...]:

@@ -34,11 +34,12 @@ from gkh.linalg import (
     LinalgError,
     SnfDecomposition,
     check_smith_form,
+    determinant,
     smith_normal_form,
 )
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import rational_inverse, scaled_inverse
+from oracles import bareiss_determinant, rational_inverse, scaled_inverse
 
 MODULES = [
     importlib.import_module(f"gkh.{m}")
@@ -66,7 +67,10 @@ def oracle_pseudos(d, base):
 def assert_matches_oracles(d, base=None):
     analysis = ColoringAnalysis(d, base)
     n1 = analysis.modulus
-    assert analysis.l == scaled_inverse(analysis.c, n1)
+    assert determinant(analysis.c) == bareiss_determinant(analysis.c)
+    oracle_l = scaled_inverse(analysis.c, n1)
+    assert analysis.l_mod == oracle_l.mod(n1)  # built before l, from the s factors
+    assert analysis.l == oracle_l
     assert analysis.inverse_pseudos == oracle_pseudos(d, base)
     assert pseudo_from_inverse_columns(d, base) == analysis.inverse_pseudos
 
@@ -140,7 +144,7 @@ def counts(monkeypatch):
 
 def test_verify_factors_once_and_inverts_nothing(counts):
     verify_gkh(turks_head(6))
-    assert counts == {"snf": 1, "l": 1}
+    assert counts == {"snf": 1, "l": 0}
 
 
 def test_determinant_never_factors(counts):
@@ -204,6 +208,50 @@ def test_checks_survive_optimize_flag():
         "    print('raised')\n"
     )
     assert run_fresh(code, "-O") == "raised"
+
+
+def tampered_v_analysis(name):
+    """A ColoringAnalysis whose V has 1 added to an entry of its non-unit column."""
+    analysis = ColoringAnalysis(fixture_diagram(name))
+    snf = analysis.snf
+    i = snf.diagonal.index(analysis.modulus)
+    entries = list(snf.v.entries)
+    entries[i] += 1  # row 0, column i
+    analysis.snf = SnfDecomposition(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
+    return analysis
+
+
+def test_tampered_v_fails_the_fox_check_on_l_mod():
+    analysis = tampered_v_analysis("7_7")
+    with pytest.raises(LinalgError, match=r"L mod 21 breaks the Fox relation at crossing \d+"):
+        analysis.l_mod
+
+
+def test_tampered_u_fails_the_exact_inverse_column_check():
+    # the conway knot has n1 = 1, so every column of L mod n1 is 0 and each
+    # is lifted exactly; a unit row of U changes L by n1 V[:, 0], not L mod n1
+    analysis = ColoringAnalysis(fixture_diagram("conway"))
+    snf = analysis.snf
+    entries = list(snf.u.entries)
+    entries[0] += 1
+    analysis.snf = SnfDecomposition(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    assert not any(map(any, analysis.extended_rows()))
+    with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
+        analysis.inverse_pseudos
+
+
+def test_fox_check_on_l_mod_survives_optimize_flag():
+    code = (
+        "from gkh.coloring import ColoringAnalysis\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import *\n"
+        f"{inspect.getsource(tampered_v_analysis)}\n"
+        "try:\n"
+        "    tampered_v_analysis('7_7').l_mod\n"
+        "except LinalgError as err:\n"
+        "    print(err)\n"
+    )
+    assert "breaks the Fox relation at crossing" in run_fresh(code, "-O")
 
 
 def doubled_smith_form(a):

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from gkh.cli import main
-from gkh.coloring import is_fox_coloring
-from gkh.fixtures import fixture_diagram
+from gkh.coloring import crossing_matrix, is_fox_coloring, reduced_crossing_matrix
+from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
+from oracles import scaled_inverse
 
 
 def run(capsys, *argv):
@@ -52,6 +53,19 @@ def test_matrix_variants(capsys):
     code, out, _ = run(capsys, "matrix", "--name", "3_1", "--which", "l", "--json")
     assert code == 0
     assert json.loads(out) == {"which": "l", "rows": [[2, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if fixture(n).determinant])
+def test_matrix_l_and_lmod_print_the_oracle_inverse(capsys, name):
+    # --which lmod comes from the s non-unit Smith factors, --which l from
+    # the whole product; both print what n1 * C^(-1) and its residues print
+    c = reduced_crossing_matrix(crossing_matrix(fixture_diagram(name)))
+    n1 = fixture(name).factors[0] if fixture(name).factors else 1
+    expected = scaled_inverse(c, n1)
+    for which, matrix in (("l", expected), ("lmod", expected.mod(n1))):
+        code, out, _ = run(capsys, "matrix", "--name", name, "--which", which)
+        assert code == 0
+        assert out == f"{matrix}\n"
 
 
 def test_colorings_enumeration(capsys):

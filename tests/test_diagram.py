@@ -19,7 +19,8 @@ from gkh.diagram import (
     pretzel,
     turks_head,
 )
-from gkh.fixtures import fixture_diagram, fixture_names
+from gkh.fixtures import fixture, fixture_diagram, fixture_names
+from oracles import pd_euler_characteristic
 
 
 def trefoil():
@@ -173,6 +174,26 @@ def test_mirror_is_involution_and_preserves_predicates():
 def test_inconsistent_pd_rejected():
     with pytest.raises(DiagramError):
         from_pd(PdCode(((1, 2, 3, 4), (1, 2, 3, 4))))
+
+
+PD_FIXTURES = [n for n in fixture_names() if fixture(n).input_text.startswith("pd:")]
+
+
+@pytest.mark.parametrize("name", PD_FIXTURES)
+def test_pd_fixtures_are_planar(name):
+    code = parse_pd(fixture(name).input_text.partition(":")[2])
+    chi, pieces = pd_euler_characteristic(code.crossings)
+    assert chi == 2 * pieces
+
+
+def test_face_tracer_sees_the_old_genus_two_7_7b_code():
+    # the table's 7_7b row before its rotations at crossings 0, 1 and 4 were
+    # flipped: the same Diagram, but a surface of genus 2, not a plane
+    old = parse_pd(
+        "PD[X(12,1,13,2),X(2,5,3,6),X(10,3,11,4),X(4,9,5,10),X(6,11,7,12),X(14,7,1,8),X(8,13,9,14)]"
+    )
+    assert pd_euler_characteristic(old.crossings) == (-2, 1)
+    assert from_pd(old) == fixture_diagram("7_7b")
 
 
 def test_diagram_invariant_validation():

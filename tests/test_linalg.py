@@ -5,9 +5,12 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gkh.linalg
+from gkh.coloring import crossing_matrix, reduced_crossing_matrix
+from gkh.diagram import turks_head
 from gkh.linalg import (
     IntMatrix,
     LinalgError,
@@ -19,6 +22,7 @@ from gkh.linalg import (
 from oracles import (
     NonIntegralEntryError,
     SingularMatrixError,
+    bareiss_determinant,
     block_diag,
     determinantal_divisors,
     laplace_determinant,
@@ -230,6 +234,60 @@ sparse_square_matrices = st.integers(min_value=1, max_value=6).flatmap(
 def test_sparse_determinant_matches_cofactor_oracle(m):
     # mostly zero pivot columns: rows are rescaled, skipped, or swapped up
     assert determinant(m) == laplace_determinant(m.row_list())
+
+
+singular_square_matrices = st.integers(2, 5).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(lambda k: product_of((n, k, n)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_square_matrices, sparse_square_matrices, singular_square_matrices))
+@example(IntMatrix.from_rows([[0, 1], [1, 0]]))
+@example(IntMatrix.from_rows([[2, 4], [1, 2]]))
+def test_determinant_matches_bareiss(m):
+    assert determinant(m) == bareiss_determinant(m)
+
+
+def test_determinant_signs_match_bareiss():
+    rng = random.Random(11)
+    signs = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = IntMatrix(n, n, tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n * n)))
+        value = determinant(m)
+        assert value == bareiss_determinant(m)
+        signs.add((value > 0) - (value < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_determinant_divisible_by_the_first_primes():
+    # both residues are 0; the third prime alone fixes the value
+    p, q = gkh.linalg._prime(0), gkh.linalg._prime(1)
+    lower = IntMatrix.from_rows([[1, 0, 0], [4, 1, 0], [-2, 5, 1]])
+    middle = IntMatrix.from_rows([[p, 0, 0], [0, -3, 0], [0, 0, q]])
+    upper = IntMatrix.from_rows([[1, -3, 7], [0, 1, 2], [0, 0, 1]])
+    m = lower @ middle @ upper
+    assert determinant(m) == bareiss_determinant(m) == -3 * p * q
+
+
+def test_determinant_of_a_dense_matrix_with_200_bit_entries():
+    rng = random.Random(5)
+    m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 200), 1 << 200) for _ in range(64)))
+    assert determinant(m) == bareiss_determinant(m)
+    # twice the Hadamard bound, about 2^1607, is past the product of 26 primes
+    bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
+    assert prod(gkh.linalg._prime(k) for k in range(26)) ** 2 <= bound
+
+
+def test_determinant_of_turks_head_300_is_the_lucas_value():
+    # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2;
+    # 599 rows need 13 primes, more than a fixed table of 12 would give
+    lucas = [2, 1]
+    while len(lucas) <= 600:
+        lucas.append(lucas[-1] + lucas[-2])
+    c = reduced_crossing_matrix(crossing_matrix(turks_head(300)))
+    assert abs(determinant(c)) == lucas[600] - 2
 
 
 @settings(max_examples=200)
