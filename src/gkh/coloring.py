@@ -13,7 +13,8 @@ arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
 derives all of this from that one certified Smith form: L mod n1 from its
 s non-unit factors alone, the exact L only when asked for. The
-determinant alone comes from linalg.determinant and never factors.
+determinant alone comes from linalg.determinant and never factors;
+verify_gkh takes it from the same C the analysis factors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from .diagram import Diagram
-from .linalg import IntMatrix, LinalgError, determinant, smith_normal_form
+from .linalg import IntMatrix, LinalgError, SnfDecomposition, determinant, smith_normal_form
 
 if TYPE_CHECKING:
     from .pseudo import PseudoColoring
@@ -183,23 +184,28 @@ class DistinguishingReport:
 
 
 class ColoringAnalysis:
-    """C(D) for one base arc and its Smith form U C V = D, factored once.
+    """C(D) for one base arc and its Smith form U C V = D, factored once,
+    on first use.
 
     Everything else is a lazy field derived from that one certified
-    factorization. With D = diag(d_i): the group is the d_i > 1,
+    factorization, read off U's rows and V's columns as the sparse loop
+    left them. With D = diag(d_i): the group is the d_i > 1,
     L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), L mod
     n1 from the d_i > 1 terms alone (each column checked as a Fox
     n1-coloring), the minimal distinguishing set is (n1/n_i) V[:, i], and
     column j of C^(-1) is integral exactly when column j of L is 0 mod n1,
     in which case it is that column, built alone and checked against
-    C col = n1 e_j, divided by n1.
+    C col = n1 e_j, divided by n1. Only l builds the dense U and V.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
         self.diagram = d
         self.c, self.base_arc = _reduced(crossing_matrix(d), base)
         self.arc_count = len(d.arcs)
-        self.snf = smith_normal_form(self.c)
+
+    @cached_property
+    def snf(self) -> SnfDecomposition:
+        return smith_normal_form(self.c)
 
     @cached_property
     def group(self) -> ColoringGroup:
@@ -252,8 +258,10 @@ class ColoringAnalysis:
         rows = [[0] * n for _ in range(n)]
         for i, x in enumerate(self.snf.diagonal):
             if x > 1:
-                u_row = [y % n1 for y in self.snf.u.row(i)]
-                for k, y in enumerate(self.snf.v.col(i)):
+                u_row = [0] * n
+                for j, y in self.snf.u_rows[i].items():
+                    u_row[j] = y % n1
+                for k, y in self.snf.v_cols[i].items():
                     f = n1 // x * y % n1
                     if f:
                         rows[k] = [z + f * w for z, w in zip(rows[k], u_row)]
@@ -339,7 +347,9 @@ class ColoringAnalysis:
         colorings = []
         for factor, i in picked:
             scale = n1 // factor
-            colors = [scale * x % n1 for x in self.snf.v.col(i)]
+            colors = [0] * self.c.cols
+            for k, x in self.snf.v_cols[i].items():
+                colors[k] = scale * x % n1
             colors.insert(self.base_arc, 0)
             bad = _fox_violation(self.diagram, colors, n1)
             if bad is not None:
@@ -379,14 +389,18 @@ class ColoringAnalysis:
         from .pseudo import classify_assignment  # pseudo imports this module
 
         n1 = self.modulus
-        u, v = self.snf.u, self.snf.v
-        scale = [n1 // x for x in self.snf.diagonal]
+        snf = self.snf
         found = []
         for j, column in enumerate(zip(*self._extended_rows)):
             if any(column):
                 continue
-            # column j of L, exactly: V (n1 / d_i) U[i, j]
-            lift = v.mul_vector(f * y for f, y in zip(scale, u.col(j)))
+            # column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i]
+            lift = [0] * self.c.cols
+            for x, u_row, v_col in zip(snf.diagonal, snf.u_rows, snf.v_cols):
+                f = n1 // x * u_row.get(j, 0)
+                if f:
+                    for k, y in v_col.items():
+                        lift[k] += f * y
             image = self.c.mul_vector(lift)
             if any(x != n1 * (i == j) for i, x in enumerate(image)):
                 raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")

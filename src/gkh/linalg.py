@@ -9,19 +9,22 @@ A reduced crossing matrix has at most three nonzeros a row, and all but a
 few of its pivots can be units. The Smith form is one sparse loop over
 rows and columns kept as dicts: it pivots on the smallest entry, +-1
 first and the least Markowitz cost first among equals (Markowitz 1957),
-takes Euclid steps where no unit is left, and puts the few non-unit
-pivots into a divisor chain by gcd/lcm steps at the end. U and V stay
-sparse, which keeps the products that use them cheap. Every Smith form
-is certified by check_smith_form. The determinant is computed apart from
-the Smith form, so that each certifies the other: sparse elimination on
-the same dict rows modulo primes below 2^61, fewest-rows column first,
-joined by the Chinese remainder theorem until the product of the primes
-passes twice the Hadamard bound, which makes it exact.
+with each row's least key cached and recomputed only where an entry or a
+column count changed, takes Euclid steps where no unit is left, and puts
+the few non-unit pivots into a divisor chain by gcd/lcm steps at the end.
+U and V stay sparse from start to finish: the decomposition keeps U's rows
+and V's columns as dicts, check_smith_form multiplies them as dicts, and
+the dense matrices are built only for the callers that ask for them. The
+determinant is computed apart from the Smith form, so that each certifies
+the other: sparse elimination on the same dict rows modulo primes just
+below 2^78, fewest-rows column first, joined by the Chinese remainder
+theorem until the product of the primes passes twice the Hadamard bound,
+which makes it exact.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 
@@ -107,11 +110,6 @@ class IntMatrix:
             raise LinalgError(f"vector length {len(v)} != {self.cols}")
         return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
 
-    def mod(self, k: int) -> IntMatrix:
-        if k < 1:
-            raise LinalgError("modulus must be >= 1")
-        return IntMatrix(self.rows, self.cols, tuple(x % k for x in self.entries))
-
     def without_row_col(self, i: int, j: int) -> IntMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
@@ -154,14 +152,21 @@ def determinant(a: IntMatrix) -> int:
     return residue - modulus if 2 * residue > modulus else residue
 
 
-# primes below 2^61, largest first, found on demand by _prime
+# psi_12, about 2^78.07: the least strong pseudoprime to all twelve prime
+# bases up to 37, so below it those bases decide primality
+_PSI_12 = 318665857834031151167461
+# the prime search counts down from here; one such prime passes the
+# Hadamard bound of a 50-crossing matrix, where two primes below 2^61 do not
+_PRIME_CEILING = 1 << 78
+
+# primes below _PRIME_CEILING, largest first, found on demand by _prime
 _PRIMES: list[int] = []
 
 
 def _prime(k: int) -> int:
-    """The k-th prime below 2^61, counting down from 2^61 - 1 (k = 0)."""
+    """The k-th prime below _PRIME_CEILING, counting down (k = 0 the largest)."""
     while len(_PRIMES) <= k:
-        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
+        p = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
         while not _is_prime(p):
             p -= 2
         _PRIMES.append(p)
@@ -169,8 +174,8 @@ def _prime(k: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the twelve prime bases up to 37, deterministic
-    for odd n > 37 below 3.3 * 10^24."""
+    """Miller-Rabin on the twelve prime bases up to 37, deterministic for
+    odd n > 37 below _PSI_12 (Sorenson & Webster, Math. Comp. 86, 2017)."""
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
@@ -252,15 +257,49 @@ def _column_index(rows: list[dict], cols: int) -> list[set]:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Unimodular u, v with u @ a @ v == d, d diagonal with d_1 | d_2 | ..."""
+    """U A V = D for a rows x cols matrix A, U and V unimodular, D =
+    diag(diagonal) with d_1 | d_2 | ..., kept as the sparse loop leaves it.
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    u_rows[i] is row i of U and v_cols[k] is column k of V, each a dict
+    {index: value}. The dense u, d and v are built on first use and kept.
+    """
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))
+    rows: int
+    cols: int
+    u_rows: tuple[dict, ...]
+    diagonal: tuple[int, ...]
+    v_cols: tuple[dict, ...]
+
+    @classmethod
+    def from_dense(cls, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfDecomposition:
+        """The decomposition with dense factors; raises LinalgError when D
+        has a nonzero entry off the diagonal."""
+        off = [(i, j) for i in range(d.rows) for j in range(d.cols) if i != j and d.at(i, j)]
+        if off:
+            raise LinalgError(f"Smith form D has a nonzero entry off the diagonal at {off[0]}")
+        return cls(
+            d.rows,
+            d.cols,
+            tuple({j: x for j, x in enumerate(u.row(i)) if x} for i in range(u.rows)),
+            tuple(d.at(i, i) for i in range(min(d.rows, d.cols))),
+            tuple({i: x for i, x in enumerate(v.col(k)) if x} for k in range(v.cols)),
+        )
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        n = len(self.u_rows)
+        return IntMatrix(n, n, tuple(r.get(j, 0) for r in self.u_rows for j in range(n)))
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        rows, cols, diag = self.rows, self.cols, self.diagonal
+        entries = (diag[i] if i == j else 0 for i in range(rows) for j in range(cols))
+        return IntMatrix(rows, cols, tuple(entries))
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        n = len(self.v_cols)
+        return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v_cols))
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -268,65 +307,62 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
     One sparse loop. Each pass pivots on the live entry x of least key
     (|x|, Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), row,
-    col), so the +-1 entries come first, the cheapest first. Row operations
-    on D and U reduce the pivot column by the nearest multiples of x; once
-    the column is clear, column operations on V reduce the pivot row, which
-    touches only row p of D. A remainder either step leaves is at most
-    |x| / 2, below every live entry, so the next pass pivots on it (Euclid)
-    and the loop ends. A pivot alone in its row and column retires, its
-    sign folded into U. The units then lead the diagonal, and one sweep
-    makes the other pivots a divisor chain: a pair (a, b) with a not
-    dividing b becomes (g, ab / g), where g = gcd(a, b) = s a + t b, by the
-    rows (s, t), (-b / g, a / g) on U and the columns v_a + v_b,
-    -(t b / g) v_a + (s a / g) v_b on V, both of determinant 1.
+    col), so the +-1 entries come first, the cheapest first. Each row's
+    least key is cached; after a pass only the rows whose entries changed
+    and the rows of the columns whose count changed are keyed again, so the
+    pivot is the least cached key, the same one a scan of every live entry
+    would find. Row operations on D and U reduce the pivot column by the
+    nearest multiples of x; once the column is clear, column operations on
+    V reduce the pivot row, which touches only row p of D. A remainder
+    either step leaves is at most |x| / 2, below every live entry, so the
+    next pass pivots on it (Euclid) and the loop ends. A pivot alone in its
+    row and column retires, its sign folded into U. The units then lead the
+    diagonal, and one sweep makes the other pivots a divisor chain: a pair
+    (a, b) with a not dividing b becomes (g, ab / g), where g = gcd(a, b) =
+    s a + t b, by the rows (s, t), (-b / g, a / g) on U and the columns
+    v_a + v_b, -(t b / g) v_a + (s a / g) v_b on V, both of determinant 1.
+    U's rows and V's columns go into the result as the dicts they are.
     """
     rows, cols = a.rows, a.cols
     d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
     in_col = _column_index(d_rows, cols)
     u_rows = [{i: 1} for i in range(rows)]
     v_cols = [{j: 1} for j in range(cols)]
-    live = list(range(rows))
+    keys = {}  # live row -> its least (|x|, cost, row, col)
+    _key_rows(keys, range(rows), d_rows, in_col)
     pivots = []
-    while True:
-        best = None
-        for i in live:
-            row_cost = len(d_rows[i]) - 1
-            for j, x in d_rows[i].items():
-                x = abs(x)
-                if best is None or x <= best[0]:
-                    key = (x, row_cost * (len(in_col[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[:2] == (1, 0):
-                break  # a unit of cost 0: no later row can beat it
-        if best is None:
-            break
-        _, _, p, q = best
+    while keys:
+        _, _, p, q = min(keys.values())
         pivot_row, pivot_u = d_rows[p], u_rows[p]
         x = pivot_row[q]
-        for i in in_col[q] - {p}:
+        counts = [(j, len(in_col[j])) for j in pivot_row]
+        changed = in_col[q] - {p}
+        for i in changed:
             f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
             _add_scaled(u_rows[i], f, pivot_u)
-        if len(in_col[q]) > 1:
-            continue
-        for j, y in list(pivot_row.items()):
-            if j != q:
-                f = -((2 * y + x) // (2 * x))
-                _add_scaled(v_cols[j], f, v_cols[q])
-                y += f * x
-                if y:
-                    pivot_row[j] = y
-                else:
-                    del pivot_row[j]
-                    in_col[j].discard(p)
-        if len(pivot_row) > 1:
-            continue
-        if x < 0:
-            pivot_row[q] = -x
-            u_rows[p] = {j: -y for j, y in pivot_u.items()}
-        live.remove(p)
-        pivots.append((p, q))
+        changed.add(p)
+        if len(in_col[q]) == 1:
+            for j, y in list(pivot_row.items()):
+                if j != q:
+                    f = -((2 * y + x) // (2 * x))
+                    _add_scaled(v_cols[j], f, v_cols[q])
+                    y += f * x
+                    if y:
+                        pivot_row[j] = y
+                    else:
+                        del pivot_row[j]
+                        in_col[j].discard(p)
+        for j, k in counts:  # only the pivot row's columns can change count
+            if len(in_col[j]) != k:
+                changed |= in_col[j]
+        _key_rows(keys, changed, d_rows, in_col)
+        if len(pivot_row) == 1 and len(in_col[q]) == 1:
+            if x < 0:
+                pivot_row[q] = -x
+                u_rows[p] = {j: -y for j, y in pivot_u.items()}
+            del keys[p]
+            pivots.append((p, q))
 
     units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
     chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
@@ -344,20 +380,31 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
     pivots = units + chain
 
+    pivot_rows = {p for p, _ in pivots}
     pivot_cols = {q for _, q in pivots}
-    row_order = [p for p, _ in pivots] + live
+    row_order = [p for p, _ in pivots] + [i for i in range(rows) if i not in pivot_rows]
     col_order = [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols]
-    v = [0] * (cols * cols)
-    for k, j in enumerate(col_order):
-        for i, x in v_cols[j].items():
-            v[i * cols + k] = x
     res = SnfDecomposition(
-        IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
-        IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
-        IntMatrix(cols, cols, tuple(v)),
+        rows,
+        cols,
+        tuple(u_rows[i] for i in row_order),
+        tuple(d_rows[p][q] for p, q in pivots) + (0,) * (min(rows, cols) - len(pivots)),
+        tuple(v_cols[j] for j in col_order),
     )
     check_smith_form(a, res)
     return res
+
+
+def _key_rows(keys: dict, changed, d_rows: list[dict], in_col: list[set]) -> None:
+    """keys[i] = the least (|x|, Markowitz cost, i, j) of row i, for i in
+    changed; a row with no entries left drops out."""
+    for i in changed:
+        row = d_rows[i]
+        if row:
+            cost = len(row) - 1
+            keys[i] = min((abs(x), cost * (len(in_col[j]) - 1), i, j) for j, x in row.items())
+        else:
+            keys.pop(i, None)
 
 
 def _add_scaled(target: dict, f: int, source: dict, index=None, key=None) -> None:
@@ -394,33 +441,52 @@ def _combine(f: int, x: dict, g: int, y: dict) -> dict:
 
 
 def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:
-    """Certificate for a Smith form: D is a nonnegative diagonal divisor
-    chain and U (A V) == D, computed exactly.
+    """Certificate for a Smith form: D is a nonnegative divisor chain and
+    U (A V) == D, computed exactly on U's rows and V's columns as dicts.
 
     A multiplies first: on a crossing matrix A V stays about as sparse as
     A, so the product with U costs about one sparse row per nonzero of U.
     Raises LinalgError naming the shapes when they do not fit A, or the
-    first entry that disagrees.
+    first entry (i, j), in row-major order, that disagrees.
     """
-    shapes = [(m.rows, m.cols) for m in (snf.u, snf.d, snf.v)]
-    if shapes != [(a.rows, a.rows), (a.rows, a.cols), (a.cols, a.cols)]:
-        (ur, uc), (dr, dc), (vr, vc) = shapes
+    m, n = a.rows, a.cols
+    u_rows, diag, v_cols = snf.u_rows, snf.diagonal, snf.v_cols
+    if (len(u_rows), snf.rows, snf.cols, len(diag), len(v_cols)) != (m, m, n, min(m, n), n):
         raise LinalgError(
-            f"Smith form shapes do not fit A ({a.rows}x{a.cols}): "
-            f"U is {ur}x{uc}, D is {dr}x{dc}, V is {vr}x{vc}"
+            f"Smith form shapes do not fit A ({m}x{n}): U is {len(u_rows)}x{len(u_rows)}, "
+            f"D is {snf.rows}x{snf.cols} with {len(diag)} diagonal entries, "
+            f"V is {len(v_cols)}x{len(v_cols)}"
         )
-    diag = snf.diagonal
+    for what, vectors, size in (("row {} of U", u_rows, m), ("column {} of V", v_cols, n)):
+        for k, vector in enumerate(vectors):
+            if vector and not (0 <= min(vector) and max(vector) < size):
+                raise LinalgError(f"Smith form {what.format(k)} has an index outside 0..{size - 1}")
     for i, x in enumerate(diag):
         nxt = diag[i + 1] if i + 1 < len(diag) else 0
         if x < 0 or (nxt % x if x else nxt):
             raise LinalgError(f"Smith form diagonal entry {i} = {x} does not start a divisor chain")
-    if sum(map(abs, snf.d.entries)) != sum(diag):
-        raise LinalgError("Smith form D has a nonzero entry off the diagonal")
-    product = snf.u @ (a @ snf.v)
-    if product != snf.d:
-        k = next(k for k, (x, y) in enumerate(zip(product.entries, snf.d.entries)) if x != y)
-        i, j = divmod(k, product.cols)
-        raise LinalgError(
-            f"Smith form certificate fails at ({i}, {j}): U A V has {product.entries[k]}, "
-            f"D has {snf.d.entries[k]}"
-        )
+    v_rows = [{} for _ in range(n)]
+    for k, col in enumerate(v_cols):
+        for j, y in col.items():
+            v_rows[j][k] = y
+    av_rows = []
+    for t in range(m):
+        acc = {}
+        for j, x in enumerate(a.row(t)):
+            if x:
+                _add_scaled(acc, x, v_rows[j])
+        av_rows.append(acc)
+    for i, u_row in enumerate(u_rows):
+        acc = [0] * n
+        for t, x in u_row.items():
+            for k, y in av_rows[t].items():
+                acc[k] += x * y
+        if i < len(diag):
+            acc[i] -= diag[i]
+        if any(acc):
+            j = next(j for j, z in enumerate(acc) if z)
+            want = diag[i] if i == j else 0
+            raise LinalgError(
+                f"Smith form certificate fails at ({i}, {j}): U A V has {acc[j] + want}, "
+                f"D has {want}"
+            )

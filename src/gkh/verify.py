@@ -20,13 +20,14 @@ from math import prod
 from .codec import BraidWord
 from .coloring import (
     ColoringAnalysis,
+    ColoringError,
     ColoringGroup,
     FoxColoring,
     ZeroDeterminantError,
     link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
-from .linalg import IntMatrix, LinalgError, smith_normal_form
+from .linalg import IntMatrix, LinalgError, determinant, smith_normal_form
 from .pseudo import PseudoColoring
 
 
@@ -88,12 +89,14 @@ class VerificationReport:
         return self.inverse_pseudo_count == 0
 
 
-def hypotheses_of(d: Diagram) -> Hypotheses:
+def hypotheses_of(d: Diagram, c: IntMatrix | None = None) -> Hypotheses:
+    """The theorems' hypotheses; c, the reduced crossing matrix at any base
+    arc, saves building it again for the determinant."""
     return Hypotheses(
         alternating=d.is_alternating,
         reduced=d.is_reduced,
         prime=d.is_prime_diagram,
-        determinant=link_determinant(d),
+        determinant=link_determinant(d) if c is None else abs(determinant(c)),
         components=len(d.spans),
     )
 
@@ -104,10 +107,14 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
     Never aborts on failed hypotheses, so non-examples produce readable
     reports; a zero determinant is the one hard error.
     """
-    hyp = hypotheses_of(d)
+    try:
+        analysis = ColoringAnalysis(d, base)  # builds C(D), factors it on first use
+    except ColoringError:  # C'(D) is not square, or base is out of range
+        analysis = None
+    hyp = hypotheses_of(d, analysis.c if analysis else None)
     if hyp.determinant == 0:
         raise ZeroDeterminantError("determinant 0: nothing to verify")
-    analysis = ColoringAnalysis(d, base)
+    analysis = analysis or ColoringAnalysis(d, base)  # raises the base error
     # U C V = D alone does not make U and V unimodular; the determinant,
     # exact by its Hadamard bound and computed without the Smith form, equal
     # to the product of D's diagonal forces det U det V = +-1
@@ -200,9 +207,10 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
 
 
 _MAX_ATTEMPTS = 400
-# a bound on the braid length: verify_gkh on one draw takes about 0.25 s
-# at 200 crossings and 1.6 s at 400 on a 2-core Xeon, and kh fuzz passes
-# the user's --max-crossings straight through
+# a bound on the braid length: verify_gkh on one 4-strand draw takes
+# about 0.16 s at 200 crossings and 0.85 s at 400 on a 2-core Xeon, about
+# half of it the pair report, and kh fuzz passes the user's
+# --max-crossings straight through
 _MAX_CROSSINGS = 200
 
 

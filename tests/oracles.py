@@ -4,7 +4,8 @@ None of this is product code. Each oracle reaches a quantity that the
 library derives from its one Smith form per (diagram, base arc) by
 another route: Gauss-Jordan over the rationals, dense Bareiss
 elimination, block matrices, the left kernel of C'(D), gcds of minors, the
-dense smallest-pivot Smith form, faces traced around a PD code, or plain
+dense smallest-pivot Smith form, the sparse Smith form's pivots found by
+scanning every live row, faces traced around a PD code, or plain
 enumeration: every assignment of colors, every arc pair compared on every
 column, every column subset tried in order.
 """
@@ -21,6 +22,10 @@ from gkh.linalg import (
     IntMatrix,
     LinalgError,
     SnfDecomposition,
+    _add_scaled,
+    _column_index,
+    _combine,
+    _xgcd,
     check_smith_form,
     smith_normal_form,
 )
@@ -237,13 +242,104 @@ def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    res = SnfDecomposition(
+    res = SnfDecomposition.from_dense(
         IntMatrix(rows, rows, tuple(x for r in u for x in r)),
         IntMatrix(rows, cols, tuple(x for r in d for x in r)),
         IntMatrix(cols, cols, tuple(x for r in v for x in r)),
     )
     check_smith_form(a, res)
     return res
+
+
+def full_scan_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+    """The library's sparse Smith form loop as it was before its pivot keys
+    were cached: every pass scans every entry of every live row for the
+    least key (|x|, Markowitz cost, row, col), and U, D and V are written
+    out densely at the end. The library must pick the same pivots, so its
+    U, D and V must equal these exactly."""
+    rows, cols = a.rows, a.cols
+    d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
+    in_col = _column_index(d_rows, cols)
+    u_rows = [{i: 1} for i in range(rows)]
+    v_cols = [{j: 1} for j in range(cols)]
+    live = list(range(rows))
+    pivots = []
+    while True:
+        best = None
+        for i in live:
+            row_cost = len(d_rows[i]) - 1
+            for j, x in d_rows[i].items():
+                x = abs(x)
+                if best is None or x <= best[0]:
+                    key = (x, row_cost * (len(in_col[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[:2] == (1, 0):
+                break  # a unit of cost 0: no later row can beat it
+        if best is None:
+            break
+        _, _, p, q = best
+        pivot_row, pivot_u = d_rows[p], u_rows[p]
+        x = pivot_row[q]
+        for i in in_col[q] - {p}:
+            f = -((2 * d_rows[i][q] + x) // (2 * x))
+            _add_scaled(d_rows[i], f, pivot_row, in_col, i)
+            _add_scaled(u_rows[i], f, pivot_u)
+        if len(in_col[q]) > 1:
+            continue
+        for j, y in list(pivot_row.items()):
+            if j != q:
+                f = -((2 * y + x) // (2 * x))
+                _add_scaled(v_cols[j], f, v_cols[q])
+                y += f * x
+                if y:
+                    pivot_row[j] = y
+                else:
+                    del pivot_row[j]
+                    in_col[j].discard(p)
+        if len(pivot_row) > 1:
+            continue
+        if x < 0:
+            pivot_row[q] = -x
+            u_rows[p] = {j: -y for j, y in pivot_u.items()}
+        live.remove(p)
+        pivots.append((p, q))
+
+    units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
+    chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
+    for k, (pa, qa) in enumerate(chain):
+        for pb, qb in chain[k + 1 :]:
+            x, y = d_rows[pa][qa], d_rows[pb][qb]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                d_rows[pa][qa], d_rows[pb][qb] = g, x // g * y
+                ua, ub = u_rows[pa], u_rows[pb]
+                u_rows[pa] = _combine(s, ua, t, ub)
+                u_rows[pb] = _combine(-(y // g), ua, x // g, ub)
+                va, vb = v_cols[qa], v_cols[qb]
+                v_cols[qa] = _combine(1, va, 1, vb)
+                v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
+    pivots = units + chain
+
+    pivot_cols = {q for _, q in pivots}
+    row_order = [p for p, _ in pivots] + live
+    col_order = [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols]
+    v = [0] * (cols * cols)
+    for k, j in enumerate(col_order):
+        for i, x in v_cols[j].items():
+            v[i * cols + k] = x
+    res = SnfDecomposition.from_dense(
+        IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
+        IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
+        IntMatrix(cols, cols, tuple(v)),
+    )
+    check_smith_form(a, res)
+    return res
+
+
+def reduced_mod(a: IntMatrix, k: int) -> IntMatrix:
+    """Every entry of a reduced into [0, k)."""
+    return IntMatrix(a.rows, a.cols, tuple(x % k for x in a.entries))
 
 
 def transpose(a: IntMatrix) -> IntMatrix:

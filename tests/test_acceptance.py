@@ -32,6 +32,7 @@ from oracles import (
     brute_force_coloring_count,
     permuted,
     rational_inverse,
+    reduced_mod,
     scaled_inverse,
     transpose,
 )
@@ -108,7 +109,7 @@ def test_criterion_03_square_knot_matrix_fixture():
             if c == SQUARE_C:
                 l3 = scaled_inverse(c, 3)
                 assert l3 == SQUARE_L3, (perm, base)
-                assert l3.mod(3) == SQUARE_L3_MOD, (perm, base)
+                assert reduced_mod(l3, 3) == SQUARE_L3_MOD, (perm, base)
                 hits.append((perm, base))
     elapsed = time.perf_counter() - started
     assert hits, "no ordering reproduces the tabulated matrices"

@@ -39,7 +39,7 @@ from gkh.linalg import (
 )
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import bareiss_determinant, rational_inverse, scaled_inverse
+from oracles import bareiss_determinant, rational_inverse, reduced_mod, scaled_inverse
 
 MODULES = [
     importlib.import_module(f"gkh.{m}")
@@ -69,7 +69,7 @@ def assert_matches_oracles(d, base=None):
     n1 = analysis.modulus
     assert determinant(analysis.c) == bareiss_determinant(analysis.c)
     oracle_l = scaled_inverse(analysis.c, n1)
-    assert analysis.l_mod == oracle_l.mod(n1)  # built before l, from the s factors
+    assert analysis.l_mod == reduced_mod(oracle_l, n1)  # built before l, from the s factors
     assert analysis.l == oracle_l
     assert analysis.inverse_pseudos == oracle_pseudos(d, base)
     assert pseudo_from_inverse_columns(d, base) == analysis.inverse_pseudos
@@ -142,9 +142,47 @@ def counts(monkeypatch):
     return tally
 
 
-def test_verify_factors_once_and_inverts_nothing(counts):
+@pytest.fixture
+def dense_views(monkeypatch):
+    """The names of the dense u, d, v views of a Smith form, as they are built."""
+    built = []
+    for name in ("u", "d", "v"):
+        original = getattr(SnfDecomposition, name).func
+
+        def build(self, name=name, original=original):
+            built.append(name)
+            return original(self)
+
+        view = functools.cached_property(build)
+        view.__set_name__(SnfDecomposition, name)
+        monkeypatch.setattr(SnfDecomposition, name, view)
+    return built
+
+
+def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
     verify_gkh(turks_head(6))
     assert counts == {"snf": 1, "l": 0}
+    # the certificate, L mod n1, the minimal set and the lifted columns
+    # all read U's rows and V's columns from the sparse form
+    verify_gkh(fixture_diagram("conway"))  # n1 = 1: every column is lifted
+    assert dense_views == []
+    coloring_matrix(turks_head(6))
+    assert sorted(set(dense_views)) == ["u", "v"]
+
+
+def test_verify_builds_one_crossing_matrix_and_one_determinant(monkeypatch):
+    calls = {"crossing_matrix": 0, "determinant": 0}
+    for module, name in ((gkh.coloring, "crossing_matrix"), (gkh.verify, "determinant")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    report = verify_gkh(turks_head(6))
+    assert calls == {"crossing_matrix": 1, "determinant": 1}
+    assert report.hypotheses.determinant == 320
 
 
 def test_determinant_never_factors(counts):
@@ -164,17 +202,86 @@ def test_corrupted_u_fails_the_certificate():
     snf = smith_normal_form(c)
     entries = list(snf.u.entries)
     entries[0] += 1
-    bad = SnfDecomposition(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    bad = SnfDecomposition.from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
     with pytest.raises(LinalgError):
         check_smith_form(c, bad)
     check_smith_form(c, snf)
+
+
+def test_certificate_rejects_an_off_diagonal_d():
+    # U A V = D holds here; only the shape of D is wrong
+    a = IntMatrix.from_rows([[1, 1], [0, 1]])
+    identity = IntMatrix.identity(2)
+    with pytest.raises(LinalgError, match=r"off the diagonal at \(0, 1\)"):
+        check_smith_form(a, SnfDecomposition.from_dense(identity, a, identity))
+
+
+def tampered(snf, where, k, t, delta):
+    """snf with delta added at index t of row k of U (where "u") or of
+    column k of V (where "v")."""
+    vectors = list(snf.u_rows if where == "u" else snf.v_cols)
+    vector = dict(vectors[k])
+    vector[t] = vector.get(t, 0) + delta
+    if not vector[t]:
+        del vector[t]
+    vectors[k] = vector
+    if where == "u":
+        return SnfDecomposition(snf.rows, snf.cols, tuple(vectors), snf.diagonal, snf.v_cols)
+    return SnfDecomposition(snf.rows, snf.cols, snf.u_rows, snf.diagonal, tuple(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([n for n in NONZERO_FIXTURES if len(fixture_diagram(n).arcs) > 1]),
+    st.sampled_from("uv"),
+    st.booleans(),
+    st.integers(-3, 3).filter(bool),
+    st.data(),
+)
+def test_tampered_factor_fails_the_sparse_certificate(name, where, at_nonzero, delta, data):
+    analysis = ColoringAnalysis(fixture_diagram(name))
+    c, snf = analysis.c, analysis.snf
+    vectors = snf.u_rows if where == "u" else snf.v_cols
+    k = data.draw(st.integers(0, len(vectors) - 1))
+    zeros = sorted(set(range(len(vectors))) - set(vectors[k]))
+    positions = sorted(vectors[k]) if at_nonzero or not zeros else zeros
+    t = data.draw(st.sampled_from(positions))
+    bad = tampered(snf, where, k, t, delta)
+    # C is invertible, so the change moves U C V; the oracle names where
+    product = bad.u @ c @ bad.v
+    first = next(i for i, (x, y) in enumerate(zip(product.entries, bad.d.entries)) if x != y)
+    i, j = divmod(first, product.cols)
+    with pytest.raises(LinalgError, match=rf"fails at \({i}, {j}\)"):
+        check_smith_form(c, bad)
+
+
+def test_sparse_certificate_survives_optimize_flag():
+    analysis = ColoringAnalysis(fixture_diagram("7_7"))
+    expected = []
+    for where, k in (("u", 2), ("v", 3)):
+        with pytest.raises(LinalgError, match=r"certificate fails at \(") as err:
+            check_smith_form(analysis.c, tampered(analysis.snf, where, k, 0, 1))
+        expected.append(str(err.value))
+    code = (
+        "from gkh.coloring import ColoringAnalysis\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import *\n"
+        f"{inspect.getsource(tampered)}\n"
+        "analysis = ColoringAnalysis(fixture_diagram('7_7'))\n"
+        "for where, k in (('u', 2), ('v', 3)):\n"
+        "    try:\n"
+        "        check_smith_form(analysis.c, tampered(analysis.snf, where, k, 0, 1))\n"
+        "    except LinalgError as err:\n"
+        "        print(err)\n"
+    )
+    assert run_fresh(code, "-O").splitlines() == expected
 
 
 def test_certificate_rejects_a_non_smith_diagonal():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     identity = IntMatrix.identity(2)
     with pytest.raises(LinalgError):
-        check_smith_form(a, SnfDecomposition(identity, a, identity))
+        check_smith_form(a, SnfDecomposition.from_dense(identity, a, identity))
 
 
 def run_fresh(code, *flags):
@@ -203,7 +310,7 @@ def test_checks_survive_optimize_flag():
         "a = IntMatrix.from_rows([[2, 0], [0, 3]])\n"
         "i = IntMatrix.identity(2)\n"
         "try:\n"
-        "    check_smith_form(a, SnfDecomposition(i, a, i))\n"
+        "    check_smith_form(a, SnfDecomposition.from_dense(i, a, i))\n"
         "except LinalgError:\n"
         "    print('raised')\n"
     )
@@ -217,7 +324,7 @@ def tampered_v_analysis(name):
     i = snf.diagonal.index(analysis.modulus)
     entries = list(snf.v.entries)
     entries[i] += 1  # row 0, column i
-    analysis.snf = SnfDecomposition(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
+    analysis.snf = SnfDecomposition.from_dense(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
     return analysis
 
 
@@ -234,7 +341,7 @@ def test_tampered_u_fails_the_exact_inverse_column_check():
     snf = analysis.snf
     entries = list(snf.u.entries)
     entries[0] += 1
-    analysis.snf = SnfDecomposition(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    analysis.snf = SnfDecomposition.from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
     assert not any(map(any, analysis.extended_rows()))
     with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
         analysis.inverse_pseudos
@@ -261,7 +368,7 @@ def doubled_smith_form(a):
     def doubled(m):
         return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
 
-    return SnfDecomposition(doubled(snf.u), doubled(snf.d), snf.v)
+    return SnfDecomposition.from_dense(doubled(snf.u), doubled(snf.d), snf.v)
 
 
 def test_non_unimodular_transform_fails_verify(monkeypatch):

@@ -8,7 +8,7 @@ from gkh.cli import main
 from gkh.coloring import crossing_matrix, is_fox_coloring, reduced_crossing_matrix
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import scaled_inverse
+from oracles import reduced_mod, scaled_inverse
 
 
 def run(capsys, *argv):
@@ -62,7 +62,7 @@ def test_matrix_l_and_lmod_print_the_oracle_inverse(capsys, name):
     c = reduced_crossing_matrix(crossing_matrix(fixture_diagram(name)))
     n1 = fixture(name).factors[0] if fixture(name).factors else 1
     expected = scaled_inverse(c, n1)
-    for which, matrix in (("l", expected), ("lmod", expected.mod(n1))):
+    for which, matrix in (("l", expected), ("lmod", reduced_mod(expected, n1))):
         code, out, _ = run(capsys, "matrix", "--name", name, "--which", which)
         assert code == 0
         assert out == f"{matrix}\n"

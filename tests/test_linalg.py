@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkh.linalg
+from gkh.codec import BraidWord
 from gkh.coloring import crossing_matrix, reduced_crossing_matrix
-from gkh.diagram import turks_head
+from gkh.diagram import braid_closure, turks_head
+from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
     IntMatrix,
     LinalgError,
@@ -25,9 +27,11 @@ from oracles import (
     bareiss_determinant,
     block_diag,
     determinantal_divisors,
+    full_scan_smith_normal_form,
     laplace_determinant,
     permuted,
     rational_inverse,
+    reduced_mod,
     scaled_inverse,
     transpose,
 )
@@ -138,6 +142,59 @@ def test_snf_divisor_chain_sweep(rows, diagonal):
     assert abs(laplace_determinant(snf.v.row_list())) == 1
 
 
+def assert_same_factors(a):
+    snf, expected = smith_normal_form(a), full_scan_smith_normal_form(a)
+    assert (snf.u, snf.d, snf.v) == (expected.u, expected.d, expected.v)
+    assert snf == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_inputs)
+@example(IntMatrix.from_rows([[6, 0], [0, 4]]))  # the chain sweep
+@example(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+@example(IntMatrix.from_rows([[4, 0, 0], [0, 6, 10]]))  # Euclid, then the sweep
+def test_cached_pivot_keys_pick_the_full_scan_pivots(a):
+    # the cached least key of each row must be the one a scan of every
+    # live entry finds, so U, D and V come out identical
+    assert_same_factors(a)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_factors_match_the_full_scan_at_every_base(name):
+    c_prime = crossing_matrix(fixture_diagram(name))
+    assert_same_factors(c_prime)
+    if c_prime.is_square:
+        for base in range(c_prime.rows):
+            assert_same_factors(reduced_crossing_matrix(c_prime, base))
+
+
+def alternating_braid_diagram(seed, strands, length):
+    """A reduced alternating prime braid closure: generator signs follow parity."""
+    rng = random.Random(seed)
+    while True:
+        polarity = rng.randrange(2)
+        letters = []
+        for _ in range(length):
+            g = rng.randint(1, strands - 1)
+            letters.append(g if g % 2 == polarity else -g)
+        if {abs(x) for x in letters} != set(range(1, strands)):
+            continue
+        d = braid_closure(BraidWord(strands, tuple(letters)))
+        if d.is_alternating and d.is_reduced and d.is_prime_diagram:
+            return d
+
+
+@pytest.mark.parametrize(
+    "d",
+    [turks_head(25), alternating_braid_diagram(2301, 4, 52), alternating_braid_diagram(5, 4, 52)],
+    ids=["turks_head(25)", "braid4x52 seed 2301", "braid4x52 seed 5"],
+)
+def test_fifty_crossing_factors_match_the_full_scan(d):
+    c_prime = crossing_matrix(d)
+    assert_same_factors(reduced_crossing_matrix(c_prime))
+    assert_same_factors(reduced_crossing_matrix(c_prime, 0))
+
+
 @pytest.mark.parametrize("cols", [0, 1, 3])
 def test_snf_of_a_matrix_with_no_rows(cols):
     a = IntMatrix(0, cols, ())
@@ -151,13 +208,27 @@ def test_snf_of_a_matrix_with_no_rows(cols):
 def test_certificate_names_both_shapes_on_a_mismatch():
     a = IntMatrix(0, 3, ())
     # the shape the Smith form used to give a 0x3 matrix
-    bad = SnfDecomposition(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), IntMatrix.identity(3))
+    bad = SnfDecomposition.from_dense(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), IntMatrix.identity(3))
     with pytest.raises(LinalgError, match=r"A \(0x3\).*D is 0x0"):
         check_smith_form(a, bad)
     b = IntMatrix.from_rows([[1, 2], [3, 4]])
     snf = smith_normal_form(b)
     with pytest.raises(LinalgError, match=r"A \(2x2\): U is 3x3"):
-        check_smith_form(b, SnfDecomposition(IntMatrix.identity(3), snf.d, snf.v))
+        check_smith_form(b, SnfDecomposition.from_dense(IntMatrix.identity(3), snf.d, snf.v))
+
+
+def test_certificate_rejects_an_index_outside_the_matrix():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    snf = smith_normal_form(a)
+    for index in (2, -1):
+        u_rows = ({**snf.u_rows[0], index: 1},) + snf.u_rows[1:]
+        bad = SnfDecomposition(2, 2, u_rows, snf.diagonal, snf.v_cols)
+        with pytest.raises(LinalgError, match=r"row 0 of U has an index outside 0\.\.1"):
+            check_smith_form(a, bad)
+        v_cols = snf.v_cols[:1] + ({**snf.v_cols[1], index: 1},)
+        bad = SnfDecomposition(2, 2, snf.u_rows, snf.diagonal, v_cols)
+        with pytest.raises(LinalgError, match=r"column 1 of V has an index outside 0\.\.1"):
+            check_smith_form(a, bad)
 
 
 @settings(max_examples=100)
@@ -187,7 +258,7 @@ def test_matrix_accessors():
     assert m.col(1) == (2, 5)
     assert transpose(m) == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
     assert m.without_row_col(0, 1) == IntMatrix.from_rows([[4, 6]])
-    assert m.mod(4) == IntMatrix.from_rows([[1, 2, 3], [0, 1, 2]])
+    assert reduced_mod(m, 4) == IntMatrix.from_rows([[1, 2, 3], [0, 1, 2]])
     with pytest.raises(IndexError):
         m.at(2, 0)
 
@@ -275,14 +346,36 @@ def test_determinant_of_a_dense_matrix_with_200_bit_entries():
     rng = random.Random(5)
     m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 200), 1 << 200) for _ in range(64)))
     assert determinant(m) == bareiss_determinant(m)
-    # twice the Hadamard bound, about 2^1607, is past the product of 26 primes
+    # twice the Hadamard bound, about 2^1607, is past the product of 20
+    # primes below 2^78, so the CRT joins 21 residues
     bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
-    assert prod(gkh.linalg._prime(k) for k in range(26)) ** 2 <= bound
+    assert prod(gkh.linalg._prime(k) for k in range(20)) ** 2 <= bound
+
+
+def test_every_prime_is_below_the_miller_rabin_bound():
+    # the 200-bit matrix needs the most primes of any test, 21; every prime
+    # the suite reaches lies below psi_12, where the twelve bases decide
+    primes = [gkh.linalg._prime(k) for k in range(21)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(p < gkh.linalg._PSI_12 for p in gkh.linalg._PRIMES)
+    assert primes[0] > 1 << 77
+    # Fermat with three more bases is an independent check that each is prime
+    assert all(pow(b, p - 1, p) == 1 for p in primes for b in (41, 43, 47))
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # 149491 * 747451 * 34233211 passes the bases 2 through 23
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not gkh.linalg._is_prime(3825123056546413051)
+    # psi_12 itself passes all twelve bases: the bound is sharp
+    assert 399165290221 * 798330580441 == gkh.linalg._PSI_12
+    assert gkh.linalg._is_prime(gkh.linalg._PSI_12)
+    assert gkh.linalg._PRIME_CEILING < gkh.linalg._PSI_12
 
 
 def test_determinant_of_turks_head_300_is_the_lucas_value():
     # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2;
-    # 599 rows need 13 primes, more than a fixed table of 12 would give
+    # 599 rows need 10 primes below 2^78, each found on demand
     lucas = [2, 1]
     while len(lucas) <= 600:
         lucas.append(lucas[-1] + lucas[-2])

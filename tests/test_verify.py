@@ -11,6 +11,7 @@ import gkh.coloring
 from gkh.codec import BraidWord, serialize_pd
 from gkh.coloring import (
     ColoringAnalysis,
+    ColoringError,
     ZeroDeterminantError,
     count_colorings,
     is_fox_coloring,
@@ -90,6 +91,14 @@ def test_hypotheses_labels():
 def test_verify_rejects_zero_determinant():
     with pytest.raises(ZeroDeterminantError):
         verify_gkh(fixture_diagram("split"))
+
+
+def test_verify_names_a_zero_determinant_before_a_bad_base():
+    # the determinant is decided first, at any base, as the CLI reports it
+    with pytest.raises(ZeroDeterminantError, match="nothing to verify"):
+        verify_gkh(fixture_diagram("split"), base=2)
+    with pytest.raises(ColoringError, match="base arc 9 out of range for 3 arcs"):
+        verify_gkh(fixture_diagram("3_1"), base=9)
 
 
 def test_second_seven_seven_diagram():
