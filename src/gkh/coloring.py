@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, compress, count, product, repeat
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 # exact minimum cover may spend: pretzel 3^15 (t = 10) needs 7.7 million
 # and its mirror 12.8 million, the benchmark's pretzels at most 49 thousand
 COVER_BUDGET = 16_000_000
+
+# bin() digits to the bytes 0 and 1, which itertools.compress reads as flags
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ColoringError(Exception):
@@ -160,10 +163,14 @@ class DistinguishingReport:
     colorings differ on the two arcs, or None; t is the size of a smallest
     set of columns separating all pairs, with t_columns the first such set
     in lexicographic order, and both are None and () when some pair is
-    never separated. The pairs are read from one bitset per column, built
-    with O(arcs) big-int operations from the arcs of each color; t comes
-    from a pruned search that raises CoverBudgetError past COVER_BUDGET
-    nodes.
+    never separated. perfect_columns lists the columns that give every arc
+    its own color. The pairs are read from one bitset per column, built
+    with O(arcs) big-int operations from the arcs of each color, in column
+    order. When some column is perfect, t is 1 with the first perfect
+    column as witness, and bitsets stop once every pair has its least
+    separator, which is at that column at the latest. Otherwise every
+    column gets its bitset, and t comes from a pruned search that raises
+    CoverBudgetError past COVER_BUDGET nodes.
     """
 
     base_arc: int
@@ -192,10 +199,12 @@ class ColoringAnalysis:
     left them. With D = diag(d_i): the group is the d_i > 1,
     L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), L mod
     n1 from the d_i > 1 terms alone (each column checked as a Fox
-    n1-coloring), the minimal distinguishing set is (n1/n_i) V[:, i], and
-    column j of C^(-1) is integral exactly when column j of L is 0 mod n1,
-    in which case it is that column, built alone and checked against
-    C col = n1 e_j, divided by n1. Only l builds the dense U and V.
+    n1-coloring), the report reads those columns only up to the first
+    perfect one when there is one, the minimal distinguishing set is
+    (n1/n_i) V[:, i], and column j of C^(-1) is integral exactly when
+    column j of L is 0 mod n1, in which case it is that column, built
+    alone and checked against C col = n1 e_j, divided by n1. Only l
+    builds the dense U and V.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -249,24 +258,38 @@ class ColoringAnalysis:
         """L mod n1 from the s non-unit Smith factors, one row per arc.
 
         A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod n1, so
-        L mod n1 is the sum of (n1 / d_i) V[:, i] U[i, :] over d_i > 1. The
-        base arc gets a row of zeros, and every column must then satisfy
-        the Fox relation mod n1 at every crossing, or LinalgError names it.
+        L mod n1 is the sum of (n1 / d_i) V[:, i] U[i, :] over d_i > 1.
+        U's row and the scaled V column are reduced mod n1 once per factor;
+        each arc's row is then one sum over its nonzero terms, reduced mod
+        n1 at the end, and arcs with no nonzero term share one zero row.
+        The base arc gets that zero row too, and every column must then
+        satisfy the Fox relation mod n1 at every crossing, or LinalgError
+        names it.
         """
         n1 = self.modulus
         n = self.c.cols
-        rows = [[0] * n for _ in range(n)]
-        for i, x in enumerate(self.snf.diagonal):
+        terms = []  # (U's row i mod n1, {k: (n1 / d_i) V[k, i] mod n1} without zeros)
+        for x, u_row, v_col in zip(self.snf.diagonal, self.snf.u_rows, self.snf.v_cols):
             if x > 1:
-                u_row = [0] * n
-                for j, y in self.snf.u_rows[i].items():
-                    u_row[j] = y % n1
-                for k, y in self.snf.v_cols[i].items():
-                    f = n1 // x * y % n1
-                    if f:
-                        rows[k] = [z + f * w for z, w in zip(rows[k], u_row)]
-        rows = [tuple(z % n1 for z in r) for r in rows]
-        rows.insert(self.base_arc, (0,) * n)
+                dense = [0] * n
+                for j, y in u_row.items():
+                    dense[j] = y % n1
+                scale = n1 // x
+                scaled = {k: f for k, y in v_col.items() if (f := scale * y % n1)}
+                terms.append((dense, scaled))
+        zero = (0,) * n
+        rows = []
+        for k in range(n):
+            acc = None  # the sum of f * U[i, :] over the terms with f != 0
+            for dense, scaled in terms:
+                f = scaled.get(k)
+                if f:
+                    if acc is None:
+                        acc = [f * w for w in dense]
+                    else:
+                        acc = [z + f * w for z, w in zip(acc, dense)]
+            rows.append(zero if acc is None else tuple([z % n1 for z in acc]))
+        rows.insert(self.base_arc, zero)
         d = self.diagram
         for index, c in enumerate(d.crossings):
             over = rows[d.arc_of(c.over_in)]
@@ -290,6 +313,9 @@ class ColoringAnalysis:
     @cached_property
     def report(self) -> DistinguishingReport:
         arcs = self.arc_count
+        columns = list(zip(*self._extended_rows))
+        # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
+        perfect = tuple(col for col, values in enumerate(columns) if len(set(values)) == arcs)
         all_arcs = (1 << arcs) - 1
         # pair (i, j > i) is bit offsets[i] + j - i - 1, in combinations order
         offsets = [0] * arcs
@@ -297,35 +323,32 @@ class ColoringAnalysis:
             offsets[i] = offsets[i - 1] + arcs - i
         pair_count = arcs * (arcs - 1) // 2
         masks = []
-        perfect = []
-        # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
-        for col, values in enumerate(zip(*self.extended_rows())):
+        least = [None] * pair_count
+        remaining = (1 << pair_count) - 1
+        for col, values in enumerate(columns):
+            if perfect and not remaining:
+                break  # the cover is the first perfect column; no later mask is read
             arcs_of = {}
             for i, v in enumerate(values):
                 arcs_of[v] = arcs_of.get(v, 0) | 1 << i
-            if len(arcs_of) == arcs:
-                perfect.append(col)
             mask = 0
             for i, v in enumerate(values):
                 mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
             masks.append(mask)
-        least = [None] * pair_count
-        remaining = (1 << pair_count) - 1
-        for col, mask in enumerate(masks):
             new = mask & remaining
             if not new:
                 continue
             remaining ^= new
-            bits = bin(new)[:1:-1]
-            k = bits.find("1")
-            while k >= 0:
+            for k in compress(count(), bin(new)[:1:-1].encode().translate(_BITS)):
                 least[k] = col
-                k = bits.find("1", k + 1)
-        separators = tuple(
-            (i, j, c) for (i, j), c in zip(combinations(range(arcs), 2), least)
-        )
+        firsts = chain.from_iterable(repeat(i, arcs - 1 - i) for i in range(arcs))
+        seconds = chain.from_iterable(range(i + 1, arcs) for i in range(arcs))
+        separators = tuple(zip(firsts, seconds, least))
         if remaining:
             t, t_columns = None, ()
+        elif perfect:
+            # one column covers every pair, and no smaller set does while pairs exist
+            t, t_columns = 1, perfect[:1]
         else:
             t, t_columns = _minimum_cover(masks, pair_count)
         return DistinguishingReport(
@@ -333,7 +356,7 @@ class ColoringAnalysis:
             modulus=self.modulus,
             arc_count=arcs,
             separators=separators,
-            perfect_columns=tuple(perfect),
+            perfect_columns=perfect,
             t=t,
             t_columns=t_columns,
         )

@@ -61,7 +61,6 @@ class VerificationReport:
     group: ColoringGroup
     base_arc: int
     part_a: bool
-    part_b: bool
     failures: tuple[tuple[int, int], ...]
     t: int | None
     t_columns: tuple[int, ...]
@@ -70,6 +69,11 @@ class VerificationReport:
     s: int
     distinguishing: tuple[FoxColoring, ...]
     inverse_pseudos: tuple[PseudoColoring, ...]
+
+    @property
+    def part_b(self) -> bool:
+        """Every arc pair has a separating column: the same fact as (a)."""
+        return self.part_a
 
     @property
     def passed(self) -> bool:
@@ -105,7 +109,9 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
     """Run parts (a), (b), (c) and the pseudo-coloring nonexistence check.
 
     Never aborts on failed hypotheses, so non-examples produce readable
-    reports; a zero determinant is the one hard error.
+    reports; a zero determinant is the one hard error. A certificate that
+    does not hold (the Smith diagonal against the determinant, L mod n1
+    against the minimal set) raises LinalgError.
     """
     try:
         analysis = ColoringAnalysis(d, base)  # builds C(D), factors it on first use
@@ -126,20 +132,29 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
         )
     group = analysis.group
     report = analysis.report
-    # rows of L mod n1 are pairwise distinct exactly when every pair is separated
-    injective = report.injective
+    # the columns of L mod n1 and the minimal set span the same group of
+    # n1-colorings, so they must leave the same arc pairs together
+    failures = report.failures
+    minimal_failures = analysis.minimal_set_failures
+    if failures != minimal_failures:
+        first = min(set(failures) ^ set(minimal_failures))
+        side = "L mod n1" if first in failures else "the minimal set"
+        raise LinalgError(
+            f"arc pair {first} is left together by {side} only: L mod n1 and "
+            f"the minimal distinguishing set must separate the same pairs"
+        )
     return VerificationReport(
         name=name,
         hypotheses=hyp,
         group=group,
         base_arc=analysis.base_arc,
-        part_a=injective,
-        part_b=injective,
-        failures=report.failures,
+        # rows of L mod n1 are pairwise distinct exactly when every pair is separated
+        part_a=report.injective,
+        failures=failures,
         t=report.t,
         t_columns=report.t_columns,
         perfect_columns=report.perfect_columns,
-        part_c=not analysis.minimal_set_failures,
+        part_c=not minimal_failures,
         s=group.s,
         distinguishing=analysis.minimal_set,
         inverse_pseudos=analysis.inverse_pseudos,
@@ -208,9 +223,9 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
 
 _MAX_ATTEMPTS = 400
 # a bound on the braid length: verify_gkh on one 4-strand draw takes
-# about 0.16 s at 200 crossings and 0.85 s at 400 on a 2-core Xeon, about
-# half of it the pair report, and kh fuzz passes the user's
-# --max-crossings straight through
+# about 0.07 s at 200 crossings and 0.45 s at 400 on a 2-core Xeon, a
+# quarter of it L mod n1 with its Fox check and a tenth the pair report,
+# and kh fuzz passes the user's --max-crossings straight through
 _MAX_CROSSINGS = 200
 
 

@@ -7,6 +7,7 @@ are the independent answers they are compared with here.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkh
+import gkh.verify
 from gkh.coloring import (
     ColoringAnalysis,
     ZeroDeterminantError,
@@ -394,3 +396,49 @@ def test_unimodularity_check_survives_optimize_flag():
         "    print('raised')\n"
     )
     assert run_fresh(code, "-O") == "raised"
+
+
+def tampered_report_analysis(pair, separator):
+    """ColoringAnalysis with the report's separator of pair replaced."""
+
+    class Tampered(ColoringAnalysis):
+        @property
+        def report(self):
+            honest = ColoringAnalysis.report.func(self)
+            separators = tuple(
+                (i, j, separator if (i, j) == pair else c) for i, j, c in honest.separators
+            )
+            return dataclasses.replace(honest, separators=separators)
+
+    return Tampered
+
+
+@pytest.mark.parametrize(
+    "name, pair, separator, side",
+    [
+        ("3_1", (0, 2), None, "L mod n1"),  # a pair no column separates, by the report
+        ("square", (1, 5), 0, "the minimal set"),  # the junction pair, separated by the report
+    ],
+)
+def test_tampered_report_fails_the_minimal_set_certificate(monkeypatch, name, pair, separator, side):
+    monkeypatch.setattr(gkh.verify, "ColoringAnalysis", tampered_report_analysis(pair, separator))
+    with pytest.raises(LinalgError) as err:
+        verify_gkh(fixture_diagram(name))
+    assert str(err.value).startswith(f"arc pair {pair} is left together by {side} only")
+
+
+def test_minimal_set_certificate_survives_optimize_flag():
+    code = (
+        "import dataclasses\n"
+        "import gkh.verify\n"
+        "from gkh.coloring import ColoringAnalysis\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import LinalgError\n"
+        f"{inspect.getsource(tampered_report_analysis)}\n"
+        "gkh.verify.ColoringAnalysis = tampered_report_analysis((0, 2), None)\n"
+        "try:\n"
+        "    gkh.verify.verify_gkh(fixture_diagram('3_1'))\n"
+        "except LinalgError as err:\n"
+        "    print(err)\n"
+    )
+    assert run_fresh(code, "-O").startswith("arc pair (0, 2) is left together by L mod n1 only")

@@ -1,9 +1,10 @@
 """The distinguishing report and its minimum cover against the exhaustive oracles.
 
-ColoringAnalysis.report builds its column masks as bitsets and finds t
-with a pruned lexicographic search; tests/oracles.py compares every arc
-pair on every column and tries every column subset in order. Both must
-give the same separators, perfect columns, t and first witness.
+ColoringAnalysis.report builds its column masks as bitsets, stops at the
+first perfect column when there is one (t = 1) and otherwise finds t with
+a pruned lexicographic search; tests/oracles.py compares every arc pair
+on every column and tries every column subset in order. Both must give
+the same separators, perfect columns, t and first witness.
 """
 
 from __future__ import annotations
@@ -16,20 +17,25 @@ from hypothesis import strategies as st
 
 import gkh.coloring
 from gkh.cli import main
-from gkh.codec import serialize_pd
+from gkh.codec import BraidWord, parse_pd, serialize_pd
 from gkh.coloring import (
     ColoringAnalysis,
     CoverBudgetError,
     _minimum_cover,
     distinguishing_report,
 )
-from gkh.diagram import connected_sum, pretzel
+from gkh.diagram import braid_closure, connected_sum, from_pd, pretzel, turks_head
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram
 from oracles import minimum_cover, pair_separators
 
 NONZERO_FIXTURES = [n for n in fixture_names() if fixture(n).determinant != 0]
 PRETZELS = [(3,) * 8, (3,) * 9, (3,) * 10, (3,) * 9 + (5,)]
+# a reduced alternating prime 4-strand braid of 52 crossings, n1 = 1384806190
+BRAID_52 = (
+    1, -2, 1, 1, 3, 3, -2, 3, 3, 3, 1, 1, 3, -2, 1, 1, -2, -2, 1, -2, 3, 3, 1, 1, -2, 3,
+    1, -2, 1, -2, -2, 3, 1, -2, 1, -2, -2, 1, -2, 1, 3, 3, 3, 1, 1, 3, 3, -2, 3, 1, 3, 3,
+)
 
 
 def assert_report_matches_oracles(d):
@@ -59,6 +65,56 @@ def test_fixture_report_matches_oracles(name):
 @pytest.mark.parametrize("twists", PRETZELS, ids=lambda t: "pretzel" + "".join(map(str, t)))
 def test_pretzel_report_matches_oracles(twists):
     assert_report_matches_oracles(pretzel(*twists))
+
+
+# turks_head(4) and (8) have no perfect column at base 0 (t = 2); 5, 9 and
+# 12 have one past column 0 at base 0 (t = 1)
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 12])
+def test_turks_head_report_matches_oracles(n):
+    assert_report_matches_oracles(turks_head(n))
+
+
+def refuse_cover(masks, pair_count):
+    raise AssertionError("a perfect column is a cover of size 1; no search is needed")
+
+
+@pytest.mark.parametrize(
+    "d, witness",
+    [
+        (turks_head(25), 3),
+        (braid_closure(BraidWord(4, BRAID_52)), 0),
+    ],
+    ids=["turks_head(25)", "braid4x52"],
+)
+def test_perfect_column_is_the_cover_without_a_search(monkeypatch, d, witness):
+    monkeypatch.setattr(gkh.coloring, "_minimum_cover", refuse_cover)
+    analysis = ColoringAnalysis(d)
+    report = analysis.report
+    separators, _, perfect = pair_separators(analysis.extended_rows())
+    assert perfect[0] == witness
+    assert (report.t, report.t_columns) == (1, (witness,))
+    assert report.separators == separators
+    assert report.perfect_columns == perfect
+
+
+def test_cover_search_builds_a_mask_for_every_column(monkeypatch):
+    seen = []
+
+    def spy(masks, pair_count):
+        seen.append(len(masks))
+        return _minimum_cover(masks, pair_count)
+
+    monkeypatch.setattr(gkh.coloring, "_minimum_cover", spy)
+    analysis = ColoringAnalysis(pretzel(*[3] * 8))
+    assert analysis.report.perfect_columns == ()
+    assert seen == [analysis.c.cols]
+
+
+def test_no_arc_pairs_need_no_columns():
+    # a one-crossing kink has one arc, so C is 0 x 0 and there is nothing to separate
+    report = distinguishing_report(from_pd(parse_pd("X[1,2,2,1]")))
+    assert (report.arc_count, report.separators, report.perfect_columns) == (1, (), ())
+    assert (report.t, report.t_columns) == (0, ())
 
 
 @pytest.mark.parametrize(
