@@ -1,14 +1,21 @@
 """Command line surface: `kh <subcommand>` over diagrams and fixtures.
 
-Input comes from --name (bundled fixture), --pd, --braid, or stdin; stdin
-text starting with "PD" is read as a planar diagram code, anything else
-as a braid word. Exit codes: 0 success or verification pass, 1
-verification failure, 2 bad input or usage.
+Input comes from --name (bundled fixture), --pd, --braid, or stdin. Stdin
+text whose first non-blank character is P, p, X or x is read as a planar
+diagram code (PD[...], pd[...] or a bare X(...) list), since no braid word
+starts with those letters; anything else is read as a braid word. Exit
+codes: 0 success or verification pass, 1 verification failure, 2 bad input
+or usage.
+
+`main` can be called any number of times in one process. The argument
+parser is built on the first call and reused: argparse keeps no state of a
+parse on the parser, so each call sees only its own arguments and defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -62,7 +69,7 @@ def _load_diagram(args) -> tuple[str, Diagram]:
     text = sys.stdin.read().strip()
     if not text:
         raise CodecError("no input: pass --name, --pd, --braid, or pipe text")
-    if text.lstrip().startswith("PD"):
+    if text[0] in "PpXx":
         return "stdin", from_pd(parse_pd(text))
     return "stdin", braid_closure(parse_braid(text))
 
@@ -391,7 +398,9 @@ def _cmd_fuzz(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `kh` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="kh",
         description="Fox coloring groups and arc-distinguishing checks for link diagrams",

@@ -7,13 +7,15 @@ used exactly twice. Which of b, d enters the crossing is resolved later by
 orientation propagation, not here. The code must describe a planar
 diagram; the parser checks syntax and label use, not planarity.
 
-Braid words are whitespace or comma separated nonzero integers, optionally
-prefixed by "strands=k;". Letter +i crosses strand i over strand i+1,
-letter -i crosses strand i under strand i+1.
+Edge labels are ASCII decimal digits. Braid words are whitespace or comma
+separated nonzero integers written [+-]?[0-9]+, optionally prefixed by
+"strands=k;". Letter +i crosses strand i over strand i+1, letter -i
+crosses strand i under strand i+1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -83,6 +85,12 @@ class BraidWord:
                 )
 
 
+# ASCII digits only: str.isdigit and int() also take other scripts' digits,
+# superscripts and "_" separators
+_DIGITS = re.compile(r"[0-9]+")
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -112,12 +120,14 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PdSyntaxError("expected an edge label", start)
-        return int(self.text[start : self.pos])
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
+            raise PdSyntaxError("expected an edge label", self.pos)
+        self.pos = match.end()
+        try:
+            return int(match.group())
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise PdSyntaxError("edge label too long", match.start()) from None
 
 
 def parse_pd(text: str) -> PdCode:
@@ -164,6 +174,16 @@ def serialize_pd(code: PdCode) -> str:
     return f"PD[{body}]"
 
 
+def _braid_integer(text: str, what: str) -> int:
+    """text as an integer if it is [+-]?[0-9]+, else BraidError naming `what`."""
+    if _SIGNED_DIGITS.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than the interpreter's int-string limit
+            pass
+    raise BraidError(f"bad {what} {text!r}")
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse a braid word; strand count is max |letter| + 1 unless given."""
     text = text.strip()
@@ -172,20 +192,12 @@ def parse_braid(text: str) -> BraidWord:
         head, sep, rest = text.partition(";")
         if not sep:
             raise BraidError("missing ';' after the strands= prefix")
-        try:
-            strands = int(head[len("strands=") :].strip())
-        except ValueError:
-            raise BraidError(f"bad strand count {head!r}") from None
+        strands = _braid_integer(head[len("strands=") :].strip(), "strand count")
         text = rest
     parts = text.replace(",", " ").split()
     if not parts:
         raise BraidError("empty braid word")
-    letters = []
-    for p in parts:
-        try:
-            letters.append(int(p))
-        except ValueError:
-            raise BraidError(f"bad braid letter {p!r}") from None
+    letters = [_braid_integer(p, "braid letter") for p in parts]
     if strands is None:
         strands = max(abs(x) for x in letters) + 1
     return BraidWord(strands, tuple(letters))

@@ -85,8 +85,9 @@ class FoxColoring:
 
     def __post_init__(self):
         _require_modulus(self.modulus)
+        # from a list, not a generator: see IntMatrix.from_rows
         object.__setattr__(
-            self, "colors", tuple(c % self.modulus for c in self.colors)
+            self, "colors", tuple([c % self.modulus for c in self.colors])
         )
 
 
@@ -183,7 +184,7 @@ class DistinguishingReport:
 
     @property
     def failures(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j, c in self.separators if c is None)
+        return tuple([(i, j) for i, j, c in self.separators if c is None])
 
     @property
     def injective(self) -> bool:
@@ -315,7 +316,7 @@ class ColoringAnalysis:
         arcs = self.arc_count
         columns = list(zip(*self._extended_rows))
         # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
-        perfect = tuple(col for col, values in enumerate(columns) if len(set(values)) == arcs)
+        perfect = tuple([col for col, values in enumerate(columns) if len(set(values)) == arcs])
         all_arcs = (1 << arcs) - 1
         # pair (i, j > i) is bit offsets[i] + j - i - 1, in combinations order
         offsets = [0] * arcs
@@ -390,7 +391,7 @@ class ColoringAnalysis:
         Arcs with equal color tuples form one group; the pairs inside the
         groups, in (i, j) order, are the failures.
         """
-        keys = [tuple(f.colors[i] for f in self.minimal_set) for i in range(self.arc_count)]
+        keys = [tuple([f.colors[i] for f in self.minimal_set]) for i in range(self.arc_count)]
         groups = {}
         for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)
@@ -465,10 +466,12 @@ def _require_modulus(k: int) -> None:
 def _crossing_defects(d: Diagram, colors) -> tuple[int, ...]:
     """C'(D) . colors, read off the crossings: 2 * over - under_in - under_out."""
     return tuple(
-        2 * colors[d.arc_of(c.over_in)]
-        - colors[d.arc_of(c.under_in)]
-        - colors[d.arc_of(c.under_out)]
-        for c in d.crossings
+        [
+            2 * colors[d.arc_of(c.over_in)]
+            - colors[d.arc_of(c.under_in)]
+            - colors[d.arc_of(c.under_out)]
+            for c in d.crossings
+        ]
     )
 
 

@@ -173,7 +173,8 @@ class Diagram:
                 )
         else:
             runs.sort(key=min)
-        return tuple(Arc(i, run, over_at[run]) for i, run in enumerate(runs))
+        # from a list, not a generator: see linalg.IntMatrix.from_rows
+        return tuple([Arc(i, run, over_at[run]) for i, run in enumerate(runs)])
 
     @cached_property
     def _arc_of(self) -> dict[int, int]:
@@ -185,9 +186,7 @@ class Diagram:
 
     @cached_property
     def junction_arc_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (self.arc_of(f), self.arc_of(g)) for f, g in self.junction_edge_pairs
-        )
+        return tuple([(self.arc_of(f), self.arc_of(g)) for f, g in self.junction_edge_pairs])
 
     @cached_property
     def joining_arcs(self) -> tuple[int, ...]:
@@ -206,7 +205,7 @@ class Diagram:
             v = self._head_of[k + 1][0]
             adj[u].append((v, k))
             adj[v].append((u, k))
-        return tuple(tuple(ends) for ends in adj)
+        return tuple([tuple(ends) for ends in adj])
 
     @cached_property
     def _reduced_and_prime(self) -> tuple[bool, bool]:
@@ -244,16 +243,14 @@ class Diagram:
     def mirrored(self) -> Diagram:
         """Swap over and under at every crossing; labels are preserved."""
         flipped = tuple(
-            Crossing(c.under_in, c.under_out, c.over_in, c.over_out)
-            for c in self.crossings
+            [Crossing(c.under_in, c.under_out, c.over_in, c.over_out) for c in self.crossings]
         )
         return Diagram(flipped, self.spans, self.junction_edge_pairs)
 
     def to_pd(self) -> PdCode:
         return PdCode(
             tuple(
-                (c.under_in, c.over_in, c.under_out, c.over_out)
-                for c in self.crossings
+                [(c.under_in, c.over_in, c.under_out, c.over_out) for c in self.crossings]
             )
         )
 
@@ -405,7 +402,7 @@ def _assemble(quads, junction_pairs=()) -> Diagram:
     crossings: list[Crossing | None] = [None] * len(quads)
     for i, (oi, oo, ui, uo) in enumerate(quads):
         crossings[number[i]] = Crossing(label[oi], label[oo], label[ui], label[uo])
-    pairs = tuple((label[f], label[g]) for f, g in junction_pairs)
+    pairs = tuple([(label[f], label[g]) for f, g in junction_pairs])
     return Diagram(tuple(crossings), tuple(spans), pairs)
 
 
@@ -449,7 +446,7 @@ def braid_closure(word: BraidWord) -> Diagram:
             quads.append((ri, lo, li, ro))
         cur[p - 1], cur[p] = lo, ro
     repl = {cur[j]: top[j] for j in range(k)}
-    quads = [tuple(repl.get(e, e) for e in quad) for quad in quads]
+    quads = [tuple([repl.get(e, e) for e in quad]) for quad in quads]
     return _assemble(quads)
 
 

@@ -55,7 +55,12 @@ class IntMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise LinalgError("ragged rows")
-        return cls(n, m, tuple(x for r in rows for x in r))
+        # From a list, not a generator. tuple() of a generator is allocated
+        # at a guessed size and resized; once freed, CPython keeps a resized
+        # tuple of up to 19 items on a free list that only a full collection
+        # empties. Built that way on every kh command, such tuples made a
+        # process that runs many commands grow with each one.
+        return cls(n, m, tuple([x for r in rows for x in r]))
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -108,7 +113,7 @@ class IntMatrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise LinalgError(f"vector length {len(v)} != {self.cols}")
-        return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows)])
 
     def without_row_col(self, i: int, j: int) -> IntMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -387,9 +392,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     res = SnfDecomposition(
         rows,
         cols,
-        tuple(u_rows[i] for i in row_order),
-        tuple(d_rows[p][q] for p, q in pivots) + (0,) * (min(rows, cols) - len(pivots)),
-        tuple(v_cols[j] for j in col_order),
+        tuple([u_rows[i] for i in row_order]),
+        tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
+        tuple([v_cols[j] for j in col_order]),
     )
     check_smith_form(a, res)
     return res

@@ -72,8 +72,9 @@ def classify_assignment(
         return Classification("fox", colors, defects)
     if len(nonzero) == 2 and {abs(v) for _, v in nonzero} == {1}:
         if all(v == -1 for _, v in nonzero):
-            colors = tuple(-x for x in colors)
-            defects = tuple(-x for x in defects)
+            # from lists, not generators: see linalg.IntMatrix.from_rows
+            colors = tuple([-x for x in colors])
+            defects = tuple([-x for x in defects])
             nonzero = [(i, -v) for i, v in nonzero]
         plus = min(i for i, v in nonzero if v == 1)
         eps_i, epsilon = next((i, v) for i, v in nonzero if i != plus)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+import tracemalloc
 
 import pytest
 
-from gkh.cli import main
+import gkh.cli
+from gkh.cli import build_parser, main
 from gkh.coloring import crossing_matrix, is_fox_coloring, reduced_crossing_matrix
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
@@ -264,24 +269,133 @@ def test_unknown_subcommand_usage(capsys):
 
 
 def test_stdin_braid(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1 1"))
     code, out, _ = run(capsys, "det")
     assert code == 0 and out.strip() == "3"
 
 
 def test_stdin_pd(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("PD[X(2,1,1,2)]"))
-    code, out, _ = run(capsys, "det")
-    assert code == 0 and out.strip() == "1"
+    # every form parse_pd accepts: PD[...], pd[...] and a bare X list
+    for text, det in [
+        ("PD[X(2,1,1,2)]", "1"),
+        ("pd[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]", "3"),
+        ("X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)", "3"),
+        ("  x[1,5,2,4] x[3,1,4,6] x[5,3,6,2]\n", "3"),
+    ]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "det")
+        assert (code, out) == (0, det + "\n"), text
 
 
 def test_stdin_empty_is_input_error(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code, _, err = run(capsys, "det")
     assert code == 2 and "no input" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["det", "--pd", "PD[X(1,2,3,4\u00b2)]"], "at position 12"),
+        (["det", "--pd", "PD[X(1,5,2,4),X(3,1,4,6),X(\u0665,3,6,2)]"], "at position 27"),
+        (["det", "--pd", "PD[X(1,2,3," + "1" * 5000 + ")]"], "too long at position 11"),
+        (["det", "--braid", "1_1"], "bad braid letter '1_1'"),
+        (["group", "--braid", "strands=3; 1 \u0662"], "bad braid letter"),
+    ],
+)
+def test_non_decimal_input_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("kh: ") and message in err
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["det", "--name", "3_1"], ["group", "--name", "3_1"], ["det", "--braid", "1 1 1"]):
+        assert main(argv) == 0
+    one_tree = list(built)
+    built.clear()
+    build_parser.__wrapped__()
+    assert one_tree == built and len(built) == 11  # kh and its 10 subcommands
+
+
+def test_defaults_do_not_leak_between_calls(capsys, monkeypatch):
+    bases = []
+    verify = gkh.cli.verify_gkh
+
+    def spy(d, name, base):
+        bases.append(base)
+        return verify(d, name=name, base=base)
+
+    monkeypatch.setattr(gkh.cli, "verify_gkh", spy)
+    code, first, _ = run(capsys, "verify", "--name", "3_1", "--base", "1", "--json")
+    assert code == 0 and json.loads(first)["partA"] is True
+    code, second, _ = run(capsys, "verify", "--name", "3_1")
+    assert code == 0 and second.startswith("3_1: pass")
+    assert bases == [1, None]
+
+    code, fresh, _ = run(capsys, "matrix", "--name", "3_1")
+    run(capsys, "matrix", "--name", "3_1", "--which", "lmod", "--json")
+    code, again, _ = run(capsys, "matrix", "--name", "3_1")
+    assert code == 0 and again == fresh == str(crossing_matrix(fixture_diagram("3_1"))) + "\n"
+
+
+def test_usage_error_exits_2_on_every_call(capsys):
+    for _ in range(3):
+        with pytest.raises(SystemExit) as info:
+            main(["nonsense"])
+        assert info.value.code == 2
+        assert "usage" in capsys.readouterr().err
+    assert run(capsys, "det", "--name", "3_1")[:2] == (0, "3\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["fuzz", "--help"]])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    outputs = []
+    for parse in (main, main, build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0].startswith("usage: kh")
+
+
+def test_repeated_commands_do_not_grow_the_process():
+    # With the parser built once, a process running many commands may go
+    # long without a full collection, the only thing that empties CPython's
+    # tuple free lists; a tuple built from a generator is resized and, once
+    # freed, stays on such a list, so building them on every command grew
+    # the process with each one. Inputs stay below 20 arcs: CPython 3.11
+    # keeps every freed 20-item tuple, up to 2000 of them.
+    commands = [
+        ["det", "--braid", "1 -2 1 -2 1 -2 3 -2 3"],
+        ["group", "--braid", "1 1 1 2 -1 2 2"],
+        ["distinguish", "--braid", "1 -2 1 -2 1 -2"],
+        ["verify", "--braid", "1 1 1 1 1"],
+        ["pseudo", "--name", "8_19"],
+    ]
+
+    def rounds(n):
+        for _ in range(n):
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) in (0, 1)
+
+    rounds(3)
+    tracemalloc.start()
+    try:
+        rounds(2)
+        before = tracemalloc.get_traced_memory()[0]
+        rounds(40)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000, f"{grown} bytes more after 40 rounds of {len(commands)} commands"

@@ -48,6 +48,27 @@ def test_parse_pd_syntax_errors_carry_position():
         parse_pd("PD[Y(1,3,2,4)]")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("PD[X(1,2,3,4\u00b2)]", 12),  # superscript two after the label 4
+        ("X(1,2,\u0663,4)", 6),  # Arabic-Indic three
+        ("X(1,2,3,4\uff11)", 9),  # fullwidth one
+    ],
+)
+def test_parse_pd_refuses_non_ascii_digits(text, position):
+    with pytest.raises(PdSyntaxError) as exc:
+        parse_pd(text)
+    assert exc.value.position == position
+
+
+def test_parse_pd_refuses_a_label_past_the_int_string_limit():
+    # int() refuses more than 4300 digits with a ValueError
+    with pytest.raises(PdSyntaxError) as exc:
+        parse_pd("PD[X(1,2,3," + "1" * 5000 + ")]")
+    assert exc.value.position == 11 and "too long" in str(exc.value)
+
+
 def test_pd_label_validation():
     with pytest.raises(PdInvariantError):
         PdCode(((1, 3, 2, 5), (3, 1, 4, 2)))
@@ -77,3 +98,27 @@ def test_parse_braid_errors():
         parse_braid("strands=2; 2")
     with pytest.raises(BraidError):
         parse_braid("1 x 1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1_1",  # int() reads this as 11
+        "1 1_0 1",
+        "\u0661 1",  # Arabic-Indic one
+        "1 \u00b9",  # superscript one
+        "1 +-1",
+        "1 " + "2" * 5000,  # past the int-string limit
+        "strands=1_0; 1",
+        "strands=\u0663; 1",
+        "strands=; 1",
+    ],
+)
+def test_parse_braid_refuses_non_decimal_integers(text):
+    with pytest.raises(BraidError):
+        parse_braid(text)
+
+
+def test_parse_braid_signed_ascii_integers():
+    assert parse_braid("+1 -1 01") == BraidWord(2, (1, -1, 1))
+    assert parse_braid("strands=+3; -2") == BraidWord(3, (-2,))
