@@ -257,18 +257,11 @@ def _verify_all_fixtures(args) -> int:
     for name in fixture_names():
         e = fixture(name)
         d = fixture_diagram(name)
-        det = link_determinant(d)
-        factors = (
-            coloring_group(d).invariant_factors if det != 0 else ()
-        )
-        ok = (
-            det == e.determinant
-            and factors == e.factors
-            and d.is_alternating == e.alternating
-            and d.is_reduced == e.reduced
-            and d.is_prime_diagram == e.prime
-            and d.component_count == e.components
-        )
+        hyp = hypotheses_of(d)
+        det = hyp.determinant
+        factors = coloring_group(d).invariant_factors if det != 0 else ()
+        expected = (e.determinant, e.factors, e.alternating, e.reduced, e.prime, e.components)
+        ok = (det, factors, hyp.alternating, hyp.reduced, hyp.prime, hyp.components) == expected
         results.append((name, ok, det, factors))
     passed = all(ok for _, ok, _, _ in results)
     if args.json:

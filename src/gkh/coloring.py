@@ -11,8 +11,10 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one certified Smith form: L mod n1 from its
-s non-unit factors alone, the exact L only when asked for. The
+derives all of this from that one certified Smith form: L mod n1 as its
+columns, each built from the s non-unit factors alone, and an exact
+column of L only where one is asked for. Every column is checked at the
+crossings: mod n1 by the Fox relation, exactly by C col = n1 e_j. The
 determinant alone comes from linalg.determinant and never factors;
 verify_gkh takes it from the same C the analysis factors.
 """
@@ -115,11 +117,11 @@ def crossing_matrix(d: Diagram) -> IntMatrix:
     """C'(D): rows crossings, columns arcs, row 2*over - under_in - under_out."""
     width = len(d.arcs)
     rows = []
-    for c in d.crossings:
+    for over, under_in, under_out in d.crossing_arcs:
         row = [0] * width
-        row[d.arc_of(c.over_in)] += 2
-        row[d.arc_of(c.under_in)] -= 1
-        row[d.arc_of(c.under_out)] -= 1
+        row[over] += 2
+        row[under_in] -= 1
+        row[under_out] -= 1
         rows.append(row)
     return IntMatrix.from_rows(rows)
 
@@ -197,15 +199,15 @@ class ColoringAnalysis:
 
     Everything else is a lazy field derived from that one certified
     factorization, read off U's rows and V's columns as the sparse loop
-    left them. With D = diag(d_i): the group is the d_i > 1,
-    L = n1 * C^(-1) = V diag(n1/d_i) U (checked against C L = n1 I), L mod
-    n1 from the d_i > 1 terms alone (each column checked as a Fox
-    n1-coloring), the report reads those columns only up to the first
-    perfect one when there is one, the minimal distinguishing set is
-    (n1/n_i) V[:, i], and column j of C^(-1) is integral exactly when
-    column j of L is 0 mod n1, in which case it is that column, built
-    alone and checked against C col = n1 e_j, divided by n1. Only l
-    builds the dense U and V.
+    left them; no dense U, D or V is built. With D = diag(d_i): the group
+    is the d_i > 1, and the scaled columns (n1/d_i) V[:, i] mod n1 of the
+    d_i > 1 are the minimal distinguishing set and the terms of L mod n1,
+    which is kept as its columns, one Fox n1-coloring of every arc each.
+    The report reads those columns only up to the first perfect one when
+    there is one. Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built
+    alone and checked against C col = n1 e_j; l is every such column, and
+    column j of C^(-1) is integral exactly when column j of L is 0 mod n1,
+    in which case it is that column divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -230,91 +232,101 @@ class ColoringAnalysis:
 
     @cached_property
     def l(self) -> IntMatrix:
+        n = self.c.cols
+        columns = [self._exact_column(j) for j in range(n)]
+        return IntMatrix(n, n, tuple([col[k] for k in range(n) for col in columns]))
+
+    def _exact_column(self, j: int) -> list[int]:
+        """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i].
+
+        Extended by 0 on the base arc, its crossing defects are C' col;
+        without the base row they must be C col = n1 e_j, or LinalgError
+        names the column.
+        """
         n1 = self.modulus
-        u = self.snf.u
-        scaled_u = IntMatrix(
-            u.rows,
-            u.cols,
-            tuple(n1 // x * y for i, x in enumerate(self.snf.diagonal) for y in u.row(i)),
-        )
-        l = self.snf.v @ scaled_u
-        product = self.c @ l
-        for k, x in enumerate(product.entries):
-            i, j = divmod(k, product.cols)
-            if x != n1 * (i == j):
-                raise LinalgError(
-                    f"C L != n1 I: row {i} of C times column {j} of L is {x}, "
-                    f"not {n1 * (i == j)}"
-                )
-        return l
+        snf = self.snf
+        lift = [0] * self.c.cols
+        for x, u_row, v_col in zip(snf.diagonal, snf.u_rows, snf.v_cols):
+            f = n1 // x * u_row.get(j, 0)
+            if f:
+                for k, y in v_col.items():
+                    lift[k] += f * y
+        colors = lift[:]
+        colors.insert(self.base_arc, 0)
+        image = list(_crossing_defects(self.diagram, colors))
+        del image[self.base_arc]
+        if any(x != n1 * (i == j) for i, x in enumerate(image)):
+            raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
+        return lift
 
     @cached_property
     def l_mod(self) -> IntMatrix:
-        rows = list(self._extended_rows)
-        del rows[self.base_arc]
-        return IntMatrix(len(rows), self.c.cols, tuple(x for r in rows for x in r))
+        n, base = self.c.cols, self.base_arc
+        entries = [col[k] for k in range(self.arc_count) if k != base for col in self._columns]
+        return IntMatrix(n, n, tuple(entries))
 
     @cached_property
-    def _extended_rows(self) -> tuple[tuple[int, ...], ...]:
-        """L mod n1 from the s non-unit Smith factors, one row per arc.
+    def _scaled_v(self) -> tuple[tuple[int, int, list[int]], ...]:
+        """(d_i, i, (n1 / d_i) V[:, i] mod n1 by arc, 0 on the base arc) for
+        each d_i > 1, in diagonal order: the columns of the minimal set and
+        the terms of L mod n1."""
+        n1 = self.modulus
+        found = []
+        for i, (x, v_col) in enumerate(zip(self.snf.diagonal, self.snf.v_cols)):
+            if x > 1:
+                scale = n1 // x
+                colors = [0] * self.c.cols
+                for k, y in v_col.items():
+                    colors[k] = scale * y % n1
+                colors.insert(self.base_arc, 0)
+                found.append((x, i, colors))
+        return tuple(found)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """L mod n1, one Fox n1-coloring of every arc per column.
 
         A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod n1, so
-        L mod n1 is the sum of (n1 / d_i) V[:, i] U[i, :] over d_i > 1.
-        U's row and the scaled V column are reduced mod n1 once per factor;
-        each arc's row is then one sum over its nonzero terms, reduced mod
-        n1 at the end, and arcs with no nonzero term share one zero row.
-        The base arc gets that zero row too, and every column must then
-        satisfy the Fox relation mod n1 at every crossing, or LinalgError
-        names it.
+        column j of L mod n1 is the sum of U[i, j] (n1 / d_i) V[:, i] over
+        d_i > 1, reduced mod n1; columns with no nonzero term share one
+        zero column. Every other column must satisfy the Fox relation mod
+        n1 at every crossing, or LinalgError names it.
         """
         n1 = self.modulus
-        n = self.c.cols
-        terms = []  # (U's row i mod n1, {k: (n1 / d_i) V[k, i] mod n1} without zeros)
-        for x, u_row, v_col in zip(self.snf.diagonal, self.snf.u_rows, self.snf.v_cols):
-            if x > 1:
-                dense = [0] * n
-                for j, y in u_row.items():
-                    dense[j] = y % n1
-                scale = n1 // x
-                scaled = {k: f for k, y in v_col.items() if (f := scale * y % n1)}
-                terms.append((dense, scaled))
-        zero = (0,) * n
-        rows = []
-        for k in range(n):
-            acc = None  # the sum of f * U[i, :] over the terms with f != 0
-            for dense, scaled in terms:
-                f = scaled.get(k)
+        d = self.diagram
+        terms = [(self.snf.u_rows[i], colors) for _, i, colors in self._scaled_v]
+        zero = (0,) * self.arc_count
+        columns = []
+        for j in range(self.c.cols):
+            acc = None  # the sum of U[i, j] times the scaled V column, over the terms
+            for u_row, colors in terms:
+                f = u_row.get(j, 0) % n1
                 if f:
                     if acc is None:
-                        acc = [f * w for w in dense]
+                        acc = [f * x for x in colors]
                     else:
-                        acc = [z + f * w for z, w in zip(acc, dense)]
-            rows.append(zero if acc is None else tuple([z % n1 for z in acc]))
-        rows.insert(self.base_arc, zero)
-        d = self.diagram
-        for index, c in enumerate(d.crossings):
-            over = rows[d.arc_of(c.over_in)]
-            under_in = rows[d.arc_of(c.under_in)]
-            under_out = rows[d.arc_of(c.under_out)]
-            bad = [
-                j
-                for j, (x, y, z) in enumerate(zip(over, under_in, under_out))
-                if (2 * x - y - z) % n1
-            ]
-            if bad:
+                        acc = [z + f * x for z, x in zip(acc, colors)]
+            if acc is None:
+                columns.append(zero)
+                continue
+            column = tuple([z % n1 for z in acc])
+            bad = _fox_violation(d, column, n1)
+            if bad is not None:
                 raise LinalgError(
-                    f"column {bad[0]} of L mod {n1} breaks the Fox relation at crossing {index}"
+                    f"column {j} of L mod {n1} breaks the Fox relation at crossing {bad}"
                 )
-        return tuple(rows)
+            columns.append(column)
+        return tuple(columns)
 
     def extended_rows(self) -> tuple[tuple[int, ...], ...]:
         """One row of L mod n1 per arc, the base arc contributing zeros."""
-        return self._extended_rows
+        columns = self._columns
+        return tuple([tuple([col[k] for col in columns]) for k in range(self.arc_count)])
 
     @cached_property
     def report(self) -> DistinguishingReport:
         arcs = self.arc_count
-        columns = list(zip(*self._extended_rows))
+        columns = self._columns
         # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
         perfect = tuple([col for col, values in enumerate(columns) if len(set(values)) == arcs])
         all_arcs = (1 << arcs) - 1
@@ -366,15 +378,8 @@ class ColoringAnalysis:
     def minimal_set(self) -> tuple[FoxColoring, ...]:
         """One Fox n1-coloring per invariant factor n_i: (n1 / n_i) V[:, i]."""
         n1 = self.modulus
-        picked = [(x, i) for i, x in enumerate(self.snf.diagonal) if x > 1]
-        picked.sort(key=lambda p: -p[0])
         colorings = []
-        for factor, i in picked:
-            scale = n1 // factor
-            colors = [0] * self.c.cols
-            for k, x in self.snf.v_cols[i].items():
-                colors[k] = scale * x % n1
-            colors.insert(self.base_arc, 0)
+        for factor, i, colors in sorted(self._scaled_v, key=lambda p: -p[0]):
             bad = _fox_violation(self.diagram, colors, n1)
             if bad is not None:
                 raise ColoringError(
@@ -413,22 +418,11 @@ class ColoringAnalysis:
         from .pseudo import classify_assignment  # pseudo imports this module
 
         n1 = self.modulus
-        snf = self.snf
         found = []
-        for j, column in enumerate(zip(*self._extended_rows)):
+        for j, column in enumerate(self._columns):
             if any(column):
                 continue
-            # column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i]
-            lift = [0] * self.c.cols
-            for x, u_row, v_col in zip(snf.diagonal, snf.u_rows, snf.v_cols):
-                f = n1 // x * u_row.get(j, 0)
-                if f:
-                    for k, y in v_col.items():
-                        lift[k] += f * y
-            image = self.c.mul_vector(lift)
-            if any(x != n1 * (i == j) for i, x in enumerate(image)):
-                raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
-            colors = [x // n1 for x in lift]
+            colors = [x // n1 for x in self._exact_column(j)]
             colors.insert(self.base_arc, 0)
             result = classify_assignment(self.diagram, colors, column=j)
             if result.kind == "pseudo":
@@ -465,14 +459,7 @@ def _require_modulus(k: int) -> None:
 
 def _crossing_defects(d: Diagram, colors) -> tuple[int, ...]:
     """C'(D) . colors, read off the crossings: 2 * over - under_in - under_out."""
-    return tuple(
-        [
-            2 * colors[d.arc_of(c.over_in)]
-            - colors[d.arc_of(c.under_in)]
-            - colors[d.arc_of(c.under_out)]
-            for c in d.crossings
-        ]
-    )
+    return tuple([2 * colors[o] - colors[a] - colors[b] for o, a, b in d.crossing_arcs])
 
 
 def _fox_violation(d: Diagram, colors, k: int) -> int | None:
@@ -482,24 +469,24 @@ def _fox_violation(d: Diagram, colors, k: int) -> int | None:
     )
 
 
-def _coloring_box(d: Diagram, k: int) -> tuple[IntMatrix, list[range]]:
-    """V and the box of y with V y running over all Fox k-colorings.
+def _coloring_box(d: Diagram, k: int) -> tuple[SnfDecomposition, list[int]]:
+    """The Smith form U C' V = D and the sides of the box of y with V y
+    running over all Fox k-colorings.
 
-    With U C' V = D the colorings are V y for y in a box with gcd(d_i, k)
-    points on axis i (k for a zero or missing d_i), so the box size is
-    the count.
+    Axis i has gcd(d_i, k) points (k for a zero or missing d_i, and
+    gcd(0, k) = k), so the count is the product of the sides.
     """
     _require_modulus(k)
     cprime = crossing_matrix(d)
     snf = smith_normal_form(cprime)
-    axes = [range(0, k, k // gcd(x, k)) if x else range(k) for x in snf.diagonal]
-    axes.extend([range(k)] * (cprime.cols - len(axes)))
-    return snf.v, axes
+    sides = [gcd(x, k) for x in snf.diagonal]
+    sides.extend([k] * (cprime.cols - len(sides)))
+    return snf, sides
 
 
 def count_colorings(d: Diagram, k: int) -> int:
     """Number of Fox k-colorings, constant colorings included."""
-    return prod(len(axis) for axis in _coloring_box(d, k)[1])
+    return prod(_coloring_box(d, k)[1])
 
 
 def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:
@@ -510,10 +497,12 @@ def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxCo
     Bails out when the count passes limit; the error carries the count,
     so callers can fall back to it.
     """
-    v, axes = _coloring_box(d, k)
-    count = prod(len(axis) for axis in axes)
+    snf, sides = _coloring_box(d, k)
+    count = prod(sides)
     if count > limit:
         raise EnumerationLimitError(count, limit)
+    v = snf.v
+    axes = [range(0, k, k // side) for side in sides]
     found = (FoxColoring(k, v.mul_vector(y)) for y in product(*axes))
     return tuple(sorted(found, key=lambda f: f.colors))
 

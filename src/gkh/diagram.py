@@ -69,8 +69,9 @@ class Diagram:
         outs = sorted(e for c in self.crossings for e in (c.over_out, c.under_out))
         if ins != list(range(1, 2 * n + 1)) or outs != list(range(1, 2 * n + 1)):
             raise DiagramError("each edge must enter one crossing and leave one")
-        for e in range(1, 2 * n + 1):
-            if self.succ(e) != self._next_label(e):
+        succ = self._succ
+        for start, end in self.spans:
+            if succ[end] != start or any(succ[e] != e + 1 for e in range(start, end)):
                 raise DiagramError("edge labels do not follow the strands")
 
     @property
@@ -88,12 +89,6 @@ class Diagram:
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    def _next_label(self, e: int) -> int:
-        for start, end in self.spans:
-            if start <= e <= end:
-                return start if e == end else e + 1
-        raise DiagramError(f"edge {e} outside every component span")
 
     @cached_property
     def _succ(self) -> dict[int, int]:
@@ -185,6 +180,14 @@ class Diagram:
         return self._arc_of[e]
 
     @cached_property
+    def crossing_arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Per crossing, the arc indices (over, under_in, under_out)."""
+        arc_of = self._arc_of
+        return tuple(
+            [(arc_of[c.over_in], arc_of[c.under_in], arc_of[c.under_out]) for c in self.crossings]
+        )
+
+    @cached_property
     def junction_arc_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple([(self.arc_of(f), self.arc_of(g)) for f, g in self.junction_edge_pairs])
 
@@ -271,10 +274,10 @@ def _cut_search(adj) -> tuple[bool, bool]:
     low = [0] * len(adj)
     acc = [0] * len(adj)
     labels = set()
-    timer = 0
+    timer = root = 0
     reduced = prime = True
     while timer < len(adj):
-        root = disc.index(-1)
+        root = disc.index(-1, root)  # every vertex before the last root is reached
         if timer:
             prime = False
         disc[root] = low[root] = timer

@@ -85,29 +85,13 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        """Product as row combinations. Zero entries of self cost nothing,
-        and a sparse row of other is added entry by entry, so a crossing
-        matrix or a sparse Smith transform multiplies in far under n^3 steps."""
         if self.cols != other.rows:
             raise LinalgError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = []
-        for k in range(other.rows):
-            r = other.row(k)
-            nonzero = [(j, y) for j, y in enumerate(r) if y]
-            rows.append((r, nonzero if 3 * len(nonzero) < other.cols else None))
-        out = []
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for x, (r, nonzero) in zip(self.row(i), rows):
-                if not x:
-                    continue
-                if nonzero is None:
-                    acc = [s + x * y for s, y in zip(acc, r)]
-                else:
-                    for j, y in nonzero:
-                        acc[j] += x * y
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = [other.col(j) for j in range(other.cols)]
+        entries = [
+            sum(x * y for x, y in zip(self.row(i), col)) for i in range(self.rows) for col in cols
+        ]
+        return IntMatrix(self.rows, other.cols, tuple(entries))
 
     def mul_vector(self, v) -> tuple[int, ...]:
         v = tuple(v)

@@ -164,12 +164,11 @@ def dense_views(monkeypatch):
 def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
     verify_gkh(turks_head(6))
     assert counts == {"snf": 1, "l": 0}
-    # the certificate, L mod n1, the minimal set and the lifted columns
-    # all read U's rows and V's columns from the sparse form
+    # the certificate, L mod n1, the minimal set, the lifted columns and
+    # the exact L all read U's rows and V's columns from the sparse form
     verify_gkh(fixture_diagram("conway"))  # n1 = 1: every column is lifted
-    assert dense_views == []
     coloring_matrix(turks_head(6))
-    assert sorted(set(dense_views)) == ["u", "v"]
+    assert dense_views == []
 
 
 def test_verify_builds_one_crossing_matrix_and_one_determinant(monkeypatch):
@@ -347,6 +346,38 @@ def test_tampered_u_fails_the_exact_inverse_column_check():
     assert not any(map(any, analysis.extended_rows()))
     with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
         analysis.inverse_pseudos
+
+
+def tampered_u_analysis(name):
+    """A ColoringAnalysis whose U has 1 added to its first entry."""
+    analysis = ColoringAnalysis(fixture_diagram(name))
+    analysis.snf = tampered(analysis.snf, "u", 0, 0, 1)
+    return analysis
+
+
+def test_tampered_u_fails_the_exact_column_check_on_l():
+    # row 0 of U has d_0 = 1, so column 0 of L moves by 21 V[:, 0]: L mod
+    # 21 cannot see it, C times that column can
+    analysis = tampered_u_analysis("7_7")
+    assert analysis.snf.diagonal[0] == 1
+    assert analysis.l_mod == ColoringAnalysis(fixture_diagram("7_7")).l_mod
+    with pytest.raises(LinalgError, match=r"C times column 0 of L is not 21 e_0"):
+        analysis.l
+
+
+def test_exact_column_check_on_l_survives_optimize_flag():
+    code = (
+        "from gkh.coloring import ColoringAnalysis\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import *\n"
+        f"{inspect.getsource(tampered)}\n"
+        f"{inspect.getsource(tampered_u_analysis)}\n"
+        "try:\n"
+        "    tampered_u_analysis('7_7').l\n"
+        "except LinalgError as err:\n"
+        "    print(err)\n"
+    )
+    assert run_fresh(code, "-O") == "C times column 0 of L is not 21 e_0"
 
 
 def test_fox_check_on_l_mod_survives_optimize_flag():

@@ -102,6 +102,16 @@ def test_colorings_over_limit_reports_count(capsys):
     assert payload["count"] == 5000 * 5000
 
 
+def test_colorings_past_the_word_size_prints_the_count(capsys):
+    modulus = 10**20
+    code, out, err = run(capsys, "colorings", "--name", "3_1", "--mod", str(modulus))
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        f"{modulus} colorings mod {modulus}",
+        "(enumeration space too large; count via the Smith form)",
+    ]
+
+
 @pytest.mark.parametrize("modulus", ["0", "-3"])
 def test_colorings_modulus_below_one_is_input_error(capsys, modulus):
     code, out, err = run(capsys, "colorings", "--name", "3_1", "--mod", modulus)

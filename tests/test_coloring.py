@@ -187,6 +187,17 @@ def test_enumeration_respects_custom_limit():
     assert len(set(found)) == 6075 == count_colorings(d, 15)
 
 
+def test_count_past_the_word_size_builds_no_range():
+    # C'(3_1) has Smith diagonal (1, 3, 0), so the count is gcd(3, k) * k,
+    # above 2^63 here, where len() of a range raises OverflowError
+    k = 10**20
+    assert count_colorings(TREFOIL, k) == k
+    assert count_colorings(TREFOIL, 3 * k) == 9 * k
+    with pytest.raises(EnumerationLimitError) as info:
+        enumerate_colorings(TREFOIL, k)
+    assert info.value.count == k
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_counting_rejects_modulus_below_one(k):
     for count_or_enumerate in (count_colorings, enumerate_colorings):

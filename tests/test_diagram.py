@@ -204,6 +204,15 @@ def test_diagram_invariant_validation():
         Diagram((c,), ((1, 3),))
     with pytest.raises(DiagramError):
         Diagram((c, c), ((1, 2), (3, 4)))
+    # each edge enters one crossing and leaves one, but the strands run
+    # 1 -> 3 and 2 -> 4, across the spans
+    hopf = (Crossing(1, 3, 2, 4), Crossing(3, 1, 4, 2))
+    for spans in (((1, 2), (3, 4)), ((1, 4),)):
+        with pytest.raises(DiagramError, match="labels do not follow the strands"):
+            Diagram(hopf, spans)
+    # 1 -> 2 and 3 -> 4 follow their spans; only the wrap 2 -> 3 breaks one
+    with pytest.raises(DiagramError, match="labels do not follow the strands"):
+        Diagram((Crossing(1, 2, 3, 4), Crossing(2, 3, 4, 1)), ((1, 2), (3, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,6 +388,19 @@ def test_prime_and_reduced_at_2000_crossings():
     # replaced about 7 s
     d = turks_head(1000)
     assert d.is_reduced and d.is_prime_diagram
+
+
+def test_disjoint_hopf_links_are_reduced_and_not_prime():
+    # 2000 disjoint copies, 4000 components: checking the spans and
+    # restarting the search once per piece must stay linear in the pieces
+    copies = [
+        f"X({4 * i + 1},{4 * i + 3},{4 * i + 2},{4 * i + 4}),"
+        f"X({4 * i + 3},{4 * i + 1},{4 * i + 4},{4 * i + 2})"
+        for i in range(2000)
+    ]
+    d = from_pd(parse_pd(f"PD[{','.join(copies)}]"))
+    assert d.component_count == 4000
+    assert d.is_reduced and not d.is_prime_diagram
 
 
 def test_prime_deterministic_cases():
