@@ -5,7 +5,8 @@ text whose first non-blank character is P, p, X or x is read as a planar
 diagram code (PD[...], pd[...] or a bare X(...) list), since no braid word
 starts with those letters; anything else is read as a braid word. Exit
 codes: 0 success or verification pass, 1 verification failure, 2 bad input
-or usage.
+or usage, 141 (128 + SIGPIPE, as a shell reports a process the signal
+ended) when the reader of standard output closes it early.
 
 `main` can be called any number of times in one process. The argument
 parser is built on the first call and reused: argparse keeps no state of a
@@ -17,16 +18,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .codec import CodecError, parse_braid, parse_pd, serialize_pd
 from .coloring import (
+    ColoringAnalysis,
     ColoringError,
     EnumerationLimitError,
     coloring_group,
     coloring_matrix,
     crossing_matrix,
-    distinguishing_report,
     enumerate_colorings,
     link_determinant,
 )
@@ -40,6 +42,8 @@ from .verify import (
     verify_connected_sum,
     verify_gkh,
 )
+
+EXIT_BROKEN_PIPE = 141
 
 INPUT_ERRORS = (
     CodecError,
@@ -173,7 +177,8 @@ def _cmd_colorings(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     _, d = _load_diagram(args)
-    r = distinguishing_report(d, args.base)
+    analysis = ColoringAnalysis(d, args.base)
+    r = analysis.report
     if args.json:
         return _emit(
             {
@@ -181,7 +186,7 @@ def _cmd_distinguish(args) -> int:
                 "modulus": r.modulus,
                 "t": r.t,
                 "witnessColumns": list(r.t_columns),
-                "perfectColumns": list(r.perfect_columns),
+                "perfectColumns": list(analysis.perfect_columns),
                 "failures": [list(p) for p in r.failures],
             }
         )
@@ -190,7 +195,7 @@ def _cmd_distinguish(args) -> int:
         print(f"all arc pairs distinguished, t = {r.t} via columns {list(r.t_columns)}")
     else:
         print(f"undistinguished pairs: {[list(p) for p in r.failures]}")
-    print(f"perfect columns: {list(r.perfect_columns)}")
+    print(f"perfect columns: {list(analysis.perfect_columns)}")
     return 0
 
 
@@ -466,10 +471,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        return code
     except INPUT_ERRORS as err:
         print(f"kh: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe: what is still buffered goes to devnull,
+        # so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

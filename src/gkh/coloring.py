@@ -11,16 +11,20 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one certified Smith form: L mod n1 as its
-columns, each built from the s non-unit factors alone, and an exact
-column of L only where one is asked for. Every column is checked at the
-crossings: mod n1 by the Fox relation, exactly by C col = n1 e_j. The
-determinant alone comes from linalg.determinant and never factors;
-verify_gkh takes it from the same C the analysis factors.
+derives all of this from that one certified Smith form: L mod n1 as a
+stream of columns, each built from the s non-unit factors alone when it
+is first read, and an exact column of L only where one is asked for.
+Every column is checked at the crossings before it is read: mod n1 by
+the Fox relation, exactly by C col = n1 e_j. The report stops reading at
+the first perfect column; which columns of C^(-1) are integral is read
+off U's s non-unit rows, not off the columns. The determinant alone comes
+from linalg.determinant and never factors; verify_gkh takes it from the
+same C the analysis factors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
@@ -166,21 +170,20 @@ class DistinguishingReport:
     colorings differ on the two arcs, or None; t is the size of a smallest
     set of columns separating all pairs, with t_columns the first such set
     in lexicographic order, and both are None and () when some pair is
-    never separated. perfect_columns lists the columns that give every arc
-    its own color. The pairs are read from one bitset per column, built
+    never separated. The pairs are read from one bitset per column, built
     with O(arcs) big-int operations from the arcs of each color, in column
-    order. When some column is perfect, t is 1 with the first perfect
-    column as witness, and bitsets stop once every pair has its least
-    separator, which is at that column at the latest. Otherwise every
-    column gets its bitset, and t comes from a pruned search that raises
-    CoverBudgetError past COVER_BUDGET nodes.
+    order as the columns are built. A perfect column, one that gives every
+    arc its own color, ends the reading: t is 1 with it as witness, and
+    every pair has its least separator there at the latest, so no later
+    column is built. Otherwise every column gets its bitset, and t comes
+    from a pruned search that raises CoverBudgetError past COVER_BUDGET
+    nodes. ColoringAnalysis.perfect_columns lists every perfect column.
     """
 
     base_arc: int
     modulus: int
     arc_count: int
     separators: tuple[tuple[int, int, int | None], ...]
-    perfect_columns: tuple[int, ...]
     t: int | None
     t_columns: tuple[int, ...]
 
@@ -201,19 +204,23 @@ class ColoringAnalysis:
     factorization, read off U's rows and V's columns as the sparse loop
     left them; no dense U, D or V is built. With D = diag(d_i): the group
     is the d_i > 1, and the scaled columns (n1/d_i) V[:, i] mod n1 of the
-    d_i > 1 are the minimal distinguishing set and the terms of L mod n1,
-    which is kept as its columns, one Fox n1-coloring of every arc each.
-    The report reads those columns only up to the first perfect one when
-    there is one. Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built
-    alone and checked against C col = n1 e_j; l is every such column, and
-    column j of C^(-1) is integral exactly when column j of L is 0 mod n1,
-    in which case it is that column divided by n1.
+    d_i > 1 are the minimal distinguishing set and the terms of L mod n1.
+    L mod n1 is a stream of columns, one Fox n1-coloring of every arc
+    each, built and checked in order on first read and kept in one list;
+    the report reads it up to the first perfect column when there is one,
+    while perfect_columns, l_mod and extended_rows read every column.
+    Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone and
+    checked against C col = n1 e_j; l is every such column. Column j of
+    C^(-1) is integral exactly when e_j is 0 in coker C = + Z_{d_i}, that
+    is when d_i divides U[i, j] for every d_i > 1, and it is then column j
+    of L divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
         self.diagram = d
         self.c, self.base_arc = _reduced(crossing_matrix(d), base)
         self.arc_count = len(d.arcs)
+        self._built_columns: list[tuple[int, ...]] = []  # L mod n1, columns 0, 1, ...
 
     @cached_property
     def snf(self) -> SnfDecomposition:
@@ -262,7 +269,8 @@ class ColoringAnalysis:
     @cached_property
     def l_mod(self) -> IntMatrix:
         n, base = self.c.cols, self.base_arc
-        entries = [col[k] for k in range(self.arc_count) if k != base for col in self._columns]
+        columns = list(self._column_stream())
+        entries = [col[k] for k in range(self.arc_count) if k != base for col in columns]
         return IntMatrix(n, n, tuple(entries))
 
     @cached_property
@@ -282,22 +290,23 @@ class ColoringAnalysis:
                 found.append((x, i, colors))
         return tuple(found)
 
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """L mod n1, one Fox n1-coloring of every arc per column.
+    def _column_stream(self) -> Iterator[tuple[int, ...]]:
+        """L mod n1 in column order, one Fox n1-coloring of every arc each.
 
-        A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod n1, so
-        column j of L mod n1 is the sum of U[i, j] (n1 / d_i) V[:, i] over
-        d_i > 1, reduced mod n1; columns with no nonzero term share one
+        Yields the columns built so far, then builds, checks and keeps the
+        next ones. A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod
+        n1, so column j of L mod n1 is the sum of U[i, j] (n1 / d_i) V[:, i]
+        over d_i > 1, reduced mod n1; columns with no nonzero term share one
         zero column. Every other column must satisfy the Fox relation mod
         n1 at every crossing, or LinalgError names it.
         """
+        built = self._built_columns
+        yield from built
         n1 = self.modulus
         d = self.diagram
         terms = [(self.snf.u_rows[i], colors) for _, i, colors in self._scaled_v]
         zero = (0,) * self.arc_count
-        columns = []
-        for j in range(self.c.cols):
+        for j in range(len(built), self.c.cols):
             acc = None  # the sum of U[i, j] times the scaled V column, over the terms
             for u_row, colors in terms:
                 f = u_row.get(j, 0) % n1
@@ -307,28 +316,35 @@ class ColoringAnalysis:
                     else:
                         acc = [z + f * x for z, x in zip(acc, colors)]
             if acc is None:
-                columns.append(zero)
-                continue
-            column = tuple([z % n1 for z in acc])
-            bad = _fox_violation(d, column, n1)
-            if bad is not None:
-                raise LinalgError(
-                    f"column {j} of L mod {n1} breaks the Fox relation at crossing {bad}"
-                )
-            columns.append(column)
-        return tuple(columns)
+                column = zero
+            else:
+                column = tuple([z % n1 for z in acc])
+                bad = _fox_violation(d, column, n1)
+                if bad is not None:
+                    raise LinalgError(
+                        f"column {j} of L mod {n1} breaks the Fox relation at crossing {bad}"
+                    )
+            built.append(column)
+            yield column
 
     def extended_rows(self) -> tuple[tuple[int, ...], ...]:
         """One row of L mod n1 per arc, the base arc contributing zeros."""
-        columns = self._columns
+        columns = list(self._column_stream())
         return tuple([tuple([col[k] for col in columns]) for k in range(self.arc_count)])
+
+    @cached_property
+    def perfect_columns(self) -> tuple[int, ...]:
+        """The columns of L mod n1 that give every arc its own color; reads
+        every column."""
+        arcs = self.arc_count
+        # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
+        return tuple(
+            [j for j, values in enumerate(self._column_stream()) if len(set(values)) == arcs]
+        )
 
     @cached_property
     def report(self) -> DistinguishingReport:
         arcs = self.arc_count
-        columns = self._columns
-        # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
-        perfect = tuple([col for col, values in enumerate(columns) if len(set(values)) == arcs])
         all_arcs = (1 << arcs) - 1
         # pair (i, j > i) is bit offsets[i] + j - i - 1, in combinations order
         offsets = [0] * arcs
@@ -338,30 +354,34 @@ class ColoringAnalysis:
         masks = []
         least = [None] * pair_count
         remaining = (1 << pair_count) - 1
-        for col, values in enumerate(columns):
-            if perfect and not remaining:
-                break  # the cover is the first perfect column; no later mask is read
+        witness = None
+        for col, values in enumerate(self._column_stream()):
             arcs_of = {}
             for i, v in enumerate(values):
                 arcs_of[v] = arcs_of.get(v, 0) | 1 << i
-            mask = 0
-            for i, v in enumerate(values):
-                mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
-            masks.append(mask)
-            new = mask & remaining
-            if not new:
-                continue
-            remaining ^= new
-            for k in compress(count(), bin(new)[:1:-1].encode().translate(_BITS)):
-                least[k] = col
+            if len(arcs_of) == arcs:
+                # a perfect column separates every pair, and no later column is read
+                new, witness = remaining, col
+            else:
+                mask = 0
+                for i, v in enumerate(values):
+                    mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
+                masks.append(mask)
+                new = mask & remaining
+            if new:
+                remaining ^= new
+                for k in compress(count(), bin(new)[:1:-1].encode().translate(_BITS)):
+                    least[k] = col
+            if witness is not None:
+                break
         firsts = chain.from_iterable(repeat(i, arcs - 1 - i) for i in range(arcs))
         seconds = chain.from_iterable(range(i + 1, arcs) for i in range(arcs))
         separators = tuple(zip(firsts, seconds, least))
-        if remaining:
-            t, t_columns = None, ()
-        elif perfect:
+        if witness is not None:
             # one column covers every pair, and no smaller set does while pairs exist
-            t, t_columns = 1, perfect[:1]
+            t, t_columns = 1, (witness,)
+        elif remaining:
+            t, t_columns = None, ()
         else:
             t, t_columns = _minimum_cover(masks, pair_count)
         return DistinguishingReport(
@@ -369,7 +389,6 @@ class ColoringAnalysis:
             modulus=self.modulus,
             arc_count=arcs,
             separators=separators,
-            perfect_columns=perfect,
             t=t,
             t_columns=t_columns,
         )
@@ -411,18 +430,33 @@ class ColoringAnalysis:
     def inverse_pseudos(self) -> tuple[PseudoColoring, ...]:
         """Pseudo colorings read off the integral columns of C^(-1).
 
-        Each integral column, extended by 0 on the base arc, has defect +1
-        at its own crossing; the base row defect follows from the row
-        relation and the classification keeps exactly the unit cases.
+        Column j is integral when d_i divides U[i, j] for every d_i > 1,
+        so only U's s non-unit rows are read to find them. Each is built
+        exactly and checked, then must be divisible by n1, or LinalgError
+        names it. Extended by 0 on the base arc, it has defect +1 at its
+        own crossing; the base row defect follows from the row relation
+        and the classification keeps exactly the unit cases.
         """
         from .pseudo import classify_assignment  # pseudo imports this module
 
         n1 = self.modulus
+        snf = self.snf
+        # the j with e_j nonzero in coker C: some d_i > 1 does not divide U[i, j]
+        nonzero = {
+            j
+            for x, u_row in zip(snf.diagonal, snf.u_rows)
+            if x > 1
+            for j, y in u_row.items()
+            if y % x
+        }
         found = []
-        for j, column in enumerate(self._columns):
-            if any(column):
+        for j in range(self.c.cols):
+            if j in nonzero:
                 continue
-            colors = [x // n1 for x in self._exact_column(j)]
+            lift = self._exact_column(j)
+            if any(x % n1 for x in lift):
+                raise LinalgError(f"e_{j} is 0 in coker C, but column {j} of L is not divisible by {n1}")
+            colors = [x // n1 for x in lift]
             colors.insert(self.base_arc, 0)
             result = classify_assignment(self.diagram, colors, column=j)
             if result.kind == "pseudo":

@@ -64,7 +64,6 @@ class VerificationReport:
     failures: tuple[tuple[int, int], ...]
     t: int | None
     t_columns: tuple[int, ...]
-    perfect_columns: tuple[int, ...]
     part_c: bool
     s: int
     distinguishing: tuple[FoxColoring, ...]
@@ -153,7 +152,6 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
         failures=failures,
         t=report.t,
         t_columns=report.t_columns,
-        perfect_columns=report.perfect_columns,
         part_c=not minimal_failures,
         s=group.s,
         distinguishing=analysis.minimal_set,
@@ -223,8 +221,9 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
 
 _MAX_ATTEMPTS = 400
 # a bound on the braid length: verify_gkh on one 4-strand draw takes
-# about 0.07 s at 200 crossings and 0.45 s at 400 on a 2-core Xeon, a
-# quarter of it L mod n1 with its Fox check and a tenth the pair report,
+# about 0.07 s at 200 crossings and 0.22-0.28 s at 400 on a 2-core Xeon,
+# most of it the Smith form; L mod n1 is built and Fox-checked only up to
+# the first perfect column, and with the pair report takes under a tenth,
 # and kh fuzz passes the user's --max-crossings straight through
 _MAX_CROSSINGS = 200
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gkh
@@ -29,7 +29,8 @@ from gkh.coloring import (
     coloring_matrix,
     link_determinant,
 )
-from gkh.diagram import pretzel, turks_head
+from gkh.codec import BraidWord
+from gkh.diagram import braid_closure, pretzel, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
     IntMatrix,
@@ -111,6 +112,34 @@ def test_random_alternating_matches_oracles(seed):
     d = random_alternating_diagram(12, seed)
     assert_matches_oracles(d)
     assert_matches_oracles(d, 0)
+
+
+def mixed_braids():
+    """(strands, letters) of 2-4 strand braid words of up to 14 letters of
+    either sign, so the closures are mostly not alternating."""
+    return st.integers(2, 4).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.integers(1, k - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                min_size=1,
+                max_size=14,
+            ),
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids())
+def test_random_mixed_sign_closures_match_the_inverse_oracle(braid):
+    # non-alternating closures have integral columns of C^(-1), which the
+    # class test finds from U's non-unit rows alone
+    strands, letters = braid
+    assume({abs(x) for x in letters} == set(range(1, strands)))  # no bare circle
+    d = braid_closure(BraidWord(strands, tuple(letters)))
+    assume(link_determinant(d) != 0)
+    for base in (None, 0):
+        assert ColoringAnalysis(d, base).inverse_pseudos == oracle_pseudos(d, base)
 
 
 def test_determinant_zero_raises_typed_error():
@@ -335,6 +364,14 @@ def test_tampered_v_fails_the_fox_check_on_l_mod():
         analysis.l_mod
 
 
+def test_tampered_v_fails_verify_on_the_witness_column(monkeypatch):
+    # verify_gkh stops building L mod n1 at the first perfect column, here
+    # column 0; that column is still checked before the report reads it
+    monkeypatch.setattr(gkh.verify, "ColoringAnalysis", lambda d, base=None: tampered_v_analysis("7_7"))
+    with pytest.raises(LinalgError, match=r"column 0 of L mod 21 breaks the Fox relation at crossing \d+"):
+        verify_gkh(fixture_diagram("7_7"))
+
+
 def test_tampered_u_fails_the_exact_inverse_column_check():
     # the conway knot has n1 = 1, so every column of L mod n1 is 0 and each
     # is lifted exactly; a unit row of U changes L by n1 V[:, 0], not L mod n1
@@ -345,6 +382,15 @@ def test_tampered_u_fails_the_exact_inverse_column_check():
     analysis.snf = SnfDecomposition.from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
     assert not any(map(any, analysis.extended_rows()))
     with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
+        analysis.inverse_pseudos
+
+
+def test_integral_column_not_divisible_by_n1_raises():
+    # 8_19 (n1 = 3) has integral columns of C^(-1) at 2, 5 and 6; an exact
+    # column that is not n1 times one of them is refused by name
+    analysis = ColoringAnalysis(fixture_diagram("8_19"))
+    analysis._exact_column = lambda j: [1] * analysis.c.cols
+    with pytest.raises(LinalgError, match=r"e_2 is 0 in coker C, but column 2 of L is not divisible by 3"):
         analysis.inverse_pseudos
 
 

@@ -4,7 +4,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -409,3 +413,24 @@ def test_repeated_commands_do_not_grow_the_process():
     finally:
         tracemalloc.stop()
     assert grown < 16_000, f"{grown} bytes more after 40 rounds of {len(commands)} commands"
+
+
+def test_closed_pipe_exits_quietly():
+    # like `kh matrix ... --which l --json | head -c 100`: the L of a
+    # 120-crossing turks head prints about 190 kB, more than a pipe holds,
+    # so kh is still writing when its reader goes away
+    src = Path(gkh.cli.__file__).resolve().parent.parent
+    braid = " ".join(["1 -2"] * 60)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkh.cli", "matrix", "--braid", braid, "--which", "l", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == gkh.cli.EXIT_BROKEN_PIPE == 141
+    assert head.startswith(b'{"which": "l", "rows": [[')
+    assert err == b""

@@ -64,7 +64,7 @@ def test_trefoil_coloring_matrix():
 def test_trefoil_distinguishing_report():
     r = distinguishing_report(TREFOIL)
     assert r.separators == ((0, 1, 0), (0, 2, 0), (1, 2, 0))
-    assert r.perfect_columns == (0, 1)
+    assert ColoringAnalysis(TREFOIL).perfect_columns == (0, 1)
     assert (r.t, r.t_columns) == (1, (0,))
     assert r.injective and not r.failures
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkh.coloring
+import gkh.verify
 from gkh.cli import main
 from gkh.codec import BraidWord, parse_pd, serialize_pd
 from gkh.coloring import (
@@ -26,7 +27,7 @@ from gkh.coloring import (
 )
 from gkh.diagram import braid_closure, connected_sum, from_pd, pretzel, turks_head
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
-from gkh.verify import random_alternating_diagram
+from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import minimum_cover, pair_separators
 
 NONZERO_FIXTURES = [n for n in fixture_names() if fixture(n).determinant != 0]
@@ -44,7 +45,7 @@ def assert_report_matches_oracles(d):
         report = analysis.report
         separators, masks, perfect = pair_separators(analysis.extended_rows())
         assert report.separators == separators
-        assert report.perfect_columns == perfect
+        assert analysis.perfect_columns == perfect
         if report.failures:
             assert (report.t, report.t_columns) == (None, ())
         else:
@@ -94,7 +95,41 @@ def test_perfect_column_is_the_cover_without_a_search(monkeypatch, d, witness):
     assert perfect[0] == witness
     assert (report.t, report.t_columns) == (1, (witness,))
     assert report.separators == separators
-    assert report.perfect_columns == perfect
+    assert analysis.perfect_columns == perfect
+
+
+@pytest.fixture
+def verify_analyses(monkeypatch):
+    """The ColoringAnalysis objects verify_gkh makes, in order."""
+    made = []
+
+    class Recorded(ColoringAnalysis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(gkh.verify, "ColoringAnalysis", Recorded)
+    return made
+
+
+@pytest.mark.parametrize(
+    "d, t_columns, built",
+    [
+        (turks_head(25), (3,), 4),
+        (braid_closure(BraidWord(4, BRAID_52)), (0,), 1),
+        (pretzel(3, 3, 3, 3, 3), (1, 4, 6), None),  # no perfect column: every column
+    ],
+    ids=["turks_head(25)", "braid4x52", "pretzel(3,3,3,3,3)"],
+)
+def test_verify_builds_columns_up_to_the_first_perfect_one(verify_analyses, d, t_columns, built):
+    report = verify_gkh(d)
+    assert report.passed and report.t_columns == t_columns
+    (analysis,) = verify_analyses
+    n = analysis.c.cols
+    assert len(analysis._built_columns) == (n if built is None else built)
+    rows = analysis.extended_rows()
+    assert len(analysis._built_columns) == n
+    assert len(rows) == analysis.arc_count and all(len(row) == n for row in rows)
 
 
 def test_cover_search_builds_a_mask_for_every_column(monkeypatch):
@@ -106,14 +141,16 @@ def test_cover_search_builds_a_mask_for_every_column(monkeypatch):
 
     monkeypatch.setattr(gkh.coloring, "_minimum_cover", spy)
     analysis = ColoringAnalysis(pretzel(*[3] * 8))
-    assert analysis.report.perfect_columns == ()
+    analysis.report  # no column is perfect, so the cover search runs
+    assert analysis.perfect_columns == ()
     assert seen == [analysis.c.cols]
 
 
 def test_no_arc_pairs_need_no_columns():
     # a one-crossing kink has one arc, so C is 0 x 0 and there is nothing to separate
-    report = distinguishing_report(from_pd(parse_pd("X[1,2,2,1]")))
-    assert (report.arc_count, report.separators, report.perfect_columns) == (1, (), ())
+    analysis = ColoringAnalysis(from_pd(parse_pd("X[1,2,2,1]")))
+    report = analysis.report
+    assert (report.arc_count, report.separators, analysis.perfect_columns) == (1, (), ())
     assert (report.t, report.t_columns) == (0, ())
 
 

@@ -49,7 +49,8 @@ def test_fixture_reports_frozen():
     for name, (t, t_columns, s, perfect) in EXPECTED_REPORTS.items():
         r = verify_gkh(fixture_diagram(name), name=name)
         assert r.passed and r.guaranteed and r.pseudo_free, name
-        assert (r.t, r.t_columns, r.s, len(r.perfect_columns)) == (
+        perfect_columns = ColoringAnalysis(fixture_diagram(name)).perfect_columns
+        assert (r.t, r.t_columns, r.s, len(perfect_columns)) == (
             t,
             t_columns,
             s,
@@ -111,7 +112,7 @@ def test_second_seven_seven_diagram():
     ours = [a for a in range(7) if a != 2]
     tabulated = [a for a in range(7) if a != 6]
     translated = {
-        tabulated.index(order[ours[j]]) for j in r.perfect_columns
+        tabulated.index(order[ours[j]]) for j in ColoringAnalysis(d, 2).perfect_columns
     }
     assert translated == {1, 3, 4, 5}
     # one coloring using the seven values 0,1,2,4,7,12,20 separates all arcs
