@@ -24,6 +24,7 @@ same C the analysis factors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,8 +39,10 @@ if TYPE_CHECKING:
     from .pseudo import PseudoColoring
 
 # search nodes (columns placed in a slot or scanned for the last one) the
-# exact minimum cover may spend: pretzel 3^15 (t = 10) needs 7.7 million
-# and its mirror 12.8 million, the benchmark's pretzels at most 49 thousand
+# exact minimum cover may spend: pretzel 3^15 (t = 10) needs 149 thousand,
+# its mirror 294 thousand, 3^16 466 thousand and 3^18 5.6 million, the
+# benchmark's pretzels at most 5 thousand; spending it all takes about 10 s
+# on a 2-core Xeon (pretzel 3^20)
 COVER_BUDGET = 16_000_000
 
 # bin() digits to the bytes 0 and 1, which itertools.compress reads as flags
@@ -177,7 +180,13 @@ class DistinguishingReport:
     every pair has its least separator there at the latest, so no later
     column is built. Otherwise every column gets its bitset, and t comes
     from a pruned search that raises CoverBudgetError past COVER_BUDGET
-    nodes. ColoringAnalysis.perfect_columns lists every perfect column.
+    nodes. The search first drops every column whose bitset lies inside an
+    earlier column's, since swapping it for that column gives a cover no
+    larger and lexicographically smaller, and fills the last slot only
+    from the columns that separate the lowest uncovered pair, since a
+    column completing the cover must separate it; neither changes t or
+    the first witness. ColoringAnalysis.perfect_columns lists every
+    perfect column.
     """
 
     base_arc: int
@@ -548,12 +557,20 @@ def distinguishing_report(d: Diagram, base: int | None = None) -> Distinguishing
 def _minimum_cover(masks, pair_count):
     """Smallest column set covering all pairs, exact, lexicographic first.
 
-    masks[c] has bit p set when column c separates pair p. For sizes 1, 2,
-    ... a depth-first search walks the column sets of that size in
-    lexicographic order, so the first cover found is the answer. With
-    suffix[c] the union of masks[c:], a prefix whose union acc has
+    masks[c] has bit p set when column c separates pair p. Every column
+    whose mask lies inside an earlier column's mask (equal masks included)
+    is dropped first: a minimum cover holding such a column b and not the
+    earlier a becomes a lexicographically smaller one by swapping b for a,
+    and one holding both is not minimum without b, so the first witness
+    never holds b. A column inside only a later column's mask stays. For
+    sizes 1, 2, ... a depth-first search then walks the column sets of that
+    size in lexicographic order, so the first cover found is the answer.
+    With suffix[c] the union of masks[c:], a prefix whose union acc has
     acc | suffix[c] != full can be completed by no later column, and the
-    branch ends there; the last slot is a plain scan. The search runs on an
+    branch ends there. The last slot scans only the columns at or after
+    the cursor that separate the lowest pair acc leaves uncovered, since a
+    column completing the cover must separate it; each pair's column list
+    is built the first time it is asked for. The search runs on an
     explicit stack and counts every column it places or scans against
     COVER_BUDGET; past it, CoverBudgetError carries the size being searched
     and the size of a greedy cover. The caller guarantees that all columns
@@ -562,10 +579,17 @@ def _minimum_cover(masks, pair_count):
     full = (1 << pair_count) - 1
     if full == 0:
         return 0, ()
+    # transitively, a column inside a dropped one's mask is inside a kept one's
+    kept = []
+    for c, mask in enumerate(masks):
+        if all(mask | masks[k] != masks[k] for k in kept):
+            kept.append(c)
+    masks = [masks[c] for c in kept]
     n = len(masks)
     suffix = [0] * (n + 1)
     for c in range(n - 1, -1, -1):
         suffix[c] = suffix[c + 1] | masks[c]
+    separating = {}  # pair -> the columns that separate it, in order
     nodes = 0
     for size in range(1, n + 1):
         chosen = []  # the columns in slots 0 .. depth-1
@@ -577,10 +601,15 @@ def _minimum_cover(masks, pair_count):
             depth = len(chosen)
             acc = unions[depth]
             if depth == size - 1:
-                nodes += n - c
-                for col in range(c, n):
+                p = (~acc & (acc + 1)).bit_length() - 1
+                cols = separating.get(p)
+                if cols is None:
+                    cols = separating[p] = [col for col in range(n) if masks[col] >> p & 1]
+                start = bisect_left(cols, c)
+                nodes += len(cols) - start
+                for col in cols[start:]:
                     if acc | masks[col] == full:
-                        return size, (*chosen, col)
+                        return size, tuple([kept[k] for k in (*chosen, col)])
             elif c <= n - size + depth and acc | suffix[c] == full:
                 nodes += 1
                 chosen.append(c)
@@ -595,7 +624,12 @@ def _minimum_cover(masks, pair_count):
 
 
 def _greedy_cover(masks, full) -> list[int]:
-    """Columns picked by most newly covered pairs until all are covered."""
+    """Columns picked by most newly covered pairs until all are covered.
+
+    Ties go to the lower index, so a column whose mask lies inside an
+    earlier column's is never picked, and the columns _minimum_cover keeps
+    give the same picks as all of them.
+    """
     picked = []
     acc = 0
     while acc != full:

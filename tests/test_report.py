@@ -161,10 +161,15 @@ def test_no_arc_pairs_need_no_columns():
         ([0b0011, 0b0001, 0b0100, 0b1100], (2, (0, 3))),
         ([0b0001, 0b0010, 0b1100, 0b0011], (2, (2, 3))),  # the last two columns only
         ([0b1111], (1, (0,))),
+        ([0b01, 0b11, 0b10], (1, (1,))),  # columns 0 and 2 lie inside a later column only
+        ([0b0011, 0b1100, 0b0111], (2, (0, 1))),  # kept inside a later column: in the witness
+        ([0b0111, 0b0110, 0b1001], (2, (0, 2))),  # column 1 lies inside the earlier column 0
+        ([0b1100, 0b0011, 0b0011], (2, (0, 1))),  # equal masks: the witness uses the first
     ],
 )
 def test_minimum_cover_small_cases(masks, answer):
-    assert _minimum_cover(masks, 4) == answer == minimum_cover(masks, 4)
+    pair_count = max(masks).bit_length()
+    assert _minimum_cover(masks, pair_count) == answer == minimum_cover(masks, pair_count)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,17 +183,59 @@ def test_minimum_cover_matches_exhaustive_search(masks):
     assert _minimum_cover(masks, 10) == minimum_cover(masks, 10)
 
 
+@st.composite
+def masks_with_dominated_columns(draw):
+    """Random masks, then copies and subsets of earlier and later columns spliced in."""
+    full = (1 << 10) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        source = draw(st.sampled_from(masks))
+        copy = source if draw(st.booleans()) else source & draw(st.integers(0, full))
+        # before or after its source, so the dominating column is earlier or later
+        masks.insert(draw(st.integers(0, len(masks))), copy)
+    union = 0
+    for mask in masks:
+        union |= mask
+    masks[draw(st.integers(0, len(masks) - 1))] |= full ^ union
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_with_dominated_columns())
+def test_minimum_cover_with_dominated_columns_matches_exhaustive_search(masks):
+    assert _minimum_cover(masks, 10) == minimum_cover(masks, 10)
+
+
 @pytest.mark.parametrize(
     "k, t, columns",
     [
         (11, 7, (1, 4, 6, 13, 16, 22, 25)),
         (12, 8, (0, 4, 10, 13, 19, 22, 28, 31)),
         (13, 8, (1, 4, 10, 13, 19, 22, 28, 31)),
+        (14, 9, (0, 7, 10, 16, 19, 25, 28, 34, 37)),
+        (15, 10, (0, 1, 7, 10, 16, 19, 25, 28, 34, 37)),
+        (16, 10, (4, 7, 13, 16, 22, 25, 31, 34, 40, 43)),
     ],
 )
 def test_large_pretzel_cover_is_frozen(k, t, columns):
-    # values from the exhaustive search, which takes about 21 s on 3^13
+    # 3^11-3^13 from the exhaustive search, which takes about 21 s on 3^13;
+    # 3^14-3^16 from the pruned search that dropped no column and scanned
+    # every column for the last slot, which takes about 4.6 s on 3^16
     report = distinguishing_report(pretzel(*[3] * k))
+    assert (report.t, report.t_columns) == (t, columns)
+
+
+@pytest.mark.parametrize(
+    "k, t, columns",
+    [
+        (13, 8, (4, 7, 13, 16, 22, 25, 31, 34)),
+        (15, 10, (1, 3, 10, 13, 19, 22, 28, 31, 37, 40)),
+    ],
+)
+def test_large_mirror_pretzel_cover_is_frozen(k, t, columns):
+    # from the pruned search that dropped no column and scanned every column
+    # for the last slot, about 2.5 s on the mirror of 3^15
+    report = distinguishing_report(pretzel(*[-3] * k))
     assert (report.t, report.t_columns) == (t, columns)
 
 
@@ -211,9 +258,10 @@ def test_cover_budget_exits_two(monkeypatch, capsys, command):
     assert err.startswith("kh: minimum cover search passed 50 nodes")
 
 
-# on pretzel 3^10 (t = 6) this budget runs out while the search is at size
+# on pretzel 3^10 (t = 6) sizes 1-5 spend 738 nodes and size 6 finds the
+# witness at node 2935, so this budget runs out while the search is at size
 # 6, where the greedy cover is too
-EXACT_T_BUDGET = 20_000
+EXACT_T_BUDGET = 1_500
 
 
 def test_cover_budget_states_exact_t(monkeypatch):
