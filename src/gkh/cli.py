@@ -146,9 +146,12 @@ def _cmd_matrix(args) -> int:
     _, d = _load_diagram(args)
     if args.which == "cprime":
         matrix = crossing_matrix(d)
-    else:
-        cm = coloring_matrix(d, args.base)
-        matrix = {"c": cm.c, "l": cm.l, "lmod": cm.l_mod}[args.which]
+    elif args.which == "l":
+        matrix = coloring_matrix(d, args.base).l
+    else:  # c and lmod need no exact column of L
+        analysis = ColoringAnalysis(d, args.base)
+        analysis.group  # a zero determinant exits 2 here, as it does for l
+        matrix = analysis.c.dense() if args.which == "c" else analysis.l_mod
     if args.json:
         return _emit({"which": args.which, "rows": matrix.row_list()})
     print(matrix)

@@ -89,83 +89,106 @@ class BraidWord:
 # superscripts and "_" separators
 _DIGITS = re.compile(r"[0-9]+")
 _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+# \s is str.isspace; leading whitespace is always skipped, so it always matches
+_SPACE = re.compile(r"\s*")
+# one crossing X(a,b,c,d) or X[a,b,c,d], whitespace anywhere between the
+# tokens, then an optional comma and the whitespace after it; group 1 is
+# the opening bracket, 2-5 the labels, 6 the closing bracket
+_CROSSING = re.compile(
+    r"\s*[Xx]\s*([(\[])" + r"\s*,".join([r"\s*([0-9]+)"] * 4) + r"\s*([)\]])\s*,?\s*"
+)
+_CLOSING = {"(": ")", "[": "]"}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _skip_space(text: str, pos: int) -> int:
+    return _SPACE.match(text, pos).end()
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _expect(text: str, pos: int, ch: str) -> int:
+    """The position after ch, read after whitespace, or PdSyntaxError."""
+    pos = _skip_space(text, pos)
+    if text[pos : pos + 1] != ch:
+        found = text[pos] if pos < len(text) else "end of input"
+        raise PdSyntaxError(f"expected {ch!r}, found {found!r}", pos)
+    return pos + 1
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise PdSyntaxError(f"expected {ch!r}, found {found!r}", self.pos)
-        self.pos += 1
 
-    def accept(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return True
-        return False
+def _quad(match: re.Match | None) -> tuple[int, int, int, int] | None:
+    """The labels of a _CROSSING match; None when there is no match, its
+    brackets differ, or a label is longer than int() reads."""
+    if match is None or _CLOSING[match[1]] != match[6]:
+        return None
+    a, b, c, d = match.group(2, 3, 4, 5)
+    try:
+        return int(a), int(b), int(c), int(d)
+    except ValueError:  # longer than the interpreter's int-string limit
+        return None
 
-    def integer(self) -> int:
-        self.skip_ws()
-        match = _DIGITS.match(self.text, self.pos)
+
+def _read_crossing(text: str, pos: int) -> tuple[tuple[int, ...], int]:
+    """The crossing at pos read one token at a time, and the position after
+    its comma and whitespace; raises PdSyntaxError at the first token that
+    is wrong or missing. parse_pd reads the crossings _quad refuses this
+    way, so that every error names its position."""
+    pos = _skip_space(text, pos)
+    if text[pos : pos + 1].upper() != "X":
+        raise PdSyntaxError("expected a crossing 'X'", pos)
+    pos = _skip_space(text, pos + 1)
+    opening = text[pos : pos + 1]
+    if opening not in _CLOSING:
+        if opening:
+            raise PdSyntaxError("expected '(' or '[' after 'X'", pos)
+        # an X that ends the input: the label is looked for one past the end
+        raise PdSyntaxError("expected an edge label", pos + 1)
+    pos += 1
+    quad = []
+    for i in range(4):
+        if i:
+            pos = _expect(text, pos, ",")
+        pos = _skip_space(text, pos)
+        match = _DIGITS.match(text, pos)
         if match is None:
-            raise PdSyntaxError("expected an edge label", self.pos)
-        self.pos = match.end()
+            raise PdSyntaxError("expected an edge label", pos)
         try:
-            return int(match.group())
+            quad.append(int(match.group()))
         except ValueError:  # longer than the interpreter's int-string limit
-            raise PdSyntaxError("edge label too long", match.start()) from None
+            raise PdSyntaxError("edge label too long", pos) from None
+        pos = match.end()
+    pos = _expect(text, pos, _CLOSING[opening])
+    pos = _skip_space(text, pos)
+    if text[pos : pos + 1] == ",":
+        pos = _skip_space(text, pos + 1)
+    return tuple(quad), pos
 
 
 def parse_pd(text: str) -> PdCode:
-    """Parse a PD code; raises PdSyntaxError / PdInvariantError."""
-    sc = _Scanner(text)
-    wrapped = False
-    sc.skip_ws()
-    if sc.text[sc.pos : sc.pos + 2].upper() == "PD":
-        sc.pos += 2
-        sc.expect("[")
-        wrapped = True
+    """Parse a PD code; raises PdSyntaxError / PdInvariantError.
+
+    Each crossing is one match of _CROSSING. A crossing it does not match,
+    whose brackets differ or with a label too long for int() is read again
+    token by token, which raises the error with its position.
+    """
+    end = len(text)
+    pos = _skip_space(text, 0)
+    wrapped = text[pos : pos + 2].upper() == "PD"
+    if wrapped:
+        pos = _expect(text, pos + 2, "[")
     quads = []
     while True:
-        sc.skip_ws()
-        if sc.text[sc.pos : sc.pos + 1].upper() != "X":
-            raise PdSyntaxError("expected a crossing 'X'", sc.pos)
-        sc.pos += 1
-        open_ch = sc.peek()
-        if open_ch not in "([":
-            raise PdSyntaxError("expected '(' or '[' after 'X'", sc.pos)
-        sc.pos += 1
-        close_ch = ")" if open_ch == "(" else "]"
-        quad = []
-        for i in range(4):
-            if i:
-                sc.expect(",")
-            quad.append(sc.integer())
-        sc.expect(close_ch)
-        quads.append(tuple(quad))
-        sc.accept(",")
-        nxt = sc.peek()
-        if nxt == "" or (wrapped and nxt == "]"):
+        match = _CROSSING.match(text, pos)
+        quad = _quad(match)
+        if quad is None:
+            quad, pos = _read_crossing(text, pos)
+        else:
+            pos = match.end()
+        quads.append(quad)
+        if pos == end or (wrapped and text[pos] == "]"):
             break
     if wrapped:
-        sc.expect("]")
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise PdSyntaxError("trailing input", sc.pos)
+        pos = _expect(text, pos, "]")
+    pos = _skip_space(text, pos)
+    if pos != end:
+        raise PdSyntaxError("trailing input", pos)
     return PdCode(tuple(quads))
 
 

@@ -5,7 +5,10 @@ over-arc color equals the sum of the two under-arc colors at each crossing.
 The crossing matrix C' encodes these relations with one row per crossing
 and one column per arc; deleting a base row and column gives the reduced
 matrix C whose |det| is the diagram determinant and whose cokernel is the
-reduced coloring group.
+reduced coloring group. Both are built as sparse rows straight from the
+diagram's crossing arcs, at most three nonzeros a row, and stay sparse
+through the determinant, the Smith form and its certificate; only
+crossing_matrix, for what is printed and for the tests, is dense.
 
 With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
@@ -33,7 +36,14 @@ from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from .diagram import Diagram
-from .linalg import IntMatrix, LinalgError, SnfDecomposition, determinant, smith_normal_form
+from .linalg import (
+    IntMatrix,
+    LinalgError,
+    SnfDecomposition,
+    SparseMatrix,
+    determinant,
+    smith_normal_form,
+)
 
 if TYPE_CHECKING:
     from .pseudo import PseudoColoring
@@ -121,46 +131,58 @@ class ColoringGroup:
 
 
 def crossing_matrix(d: Diagram) -> IntMatrix:
-    """C'(D): rows crossings, columns arcs, row 2*over - under_in - under_out."""
-    width = len(d.arcs)
-    rows = []
-    for over, under_in, under_out in d.crossing_arcs:
-        row = [0] * width
-        row[over] += 2
-        row[under_in] -= 1
-        row[under_out] -= 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    """C'(D), dense: rows crossings, columns arcs, row 2*over - under_in - under_out."""
+    return _crossing_rows(d).dense()
 
 
-def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntMatrix:
-    """C(D): the crossing matrix with the base row and column deleted.
-
-    base indexes an arc, default the last one; the row of the same index
-    goes with it, which matches moving the base to the end and dropping
-    the final row and column.
+def _crossing_rows(d: Diagram, base: int | None = None) -> SparseMatrix:
+    """C'(D) as one {arc: coefficient} dict per crossing, 2 at the over
+    arc and -1 at each under arc, summed where an arc repeats (a kink or a
+    loop) and zeros dropped; with a base arc, C(D): row and column base
+    left out, the later columns moved one to the left.
     """
-    return _reduced(c_prime, base)[0]
+    arcs = len(d.arcs)
+    if base is None:
+        column = range(arcs)
+    else:
+        column = [*range(base), -1, *range(base, arcs - 1)]
+    rows = []
+    for i, (over, under_in, under_out) in enumerate(d.crossing_arcs):
+        if i == base:
+            continue
+        if over != under_in and over != under_out and under_in != under_out:
+            row = {column[over]: 2, column[under_in]: -1, column[under_out]: -1}
+        else:
+            row = {}
+            for arc, x in ((over, 2), (under_in, -1), (under_out, -1)):
+                row[column[arc]] = row.get(column[arc], 0) + x
+            row = {j: x for j, x in row.items() if x}
+        row.pop(-1, None)
+        rows.append(row)
+    return SparseMatrix(len(rows), arcs - (base is not None), tuple(rows))
 
 
-def _reduced(c_prime: IntMatrix, base: int | None) -> tuple[IntMatrix, int]:
-    """C(D) and the base arc it drops, by default the last arc."""
-    if not c_prime.is_square:
+def _reduced(d: Diagram, base: int | None) -> tuple[SparseMatrix, int]:
+    """C(D) and the base arc it drops, by default the last arc; the row of
+    the same index goes with it, which matches moving the base to the end
+    and dropping the final row and column."""
+    arcs = len(d.arcs)
+    if len(d.crossings) != arcs:
         raise ZeroDeterminantError(
             "some component never passes under; the crossing matrix is not square"
         )
     if base is None:
-        base = c_prime.rows - 1
-    if not 0 <= base < c_prime.rows:
-        raise ColoringError(f"base arc {base} out of range for {c_prime.rows} arcs")
-    return c_prime.without_row_col(base, base), base
+        base = arcs - 1
+    if not 0 <= base < arcs:
+        raise ColoringError(f"base arc {base} out of range for {arcs} arcs")
+    return _crossing_rows(d, base), base
 
 
 def link_determinant(d: Diagram) -> int:
     """delta(D) = |det C(D)| at any base arc; 0 when the crossing matrix is
     not square."""
     try:
-        return abs(determinant(reduced_crossing_matrix(crossing_matrix(d))))
+        return abs(determinant(_reduced(d, None)[0]))
     except ZeroDeterminantError:
         return 0
 
@@ -206,8 +228,8 @@ class DistinguishingReport:
 
 
 class ColoringAnalysis:
-    """C(D) for one base arc and its Smith form U C V = D, factored once,
-    on first use.
+    """C(D) for one base arc, as sparse rows, and its Smith form U C V = D,
+    factored once, on first use.
 
     Everything else is a lazy field derived from that one certified
     factorization, read off U's rows and V's columns as the sparse loop
@@ -227,7 +249,7 @@ class ColoringAnalysis:
 
     def __init__(self, d: Diagram, base: int | None = None):
         self.diagram = d
-        self.c, self.base_arc = _reduced(crossing_matrix(d), base)
+        self.c, self.base_arc = _reduced(d, base)
         self.arc_count = len(d.arcs)
         self._built_columns: list[tuple[int, ...]] = []  # L mod n1, columns 0, 1, ...
 
@@ -520,7 +542,7 @@ def _coloring_box(d: Diagram, k: int) -> tuple[SnfDecomposition, list[int]]:
     gcd(0, k) = k), so the count is the product of the sides.
     """
     _require_modulus(k)
-    cprime = crossing_matrix(d)
+    cprime = _crossing_rows(d)
     snf = smith_normal_form(cprime)
     sides = [gcd(x, k) for x in snf.diagonal]
     sides.extend([k] * (cprime.cols - len(sides)))

@@ -5,21 +5,24 @@ derives C^(-1), the coloring group and the coloring counts from the one
 Smith form; the independent inverses the tests compare against live in
 the test suite.
 
-A reduced crossing matrix has at most three nonzeros a row, and all but a
-few of its pivots can be units. The Smith form is one sparse loop over
-rows and columns kept as dicts: it pivots on the smallest entry, +-1
-first and the least Markowitz cost first among equals (Markowitz 1957),
-with each row's least key cached and recomputed only where an entry or a
-column count changed, takes Euclid steps where no unit is left, and puts
-the few non-unit pivots into a divisor chain by gcd/lcm steps at the end.
-U and V stay sparse from start to finish: the decomposition keeps U's rows
-and V's columns as dicts, check_smith_form multiplies them as dicts, and
-the dense matrices are built only for the callers that ask for them. The
-determinant is computed apart from the Smith form, so that each certifies
-the other: sparse elimination on the same dict rows modulo primes just
-below 2^78, fewest-rows column first, joined by the Chinese remainder
-theorem until the product of the primes passes twice the Hadamard bound,
-which makes it exact.
+A crossing matrix has at most three nonzeros a row, so the library keeps
+it as a SparseMatrix, one {col: value} dict per row, from the diagram to
+the certificate; the dense IntMatrix is for what is printed and for the
+products the tests and the benchmark take. determinant, smith_normal_form
+and check_smith_form read either form as sparse rows. The Smith form is
+one sparse loop over rows and columns kept as dicts: it pivots on the
+smallest entry, +-1 first and the least Markowitz cost first among equals
+(Markowitz 1957), with each row's least key cached and recomputed only
+where an entry or a column count changed, takes Euclid steps where no
+unit is left, and puts the few non-unit pivots into a divisor chain by
+gcd/lcm steps at the end. U and V stay sparse from start to finish: the
+decomposition keeps U's rows and V's columns as dicts, check_smith_form
+multiplies them with A's rows as dicts, and the dense matrices are built
+only for the callers that ask for them. The determinant is computed apart
+from the Smith form, so that each certifies the other: sparse elimination
+on the same dict rows modulo primes just below 2^78, fewest-rows column
+first, joined by the Chinese remainder theorem until the product of the
+primes passes twice the Hadamard bound, which makes it exact.
 """
 from __future__ import annotations
 
@@ -62,10 +65,6 @@ class IntMatrix:
         # process that runs many commands grow with each one.
         return cls(n, m, tuple([x for r in rows for x in r]))
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -99,16 +98,12 @@ class IntMatrix:
             raise LinalgError(f"vector length {len(v)} != {self.cols}")
         return tuple([sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows)])
 
-    def without_row_col(self, i: int, j: int) -> IntMatrix:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        out = []
-        for r in range(self.rows):
-            if r != i:
-                row = self.row(r)
-                out += row[:j]
-                out += row[j + 1 :]
-        return IntMatrix(self.rows - 1, self.cols - 1, tuple(out))
+    def sparse(self) -> SparseMatrix:
+        return SparseMatrix(
+            self.rows,
+            self.cols,
+            tuple([{j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)]),
+        )
 
     def __str__(self) -> str:
         if not self.entries:
@@ -119,7 +114,48 @@ class IntMatrix:
         )
 
 
-def determinant(a: IntMatrix) -> int:
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Integer matrix kept as one {col: value} dict per row, zeros left out.
+
+    The dicts are shared, not copied: nothing that reads a SparseMatrix
+    changes them.
+    """
+
+    rows: int
+    cols: int
+    row_maps: tuple[dict[int, int], ...]
+
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise LinalgError("matrix dimensions must be nonnegative")
+        if len(self.row_maps) != self.rows:
+            raise LinalgError(f"expected {self.rows} rows, got {len(self.row_maps)}")
+        for i, row in enumerate(self.row_maps):
+            if not all(0 <= j < self.cols and x for j, x in row.items()):
+                raise LinalgError(f"row {i} has a zero or an index outside 0..{self.cols - 1}")
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def dense(self) -> IntMatrix:
+        cols = self.cols
+        entries = [0] * (self.rows * cols)
+        for i, row in enumerate(self.row_maps):
+            for j, x in row.items():
+                entries[i * cols + j] = x
+        return IntMatrix(self.rows, cols, tuple(entries))
+
+    def row_list(self) -> list[list[int]]:
+        return self.dense().row_list()
+
+
+def _sparse(a: IntMatrix | SparseMatrix) -> SparseMatrix:
+    return a if isinstance(a, SparseMatrix) else a.sparse()
+
+
+def determinant(a: IntMatrix | SparseMatrix) -> int:
     """Exact determinant by sparse elimination modulo primes, joined by CRT.
 
     By Hadamard's inequality |det A| is at most the product of the row
@@ -130,7 +166,7 @@ def determinant(a: IntMatrix) -> int:
     """
     if not a.is_square:
         raise LinalgError("determinant needs a square matrix")
-    rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+    rows = _sparse(a).row_maps
     bound = 4 * prod(sum(x * x for x in r.values()) for r in rows)
     residue, modulus, k = 0, 1, 0
     while modulus * modulus <= bound:
@@ -181,7 +217,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _det_mod(rows: list[dict], p: int) -> int:
+def _det_mod(rows, p: int) -> int:
     """det mod the prime p of the square matrix with sparse rows {col: x}.
 
     Each step pivots on a live column with the fewest live rows, taken
@@ -235,7 +271,7 @@ def _det_mod(rows: list[dict], p: int) -> int:
     return det % p
 
 
-def _column_index(rows: list[dict], cols: int) -> list[set]:
+def _column_index(rows, cols: int) -> list[set]:
     """in_col[j]: the set of rows holding a nonzero in column j."""
     in_col = [set() for _ in range(cols)]
     for i, r in enumerate(rows):
@@ -259,21 +295,6 @@ class SnfDecomposition:
     diagonal: tuple[int, ...]
     v_cols: tuple[dict, ...]
 
-    @classmethod
-    def from_dense(cls, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfDecomposition:
-        """The decomposition with dense factors; raises LinalgError when D
-        has a nonzero entry off the diagonal."""
-        off = [(i, j) for i in range(d.rows) for j in range(d.cols) if i != j and d.at(i, j)]
-        if off:
-            raise LinalgError(f"Smith form D has a nonzero entry off the diagonal at {off[0]}")
-        return cls(
-            d.rows,
-            d.cols,
-            tuple({j: x for j, x in enumerate(u.row(i)) if x} for i in range(u.rows)),
-            tuple(d.at(i, i) for i in range(min(d.rows, d.cols))),
-            tuple({i: x for i, x in enumerate(v.col(k)) if x} for k in range(v.cols)),
-        )
-
     @cached_property
     def u(self) -> IntMatrix:
         n = len(self.u_rows)
@@ -291,7 +312,7 @@ class SnfDecomposition:
         return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v_cols))
 
 
-def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     """Smith normal form with transforms, nonnegative diagonal, zeros trailing.
 
     One sparse loop. Each pass pivots on the live entry x of least key
@@ -312,8 +333,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     v_a + v_b, -(t b / g) v_a + (s a / g) v_b on V, both of determinant 1.
     U's rows and V's columns go into the result as the dicts they are.
     """
+    a = _sparse(a)
     rows, cols = a.rows, a.cols
-    d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
+    d_rows = [dict(r) for r in a.row_maps]
     in_col = _column_index(d_rows, cols)
     u_rows = [{i: 1} for i in range(rows)]
     v_cols = [{j: 1} for j in range(cols)]
@@ -429,7 +451,7 @@ def _combine(f: int, x: dict, g: int, y: dict) -> dict:
     return out
 
 
-def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:
+def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None:
     """Certificate for a Smith form: D is a nonnegative divisor chain and
     U (A V) == D, computed exactly on U's rows and V's columns as dicts.
 
@@ -438,6 +460,7 @@ def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:
     Raises LinalgError naming the shapes when they do not fit A, or the
     first entry (i, j), in row-major order, that disagrees.
     """
+    a = _sparse(a)
     m, n = a.rows, a.cols
     u_rows, diag, v_cols = snf.u_rows, snf.diagonal, snf.v_cols
     if (len(u_rows), snf.rows, snf.cols, len(diag), len(v_cols)) != (m, m, n, min(m, n), n):
@@ -459,11 +482,10 @@ def check_smith_form(a: IntMatrix, snf: SnfDecomposition) -> None:
         for j, y in col.items():
             v_rows[j][k] = y
     av_rows = []
-    for t in range(m):
+    for row in a.row_maps:
         acc = {}
-        for j, x in enumerate(a.row(t)):
-            if x:
-                _add_scaled(acc, x, v_rows[j])
+        for j, x in row.items():
+            _add_scaled(acc, x, v_rows[j])
         av_rows.append(acc)
     for i, u_row in enumerate(u_rows):
         acc = [0] * n

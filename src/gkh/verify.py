@@ -6,9 +6,12 @@ coloring matrix mod n1, (b) every arc pair is separated by some column,
 and (c) s = number of invariant factors colorings built from the Smith
 form suffice to separate everything. Reports are total: hypotheses are
 recorded, the checks run regardless, and failures are listed rather than
-raised. Composite diagrams are checked against the direct sum of their
-summands' groups, and random_alternating_diagram draws the seeded inputs
-of `kh fuzz`.
+raised. verify_gkh builds the sparse reduced crossing matrix C once, from
+the diagram's crossing arcs, and the determinant and the Smith form both
+read it; no dense matrix is built. Composite diagrams are checked against
+the direct sum of their summands' groups, the Smith form of their
+invariant factors as sparse diagonal rows, and random_alternating_diagram
+draws the seeded inputs of `kh fuzz`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .coloring import (
     link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
-from .linalg import IntMatrix, LinalgError, determinant, smith_normal_form
+from .linalg import LinalgError, SparseMatrix, determinant, smith_normal_form
 from .pseudo import PseudoColoring
 
 
@@ -92,9 +95,9 @@ class VerificationReport:
         return self.inverse_pseudo_count == 0
 
 
-def hypotheses_of(d: Diagram, c: IntMatrix | None = None) -> Hypotheses:
-    """The theorems' hypotheses; c, the reduced crossing matrix at any base
-    arc, saves building it again for the determinant."""
+def hypotheses_of(d: Diagram, c: SparseMatrix | None = None) -> Hypotheses:
+    """The theorems' hypotheses; c, the sparse reduced crossing matrix at
+    any base arc, saves building it again for the determinant."""
     return Hypotheses(
         alternating=d.is_alternating,
         reduced=d.is_reduced,
@@ -202,9 +205,7 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
     for part in parts[1:]:
         total = connected_sum(total, part)
     analysis = ColoringAnalysis(total)
-    diagonal = IntMatrix.from_rows(
-        [[x if i == j else 0 for j in range(len(factors))] for i, x in enumerate(factors)]
-    )
+    diagonal = SparseMatrix(len(factors), len(factors), tuple([{i: x} for i, x in enumerate(factors)]))
     combined = smith_normal_form(diagonal).diagonal
     direct_sum = tuple(sorted((x for x in combined if x > 1), reverse=True))
     junction_pairs = total.junction_arc_pairs

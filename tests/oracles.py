@@ -5,19 +5,22 @@ library derives from its one Smith form per (diagram, base arc) by
 another route: Gauss-Jordan over the rationals, dense Bareiss
 elimination, block matrices, the left kernel of C'(D), gcds of minors, the
 dense smallest-pivot Smith form, the sparse Smith form's pivots found by
-scanning every live row, faces traced around a PD code, or plain
-enumeration: every assignment of colors, every arc pair compared on every
-column, every column subset tried in order.
+scanning every live row, faces traced around a PD code, a PD reader
+that steps one character at a time, or plain enumeration: every
+assignment of colors, every arc pair compared on every column, every
+column subset tried in order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from gkh.coloring import crossing_matrix
+from gkh.codec import PdCode, PdSyntaxError
+from gkh.coloring import ColoringError, ZeroDeterminantError, crossing_matrix
 from gkh.linalg import (
     IntMatrix,
     LinalgError,
@@ -31,6 +34,61 @@ from gkh.linalg import (
 )
 from gkh.pseudo import PseudoError
 from gkh.verify import VerifyError
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def snf_from_dense(u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfDecomposition:
+    """The decomposition with dense factors; raises LinalgError when D has
+    a nonzero entry off the diagonal."""
+    off = [(i, j) for i in range(d.rows) for j in range(d.cols) if i != j and d.at(i, j)]
+    if off:
+        raise LinalgError(f"Smith form D has a nonzero entry off the diagonal at {off[0]}")
+    return SnfDecomposition(
+        d.rows,
+        d.cols,
+        tuple({j: x for j, x in enumerate(u.row(i)) if x} for i in range(u.rows)),
+        tuple(d.at(i, i) for i in range(min(d.rows, d.cols))),
+        tuple({i: x for i, x in enumerate(v.col(k)) if x} for k in range(v.cols)),
+    )
+
+
+def without_row_col(a: IntMatrix, i: int, j: int) -> IntMatrix:
+    """a with row i and column j deleted."""
+    if not (0 <= i < a.rows and 0 <= j < a.cols):
+        raise IndexError(f"({i}, {j}) out of range for {a.rows}x{a.cols}")
+    out = []
+    for r in range(a.rows):
+        if r != i:
+            row = a.row(r)
+            out += row[:j]
+            out += row[j + 1 :]
+    return IntMatrix(a.rows - 1, a.cols - 1, tuple(out))
+
+
+def dense_crossing_matrix(d) -> IntMatrix:
+    """C'(D) entry by entry from each crossing's edges: 2 at the arc of the
+    over edge, -1 at the arc of each under edge, added where arcs meet."""
+    arcs = len(d.arcs)
+    entries = [0] * (len(d.crossings) * arcs)
+    for i, c in enumerate(d.crossings):
+        for edge, x in ((c.over_in, 2), (c.under_in, -1), (c.under_out, -1)):
+            entries[i * arcs + d.arc_of(edge)] += x
+    return IntMatrix(len(d.crossings), arcs, tuple(entries))
+
+
+def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntMatrix:
+    """C(D) from the dense C'(D): the base row and column deleted, base
+    the last arc by default."""
+    if not c_prime.is_square:
+        raise ZeroDeterminantError("the crossing matrix is not square")
+    if base is None:
+        base = c_prime.rows - 1
+    if not 0 <= base < c_prime.rows:
+        raise ColoringError(f"base arc {base} out of range for {c_prime.rows} arcs")
+    return without_row_col(c_prime, base, base)
 
 
 class SingularMatrixError(LinalgError):
@@ -190,8 +248,8 @@ def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     Its U and V are another valid choice than the library's."""
     rows, cols = a.rows, a.cols
     d = a.row_list()
-    u = IntMatrix.identity(rows).row_list()
-    v = IntMatrix.identity(cols).row_list()
+    u = identity(rows).row_list()
+    v = identity(cols).row_list()
 
     def add_row(i, j, q):
         d[i] = [x + q * y for x, y in zip(d[i], d[j])]
@@ -242,7 +300,7 @@ def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    res = SnfDecomposition.from_dense(
+    res = snf_from_dense(
         IntMatrix(rows, rows, tuple(x for r in u for x in r)),
         IntMatrix(rows, cols, tuple(x for r in d for x in r)),
         IntMatrix(cols, cols, tuple(x for r in v for x in r)),
@@ -328,7 +386,7 @@ def full_scan_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     for k, j in enumerate(col_order):
         for i, x in v_cols[j].items():
             v[i * cols + k] = x
-    res = SnfDecomposition.from_dense(
+    res = snf_from_dense(
         IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
         IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
         IntMatrix(cols, cols, tuple(v)),
@@ -488,3 +546,84 @@ def minimum_cover(masks, pair_count):
             if acc == full:
                 return size, combo
     return None, ()
+
+
+class _Scanner:
+    """One character at a time over PD text, whitespace skipped before every token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
+            raise PdSyntaxError(f"expected {ch!r}, found {found!r}", self.pos)
+        self.pos += 1
+
+    def accept(self, ch: str) -> bool:
+        self.skip_ws()
+        if self.pos < len(self.text) and self.text[self.pos] == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def integer(self) -> int:
+        self.skip_ws()
+        match = re.compile(r"[0-9]+").match(self.text, self.pos)
+        if match is None:
+            raise PdSyntaxError("expected an edge label", self.pos)
+        self.pos = match.end()
+        try:
+            return int(match.group())
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise PdSyntaxError("edge label too long", match.start()) from None
+
+
+def scanner_parse_pd(text: str) -> PdCode:
+    """parse_pd by the character scanner: the same language, errors and
+    positions as the library's one-match-per-crossing reader."""
+    sc = _Scanner(text)
+    wrapped = False
+    sc.skip_ws()
+    if sc.text[sc.pos : sc.pos + 2].upper() == "PD":
+        sc.pos += 2
+        sc.expect("[")
+        wrapped = True
+    quads = []
+    while True:
+        sc.skip_ws()
+        if sc.text[sc.pos : sc.pos + 1].upper() != "X":
+            raise PdSyntaxError("expected a crossing 'X'", sc.pos)
+        sc.pos += 1
+        open_ch = sc.peek()
+        if open_ch not in "([":
+            raise PdSyntaxError("expected '(' or '[' after 'X'", sc.pos)
+        sc.pos += 1
+        close_ch = ")" if open_ch == "(" else "]"
+        quad = []
+        for i in range(4):
+            if i:
+                sc.expect(",")
+            quad.append(sc.integer())
+        sc.expect(close_ch)
+        quads.append(tuple(quad))
+        sc.accept(",")
+        nxt = sc.peek()
+        if nxt == "" or (wrapped and nxt == "]"):
+            break
+    if wrapped:
+        sc.expect("]")
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise PdSyntaxError("trailing input", sc.pos)
+    return PdCode(tuple(quads))

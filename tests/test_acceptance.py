@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+import gkh.coloring
 from gkh.coloring import (
     coloring_group,
     coloring_matrix,
@@ -22,7 +23,6 @@ from gkh.coloring import (
     distinguishing_report,
     enumerate_colorings,
     link_determinant,
-    reduced_crossing_matrix,
 )
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.linalg import IntMatrix, determinant, smith_normal_form
@@ -32,9 +32,11 @@ from oracles import (
     brute_force_coloring_count,
     permuted,
     rational_inverse,
+    reduced_crossing_matrix,
     reduced_mod,
     scaled_inverse,
     transpose,
+    without_row_col,
 )
 
 
@@ -206,7 +208,7 @@ CONWAY_CPRIME = IntMatrix.from_rows(
 def integral_column_types(cprime: IntMatrix) -> list[tuple[int, int]]:
     """(column, epsilon) for each integral inverse column, base arc last."""
     n = cprime.rows
-    c = cprime.without_row_col(n - 1, n - 1)
+    c = without_row_col(cprime, n - 1, n - 1)
     inverse = rational_inverse(c)
     out = []
     for j in range(n - 1):
@@ -294,4 +296,25 @@ def test_criterion_10_oracle_equivalence():
     report(
         f"criterion 10 PASS: brute force equals the Smith-form count of C' on "
         f"{len(small)} fixtures; Smith form self-check on 500 matrices"
+    )
+
+
+def test_criterion_11_no_dense_crossing_matrix_on_the_compute_path(monkeypatch):
+    def refuse(d):
+        raise AssertionError("the dense crossing matrix was built")
+
+    monkeypatch.setattr(gkh.coloring, "crossing_matrix", refuse)
+    checked = []
+    for name in fixture_names():
+        d = fixture_diagram(name)
+        e = fixture(name)
+        assert link_determinant(d) == e.determinant, name
+        if e.determinant:
+            assert coloring_group(d).invariant_factors == e.factors, name
+            assert verify_gkh(d).group.invariant_factors == e.factors, name
+            assert distinguishing_report(d).modulus == max(e.factors, default=1), name
+            checked.append(name)
+    report(
+        f"criterion 11 PASS: determinant on {len(fixture_names())} fixtures, group, "
+        f"verify and report on {len(checked)}, with no dense crossing matrix"
     )

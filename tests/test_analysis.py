@@ -24,9 +24,12 @@ import gkh
 import gkh.verify
 from gkh.coloring import (
     ColoringAnalysis,
+    ColoringError,
     ZeroDeterminantError,
+    _crossing_rows,
     coloring_group,
     coloring_matrix,
+    crossing_matrix,
     link_determinant,
 )
 from gkh.codec import BraidWord
@@ -36,13 +39,23 @@ from gkh.linalg import (
     IntMatrix,
     LinalgError,
     SnfDecomposition,
+    SparseMatrix,
     check_smith_form,
     determinant,
     smith_normal_form,
 )
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import bareiss_determinant, rational_inverse, reduced_mod, scaled_inverse
+from oracles import (
+    bareiss_determinant,
+    dense_crossing_matrix,
+    identity,
+    rational_inverse,
+    reduced_crossing_matrix,
+    reduced_mod,
+    scaled_inverse,
+    snf_from_dense,
+)
 
 MODULES = [
     importlib.import_module(f"gkh.{m}")
@@ -53,7 +66,7 @@ MODULES = [
 def oracle_pseudos(d, base):
     """Pseudo colorings from the integral columns of the Fraction inverse."""
     analysis = ColoringAnalysis(d, base)
-    inverse = rational_inverse(analysis.c)
+    inverse = rational_inverse(analysis.c.dense())
     found = []
     for j in range(analysis.c.cols):
         entries = [row[j] for row in inverse]
@@ -70,8 +83,8 @@ def oracle_pseudos(d, base):
 def assert_matches_oracles(d, base=None):
     analysis = ColoringAnalysis(d, base)
     n1 = analysis.modulus
-    assert determinant(analysis.c) == bareiss_determinant(analysis.c)
-    oracle_l = scaled_inverse(analysis.c, n1)
+    assert determinant(analysis.c) == bareiss_determinant(analysis.c.dense())
+    oracle_l = scaled_inverse(analysis.c.dense(), n1)
     assert analysis.l_mod == reduced_mod(oracle_l, n1)  # built before l, from the s factors
     assert analysis.l == oracle_l
     assert analysis.inverse_pseudos == oracle_pseudos(d, base)
@@ -99,7 +112,7 @@ def test_families_match_oracles(d):
 
 def test_kink_is_empty_with_modulus_one():
     analysis = ColoringAnalysis(fixture_diagram("kink"))
-    assert analysis.c == IntMatrix(0, 0, ())
+    assert analysis.c.dense() == IntMatrix(0, 0, ())
     assert analysis.modulus == 1
     assert analysis.l == IntMatrix(0, 0, ())
     assert analysis.extended_rows() == ((),)
@@ -127,6 +140,49 @@ def mixed_braids():
             ),
         )
     )
+
+
+def same_factors(a, b):
+    """The Smith forms of a and b pick the same pivots: the same diagonal, U and V."""
+    x, y = smith_normal_form(a), smith_normal_form(b)
+    return (x.diagonal, x.u_rows, x.v_cols) == (y.diagonal, y.u_rows, y.v_cols)
+
+
+def assert_sparse_rows_match_the_dense_matrix(d):
+    """At every base arc, the sparse C is the dense oracle's C entry for
+    entry, with the Bareiss determinant and the dense input's Smith form;
+    C' is checked the same way."""
+    cprime = dense_crossing_matrix(d)
+    assert crossing_matrix(d) == cprime
+    sparse_cprime = _crossing_rows(d)
+    assert isinstance(sparse_cprime, SparseMatrix) and sparse_cprime.dense() == cprime
+    assert same_factors(sparse_cprime, cprime)
+    for base in range(len(d.arcs)):
+        try:
+            expected = reduced_crossing_matrix(cprime, base)
+        except ColoringError as err:  # C' is not square
+            with pytest.raises(type(err)):
+                ColoringAnalysis(d, base)
+            continue
+        c = ColoringAnalysis(d, base).c
+        assert isinstance(c, SparseMatrix) and c.dense() == expected, base
+        assert determinant(c) == bareiss_determinant(expected), base
+        assert same_factors(c, expected), base
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_sparse_rows_match_the_dense_matrix(name):
+    # kink, hopf and split among them: an arc that repeats in a row, and a
+    # zero determinant
+    assert_sparse_rows_match_the_dense_matrix(fixture_diagram(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_braids())
+def test_random_mixed_sign_sparse_rows_match_the_dense_matrix(braid):
+    strands, letters = braid
+    assume({abs(x) for x in letters} == set(range(1, strands)))  # no bare circle
+    assert_sparse_rows_match_the_dense_matrix(braid_closure(BraidWord(strands, tuple(letters))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,8 +257,13 @@ def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
 
 
 def test_verify_builds_one_crossing_matrix_and_one_determinant(monkeypatch):
-    calls = {"crossing_matrix": 0, "determinant": 0}
-    for module, name in ((gkh.coloring, "crossing_matrix"), (gkh.verify, "determinant")):
+    # the one build is the sparse C; the dense crossing_matrix is never called
+    calls = {"_crossing_rows": 0, "crossing_matrix": 0, "determinant": 0}
+    for module, name in (
+        (gkh.coloring, "_crossing_rows"),
+        (gkh.coloring, "crossing_matrix"),
+        (gkh.verify, "determinant"),
+    ):
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
@@ -211,7 +272,7 @@ def test_verify_builds_one_crossing_matrix_and_one_determinant(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     report = verify_gkh(turks_head(6))
-    assert calls == {"crossing_matrix": 1, "determinant": 1}
+    assert calls == {"_crossing_rows": 1, "crossing_matrix": 0, "determinant": 1}
     assert report.hypotheses.determinant == 320
 
 
@@ -232,7 +293,7 @@ def test_corrupted_u_fails_the_certificate():
     snf = smith_normal_form(c)
     entries = list(snf.u.entries)
     entries[0] += 1
-    bad = SnfDecomposition.from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    bad = snf_from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
     with pytest.raises(LinalgError):
         check_smith_form(c, bad)
     check_smith_form(c, snf)
@@ -241,9 +302,8 @@ def test_corrupted_u_fails_the_certificate():
 def test_certificate_rejects_an_off_diagonal_d():
     # U A V = D holds here; only the shape of D is wrong
     a = IntMatrix.from_rows([[1, 1], [0, 1]])
-    identity = IntMatrix.identity(2)
     with pytest.raises(LinalgError, match=r"off the diagonal at \(0, 1\)"):
-        check_smith_form(a, SnfDecomposition.from_dense(identity, a, identity))
+        check_smith_form(a, snf_from_dense(identity(2), a, identity(2)))
 
 
 def tampered(snf, where, k, t, delta):
@@ -278,7 +338,7 @@ def test_tampered_factor_fails_the_sparse_certificate(name, where, at_nonzero, d
     t = data.draw(st.sampled_from(positions))
     bad = tampered(snf, where, k, t, delta)
     # C is invertible, so the change moves U C V; the oracle names where
-    product = bad.u @ c @ bad.v
+    product = bad.u @ c.dense() @ bad.v
     first = next(i for i, (x, y) in enumerate(zip(product.entries, bad.d.entries)) if x != y)
     i, j = divmod(first, product.cols)
     with pytest.raises(LinalgError, match=rf"fails at \({i}, {j}\)"):
@@ -309,19 +369,20 @@ def test_sparse_certificate_survives_optimize_flag():
 
 def test_certificate_rejects_a_non_smith_diagonal():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    identity = IntMatrix.identity(2)
     with pytest.raises(LinalgError):
-        check_smith_form(a, SnfDecomposition.from_dense(identity, a, identity))
+        check_smith_form(a, snf_from_dense(identity(2), a, identity(2)))
 
 
 def run_fresh(code, *flags):
-    """stdout of code run in a fresh interpreter with the given flags."""
+    """stdout of code run in a fresh interpreter with the given flags; the
+    package and the tests' oracles are importable."""
     src = Path(gkh.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
     out = subprocess.run(
         [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
     return out.stdout.strip()
@@ -337,10 +398,11 @@ def test_checks_survive_optimize_flag():
     # under python -O a failing assert would vanish; the certificate must not
     code = (
         "from gkh.linalg import *\n"
+        "from oracles import identity, snf_from_dense\n"
         "a = IntMatrix.from_rows([[2, 0], [0, 3]])\n"
-        "i = IntMatrix.identity(2)\n"
+        "i = identity(2)\n"
         "try:\n"
-        "    check_smith_form(a, SnfDecomposition.from_dense(i, a, i))\n"
+        "    check_smith_form(a, snf_from_dense(i, a, i))\n"
         "except LinalgError:\n"
         "    print('raised')\n"
     )
@@ -354,7 +416,7 @@ def tampered_v_analysis(name):
     i = snf.diagonal.index(analysis.modulus)
     entries = list(snf.v.entries)
     entries[i] += 1  # row 0, column i
-    analysis.snf = SnfDecomposition.from_dense(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
+    analysis.snf = snf_from_dense(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
     return analysis
 
 
@@ -379,7 +441,7 @@ def test_tampered_u_fails_the_exact_inverse_column_check():
     snf = analysis.snf
     entries = list(snf.u.entries)
     entries[0] += 1
-    analysis.snf = SnfDecomposition.from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    analysis.snf = snf_from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
     assert not any(map(any, analysis.extended_rows()))
     with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
         analysis.inverse_pseudos
@@ -431,6 +493,7 @@ def test_fox_check_on_l_mod_survives_optimize_flag():
         "from gkh.coloring import ColoringAnalysis\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
+        "from oracles import snf_from_dense\n"
         f"{inspect.getsource(tampered_v_analysis)}\n"
         "try:\n"
         "    tampered_v_analysis('7_7').l_mod\n"
@@ -447,7 +510,7 @@ def doubled_smith_form(a):
     def doubled(m):
         return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
 
-    return SnfDecomposition.from_dense(doubled(snf.u), doubled(snf.d), snf.v)
+    return snf_from_dense(doubled(snf.u), doubled(snf.d), snf.v)
 
 
 def test_non_unimodular_transform_fails_verify(monkeypatch):
@@ -464,6 +527,7 @@ def test_unimodularity_check_survives_optimize_flag():
         "import gkh.coloring\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
+        "from oracles import snf_from_dense\n"
         "from gkh.verify import verify_gkh\n"
         f"{inspect.getsource(doubled_smith_form)}\n"
         "gkh.coloring.smith_normal_form = doubled_smith_form\n"

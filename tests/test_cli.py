@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import gkh.cli
+import gkh.coloring
 from gkh.cli import build_parser, main
-from gkh.coloring import crossing_matrix, is_fox_coloring, reduced_crossing_matrix
+from gkh.coloring import crossing_matrix, is_fox_coloring
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import reduced_mod, scaled_inverse
+from oracles import reduced_crossing_matrix, reduced_mod, scaled_inverse
 
 
 def run(capsys, *argv):
@@ -75,6 +76,27 @@ def test_matrix_l_and_lmod_print_the_oracle_inverse(capsys, name):
         code, out, _ = run(capsys, "matrix", "--name", name, "--which", which)
         assert code == 0
         assert out == f"{matrix}\n"
+
+
+def test_matrix_c_and_lmod_build_no_exact_column(capsys, monkeypatch):
+    # only --which l needs exact columns of L; c and lmod print the same
+    # with the exact column refused
+    argvs = [
+        ["matrix", "--name", name, "--which", which, *json]
+        for name in fixture_names()
+        if fixture(name).determinant
+        for which in ("c", "lmod")
+        for json in ([], ["--json"])
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(self, j):
+        raise AssertionError(f"exact column {j} of L was built")
+
+    monkeypatch.setattr(gkh.coloring.ColoringAnalysis, "_exact_column", refuse)
+    for argv, before in zip(argvs, expected):
+        assert before[0] == 0
+        assert run(capsys, *argv) == before, argv
 
 
 def test_colorings_enumeration(capsys):

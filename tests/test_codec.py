@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkh.codec import (
@@ -14,6 +14,8 @@ from gkh.codec import (
     parse_pd,
     serialize_pd,
 )
+from gkh.fixtures import fixture_diagram, fixture_names
+from oracles import scanner_parse_pd
 
 
 @st.composite
@@ -67,6 +69,63 @@ def test_parse_pd_refuses_a_label_past_the_int_string_limit():
     with pytest.raises(PdSyntaxError) as exc:
         parse_pd("PD[X(1,2,3," + "1" * 5000 + ")]")
     assert exc.value.position == 11 and "too long" in str(exc.value)
+
+
+# what PD text is made of, and what it must refuse: other scripts' digits
+# and spaces, a sign, an underscore, a semicolon
+_PD_CHARS = "XxPpDd()[],0123456789 \t\n\u00a0\u2003\u00b2\u0665_-+;"
+_PD_SPACE = st.sampled_from(["", "", "", " ", "\t", "\n ", "\u00a0"])
+_FIXTURE_QUADS = [fixture_diagram(n).to_pd().crossings for n in fixture_names()]
+
+
+@st.composite
+def pd_texts(draw):
+    """PD text in any spelling parse_pd accepts, then a few characters
+    inserted, deleted or replaced and the text perhaps cut short."""
+    quads = draw(
+        st.one_of(
+            st.sampled_from(_FIXTURE_QUADS),
+            st.lists(st.tuples(*[st.integers(0, 12)] * 4), min_size=1, max_size=4),
+        )
+    )
+    crossings = []
+    for quad in quads:
+        opening, closing = draw(st.sampled_from(["()", "[]"]))
+        tokens = [draw(st.sampled_from("Xx")), opening]
+        for k, label in enumerate(quad):
+            tokens += [","] * bool(k) + [str(label)]
+        tokens.append(closing)
+        crossings.append("".join(draw(_PD_SPACE) + t for t in tokens))
+    body = "".join(c + draw(st.sampled_from(["", ",", " , ", ",\n"])) for c in crossings)
+    head = draw(st.sampled_from(["", "PD[", "pd[", "Pd [", " PD\t["]))
+    text = head + body + ("]" if head else "") + draw(_PD_SPACE)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(["", "", *_PD_CHARS]))
+        text = text[:at] + new + text[at + draw(st.integers(0, 1)) :]
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+def parse_outcome(parse, text):
+    """The PdCode parse returns, or the type, message and position it raises."""
+    try:
+        return parse(text)
+    except (PdSyntaxError, PdInvariantError) as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pd_texts())
+@example("X")
+@example("PD[X")
+@example("X(1,2,3,4]")
+@example("PD[X(1,2,3," + "1" * 5000 + ")]")
+@example("PD[X(1,2,3," + "1" * 5000 + "]]")
+@example("X(1,5,2,4)X(3,1,4,6),X(5,3,6,2)")
+@example("PD[X(1,3,2,4),X(3,1,4,2)] junk")
+def test_parse_pd_matches_the_character_scanner(text):
+    # the same PdCode, or the same error at the same position
+    assert parse_outcome(parse_pd, text) == parse_outcome(scanner_parse_pd, text)
 
 
 def test_pd_label_validation():

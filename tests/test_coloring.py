@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkh.codec import parse_braid
 from gkh.coloring import (
     ColoringAnalysis,
     ColoringError,
@@ -18,8 +19,8 @@ from gkh.coloring import (
     enumerate_colorings,
     is_fox_coloring,
     link_determinant,
-    reduced_crossing_matrix,
 )
+from gkh.diagram import braid_closure
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.linalg import IntMatrix, determinant
 from gkh.verify import random_alternating_diagram, verify_gkh
@@ -117,11 +118,7 @@ def test_fixture_determinants_and_groups():
 
 def test_determinant_ignores_base_choice():
     d = fixture_diagram("7_7")
-    cprime = crossing_matrix(d)
-    dets = {
-        abs(determinant(reduced_crossing_matrix(cprime, base)))
-        for base in range(len(d.arcs))
-    }
+    dets = {abs(determinant(ColoringAnalysis(d, base).c)) for base in range(len(d.arcs))}
     assert dets == {21}
 
 
@@ -132,22 +129,23 @@ def test_group_ignores_base_choice():
 
 
 def test_reduced_matrix_requires_square():
-    split = crossing_matrix(fixture_diagram("split"))
-    wide = IntMatrix.from_rows([[2, -1, -1]])
+    # in the closure of s1 s1^-1 one component passes only over: 2 crossings, 3 arcs
+    wide = braid_closure(parse_braid("1 -1"))
+    assert crossing_matrix(wide).row_list() == [[2, -1, -1], [2, -1, -1]]
     with pytest.raises(ColoringError):
-        reduced_crossing_matrix(wide)
+        ColoringAnalysis(wide)
+    assert link_determinant(wide) == 0
     # the split link is square but its determinant is zero
-    assert reduced_crossing_matrix(split).row_list() == [[0]]
+    assert ColoringAnalysis(fixture_diagram("split")).c.row_list() == [[0]]
     assert link_determinant(fixture_diagram("split")) == 0
 
 
 def test_reduced_matrix_base_range():
-    cp = crossing_matrix(TREFOIL)
-    assert reduced_crossing_matrix(cp, 0).row_list() == [[2, -1], [-1, 2]]
+    assert ColoringAnalysis(TREFOIL, 0).c.row_list() == [[2, -1], [-1, 2]]
     with pytest.raises(ColoringError):
-        reduced_crossing_matrix(cp, 3)
+        ColoringAnalysis(TREFOIL, 3)
     with pytest.raises(ColoringError):
-        reduced_crossing_matrix(cp, -1)
+        ColoringAnalysis(TREFOIL, -1)
 
 
 def test_zero_by_zero_determinant_is_one():
@@ -229,7 +227,7 @@ def test_crossing_rows_sum_to_zero(index):
 def test_l_matrix_inverts_c(index):
     d = property_diagram(index)
     cm = coloring_matrix(d)
-    product = cm.c @ cm.l
+    product = cm.c.dense() @ cm.l
     n1 = cm.modulus
     size = cm.c.rows
     assert product == IntMatrix.from_rows(

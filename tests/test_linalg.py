@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gkh.linalg
 from gkh.codec import BraidWord
-from gkh.coloring import crossing_matrix, reduced_crossing_matrix
+from gkh.coloring import crossing_matrix
 from gkh.diagram import braid_closure, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
@@ -28,12 +28,16 @@ from oracles import (
     block_diag,
     determinantal_divisors,
     full_scan_smith_normal_form,
+    identity,
     laplace_determinant,
     permuted,
     rational_inverse,
+    reduced_crossing_matrix,
     reduced_mod,
     scaled_inverse,
+    snf_from_dense,
     transpose,
+    without_row_col,
 )
 
 
@@ -201,20 +205,20 @@ def test_snf_of_a_matrix_with_no_rows(cols):
     snf = smith_normal_form(a)
     assert (snf.d.rows, snf.d.cols) == (0, cols)
     assert snf.u == IntMatrix(0, 0, ())
-    assert snf.v == IntMatrix.identity(cols)
+    assert snf.v == identity(cols)
     assert snf.diagonal == ()
 
 
 def test_certificate_names_both_shapes_on_a_mismatch():
     a = IntMatrix(0, 3, ())
     # the shape the Smith form used to give a 0x3 matrix
-    bad = SnfDecomposition.from_dense(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), IntMatrix.identity(3))
+    bad = snf_from_dense(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), identity(3))
     with pytest.raises(LinalgError, match=r"A \(0x3\).*D is 0x0"):
         check_smith_form(a, bad)
     b = IntMatrix.from_rows([[1, 2], [3, 4]])
     snf = smith_normal_form(b)
     with pytest.raises(LinalgError, match=r"A \(2x2\): U is 3x3"):
-        check_smith_form(b, SnfDecomposition.from_dense(IntMatrix.identity(3), snf.d, snf.v))
+        check_smith_form(b, snf_from_dense(identity(3), snf.d, snf.v))
 
 
 def test_certificate_rejects_an_index_outside_the_matrix():
@@ -239,7 +243,7 @@ def test_without_row_col_drops_one_row_and_column(m):
             expected = [
                 [m.at(r, c) for c in range(m.cols) if c != j] for r in range(m.rows) if r != i
             ]
-            got = m.without_row_col(i, j)
+            got = without_row_col(m, i, j)
             assert (got.rows, got.cols) == (m.rows - 1, m.cols - 1)
             assert got.row_list() == expected
 
@@ -257,7 +261,7 @@ def test_matrix_accessors():
     assert m.row(0) == (1, 2, 3)
     assert m.col(1) == (2, 5)
     assert transpose(m) == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
-    assert m.without_row_col(0, 1) == IntMatrix.from_rows([[4, 6]])
+    assert without_row_col(m, 0, 1) == IntMatrix.from_rows([[4, 6]])
     assert reduced_mod(m, 4) == IntMatrix.from_rows([[1, 2, 3], [0, 1, 2]])
     with pytest.raises(IndexError):
         m.at(2, 0)
@@ -267,7 +271,7 @@ def test_matmul_and_identity():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
-    assert a @ IntMatrix.identity(2) == a
+    assert a @ identity(2) == a
     assert a.mul_vector((1, -1)) == (-1, -1)
 
 
