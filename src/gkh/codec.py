@@ -136,10 +136,7 @@ def _read_crossing(text: str, pos: int) -> tuple[tuple[int, ...], int]:
     pos = _skip_space(text, pos + 1)
     opening = text[pos : pos + 1]
     if opening not in _CLOSING:
-        if opening:
-            raise PdSyntaxError("expected '(' or '[' after 'X'", pos)
-        # an X that ends the input: the label is looked for one past the end
-        raise PdSyntaxError("expected an edge label", pos + 1)
+        raise PdSyntaxError("expected '(' or '[' after 'X'", pos)
     pos += 1
     quad = []
     for i in range(4):

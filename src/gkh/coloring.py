@@ -14,21 +14,20 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one certified Smith form: L mod n1 as a
-stream of columns, each built from the s non-unit factors alone when it
-is first read, and an exact column of L only where one is asked for.
-Every column is checked at the crossings before it is read: mod n1 by
-the Fox relation, exactly by C col = n1 e_j. The report stops reading at
-the first perfect column; which columns of C^(-1) are integral is read
-off U's s non-unit rows, not off the columns. The determinant alone comes
-from linalg.determinant and never factors; verify_gkh takes it from the
-same C the analysis factors.
+derives all of this from that one certified Smith form: one table of
+its s non-unit factors gives the minimal set, the class of each e_j in
+coker C (0 exactly for the integral columns of C^(-1)) and column j of
+L mod n1, built by index when first read. An exact column of L is built
+only where one is asked for. Every column is checked at the crossings
+before it is read: mod n1 by the Fox relation, exactly by C col = n1
+e_j. The report stops reading at the first perfect column. The
+determinant alone comes from linalg.determinant and never factors;
+verify_gkh takes it from the same C the analysis factors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
@@ -234,17 +233,16 @@ class ColoringAnalysis:
     Everything else is a lazy field derived from that one certified
     factorization, read off U's rows and V's columns as the sparse loop
     left them; no dense U, D or V is built. With D = diag(d_i): the group
-    is the d_i > 1, and the scaled columns (n1/d_i) V[:, i] mod n1 of the
-    d_i > 1 are the minimal distinguishing set and the terms of L mod n1.
-    L mod n1 is a stream of columns, one Fox n1-coloring of every arc
-    each, built and checked in order on first read and kept in one list;
-    the report reads it up to the first perfect column when there is one,
+    is the d_i > 1, and _factors, one table of them, gives the minimal
+    distinguishing set, the class of each e_j in coker C, whether column
+    j of C^(-1) is integral (the class is 0) and column j of L mod n1.
+    Those columns, one Fox n1-coloring of every arc each, are built
+    and checked in index order on first read and kept in one list; the
+    report reads them up to the first perfect column when there is one,
     while perfect_columns, l_mod and extended_rows read every column.
     Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone and
-    checked against C col = n1 e_j; l is every such column. Column j of
-    C^(-1) is integral exactly when e_j is 0 in coker C = + Z_{d_i}, that
-    is when d_i divides U[i, j] for every d_i > 1, and it is then column j
-    of L divided by n1.
+    checked against C col = n1 e_j; l is every such column, and an
+    integral column of C^(-1) is one of them divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -252,6 +250,7 @@ class ColoringAnalysis:
         self.c, self.base_arc = _reduced(d, base)
         self.arc_count = len(d.arcs)
         self._built_columns: list[tuple[int, ...]] = []  # L mod n1, columns 0, 1, ...
+        self._zero_column = (0,) * self.arc_count  # shared by the columns with a zero class
 
     @cached_property
     def snf(self) -> SnfDecomposition:
@@ -274,6 +273,10 @@ class ColoringAnalysis:
         columns = [self._exact_column(j) for j in range(n)]
         return IntMatrix(n, n, tuple([col[k] for k in range(n) for col in columns]))
 
+    def _on_arcs(self, values: list[int]) -> list[int]:
+        """values, given on the arcs but the base arc, with 0 put in there."""
+        return [*values[: self.base_arc], 0, *values[self.base_arc :]]
+
     def _exact_column(self, j: int) -> list[int]:
         """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i].
 
@@ -289,78 +292,77 @@ class ColoringAnalysis:
             if f:
                 for k, y in v_col.items():
                     lift[k] += f * y
-        colors = lift[:]
-        colors.insert(self.base_arc, 0)
-        image = list(_crossing_defects(self.diagram, colors))
+        image = list(_crossing_defects(self.diagram, self._on_arcs(lift)))
         del image[self.base_arc]
         if any(x != n1 * (i == j) for i, x in enumerate(image)):
             raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
         return lift
 
     @cached_property
-    def l_mod(self) -> IntMatrix:
-        n, base = self.c.cols, self.base_arc
-        columns = list(self._column_stream())
-        entries = [col[k] for k in range(self.arc_count) if k != base for col in columns]
-        return IntMatrix(n, n, tuple(entries))
+    def _factors(self) -> tuple[tuple[int, int, dict, list[int]], ...]:
+        """(d_i, i, U[i, :], (n1 / d_i) V[:, i] mod n1 on every arc) for each
+        d_i > 1, in diagonal order.
 
-    @cached_property
-    def _scaled_v(self) -> tuple[tuple[int, int, list[int]], ...]:
-        """(d_i, i, (n1 / d_i) V[:, i] mod n1 by arc, 0 on the base arc) for
-        each d_i > 1, in diagonal order: the columns of the minimal set and
-        the terms of L mod n1."""
+        The scaled columns are the minimal set. The class of e_j in coker C
+        = + Z_{d_i} is (U[i, j] mod d_i) over these rows. A unit d_i adds
+        n1 V[:, i] U[i, :] to L, 0 mod n1, and d_i (n1 / d_i) V[:, i] is 0
+        mod n1, so column j of L mod n1 is the class times the scaled
+        columns, reduced mod n1.
+        """
         n1 = self.modulus
+        snf = self.snf
         found = []
-        for i, (x, v_col) in enumerate(zip(self.snf.diagonal, self.snf.v_cols)):
+        for i, (x, u_row, v_col) in enumerate(zip(snf.diagonal, snf.u_rows, snf.v_cols)):
             if x > 1:
                 scale = n1 // x
                 colors = [0] * self.c.cols
                 for k, y in v_col.items():
                     colors[k] = scale * y % n1
-                colors.insert(self.base_arc, 0)
-                found.append((x, i, colors))
+                found.append((x, i, u_row, self._on_arcs(colors)))
         return tuple(found)
 
-    def _column_stream(self) -> Iterator[tuple[int, ...]]:
-        """L mod n1 in column order, one Fox n1-coloring of every arc each.
+    def _column(self, j: int) -> tuple[int, ...]:
+        """Column j of L mod n1, one Fox n1-coloring of every arc.
 
-        Yields the columns built so far, then builds, checks and keeps the
-        next ones. A unit d_i adds n1 V[:, i] U[i, :] to L, which is 0 mod
-        n1, so column j of L mod n1 is the sum of U[i, j] (n1 / d_i) V[:, i]
-        over d_i > 1, reduced mod n1; columns with no nonzero term share one
-        zero column. Every other column must satisfy the Fox relation mod
-        n1 at every crossing, or LinalgError names it.
+        Builds, checks and keeps the columns up to j in index order on the
+        first read, from the class of e_j and the scaled columns of
+        _factors. Every column with a nonzero class must satisfy the Fox
+        relation mod n1 at every crossing, or LinalgError names it.
         """
         built = self._built_columns
-        yield from built
+        if j < len(built):
+            return built[j]
         n1 = self.modulus
-        d = self.diagram
-        terms = [(self.snf.u_rows[i], colors) for _, i, colors in self._scaled_v]
-        zero = (0,) * self.arc_count
-        for j in range(len(built), self.c.cols):
-            acc = None  # the sum of U[i, j] times the scaled V column, over the terms
-            for u_row, colors in terms:
-                f = u_row.get(j, 0) % n1
+        for k in range(len(built), j + 1):
+            acc = None  # the class entries of e_k times the scaled columns
+            for x, _, u_row, colors in self._factors:
+                f = u_row.get(k, 0) % x
                 if f:
                     if acc is None:
-                        acc = [f * x for x in colors]
+                        acc = [f * y for y in colors]
                     else:
-                        acc = [z + f * x for z, x in zip(acc, colors)]
+                        acc = [z + f * y for z, y in zip(acc, colors)]
             if acc is None:
-                column = zero
+                column = self._zero_column
             else:
                 column = tuple([z % n1 for z in acc])
-                bad = _fox_violation(d, column, n1)
+                bad = _fox_violation(self.diagram, column, n1)
                 if bad is not None:
                     raise LinalgError(
-                        f"column {j} of L mod {n1} breaks the Fox relation at crossing {bad}"
+                        f"column {k} of L mod {n1} breaks the Fox relation at crossing {bad}"
                     )
             built.append(column)
-            yield column
+        return built[j]
+
+    @cached_property
+    def l_mod(self) -> IntMatrix:
+        return IntMatrix.from_rows(
+            [row for k, row in enumerate(self.extended_rows()) if k != self.base_arc]
+        )
 
     def extended_rows(self) -> tuple[tuple[int, ...], ...]:
         """One row of L mod n1 per arc, the base arc contributing zeros."""
-        columns = list(self._column_stream())
+        columns = [self._column(j) for j in range(self.c.cols)]
         return tuple([tuple([col[k] for col in columns]) for k in range(self.arc_count)])
 
     @cached_property
@@ -369,24 +371,21 @@ class ColoringAnalysis:
         every column."""
         arcs = self.arc_count
         # entries of L mod n1 lie in [0, n1), so differing mod n1 is differing
-        return tuple(
-            [j for j, values in enumerate(self._column_stream()) if len(set(values)) == arcs]
-        )
+        return tuple([j for j in range(self.c.cols) if len(set(self._column(j))) == arcs])
 
     @cached_property
     def report(self) -> DistinguishingReport:
         arcs = self.arc_count
         all_arcs = (1 << arcs) - 1
-        # pair (i, j > i) is bit offsets[i] + j - i - 1, in combinations order
-        offsets = [0] * arcs
-        for i in range(1, arcs):
-            offsets[i] = offsets[i - 1] + arcs - i
+        # pair (i, j > i) is bit offsets[i] + j - i - 1, after the offsets[i] pairs (k < i, l)
+        offsets = [i * (2 * arcs - 1 - i) // 2 for i in range(arcs)]
         pair_count = arcs * (arcs - 1) // 2
         masks = []
         least = [None] * pair_count
         remaining = (1 << pair_count) - 1
         witness = None
-        for col, values in enumerate(self._column_stream()):
+        for col in range(self.c.cols):
+            values = self._column(col)
             arcs_of = {}
             for i, v in enumerate(values):
                 arcs_of[v] = arcs_of.get(v, 0) | 1 << i
@@ -429,7 +428,7 @@ class ColoringAnalysis:
         """One Fox n1-coloring per invariant factor n_i: (n1 / n_i) V[:, i]."""
         n1 = self.modulus
         colorings = []
-        for factor, i, colors in sorted(self._scaled_v, key=lambda p: -p[0]):
+        for factor, i, _, colors in sorted(self._factors, key=lambda p: -p[0]):
             bad = _fox_violation(self.diagram, colors, n1)
             if bad is not None:
                 raise ColoringError(
@@ -461,8 +460,8 @@ class ColoringAnalysis:
     def inverse_pseudos(self) -> tuple[PseudoColoring, ...]:
         """Pseudo colorings read off the integral columns of C^(-1).
 
-        Column j is integral when d_i divides U[i, j] for every d_i > 1,
-        so only U's s non-unit rows are read to find them. Each is built
+        Column j is integral when the class of e_j in coker C is 0, so
+        only U's s rows in _factors are read to find them. Each is built
         exactly and checked, then must be divisible by n1, or LinalgError
         names it. Extended by 0 on the base arc, it has defect +1 at its
         own crossing; the base row defect follows from the row relation
@@ -471,24 +470,15 @@ class ColoringAnalysis:
         from .pseudo import classify_assignment  # pseudo imports this module
 
         n1 = self.modulus
-        snf = self.snf
-        # the j with e_j nonzero in coker C: some d_i > 1 does not divide U[i, j]
-        nonzero = {
-            j
-            for x, u_row in zip(snf.diagonal, snf.u_rows)
-            if x > 1
-            for j, y in u_row.items()
-            if y % x
-        }
+        zero_class = range(self.c.cols)  # the j with every class entry of e_j 0
+        for x, _, u_row, _ in self._factors:
+            zero_class = [j for j in zero_class if u_row.get(j, 0) % x == 0]
         found = []
-        for j in range(self.c.cols):
-            if j in nonzero:
-                continue
+        for j in zero_class:
             lift = self._exact_column(j)
             if any(x % n1 for x in lift):
                 raise LinalgError(f"e_{j} is 0 in coker C, but column {j} of L is not divisible by {n1}")
-            colors = [x // n1 for x in lift]
-            colors.insert(self.base_arc, 0)
+            colors = self._on_arcs([x // n1 for x in lift])
             result = classify_assignment(self.diagram, colors, column=j)
             if result.kind == "pseudo":
                 found.append(result.pseudo)
@@ -559,16 +549,22 @@ def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxCo
     in sorted order of their color tuples, so the listing does not depend
     on the choice of V.
 
-    Bails out when the count passes limit; the error carries the count,
-    so callers can fall back to it.
+    Each is the sum of y_i V[:, i] over the axes of more than one point,
+    read off V's sparse columns. Bails out when the count passes limit;
+    the error carries the count, so callers can fall back to it.
     """
     snf, sides = _coloring_box(d, k)
     count = prod(sides)
     if count > limit:
         raise EnumerationLimitError(count, limit)
-    v = snf.v
-    axes = [range(0, k, k // side) for side in sides]
-    found = (FoxColoring(k, v.mul_vector(y)) for y in product(*axes))
+    axes = [(range(0, k, k // side), v_col) for side, v_col in zip(sides, snf.v_cols) if side > 1]
+    found = []
+    for ys in product(*[points for points, _ in axes]):
+        colors = [0] * len(sides)
+        for y, (_, v_col) in zip(ys, axes):
+            for arc, x in v_col.items():
+                colors[arc] += y * x
+        found.append(FoxColoring(k, colors))
     return tuple(sorted(found, key=lambda f: f.colors))
 
 

@@ -606,7 +606,7 @@ def scanner_parse_pd(text: str) -> PdCode:
             raise PdSyntaxError("expected a crossing 'X'", sc.pos)
         sc.pos += 1
         open_ch = sc.peek()
-        if open_ch not in "([":
+        if open_ch not in ("(", "["):
             raise PdSyntaxError("expected '(' or '[' after 'X'", sc.pos)
         sc.pos += 1
         close_ch = ")" if open_ch == "(" else "]"

@@ -583,3 +583,69 @@ def test_minimal_set_certificate_survives_optimize_flag():
         "    print(err)\n"
     )
     assert run_fresh(code, "-O").startswith("arc pair (0, 2) is left together by L mod n1 only")
+
+
+def assert_reads_in_any_order_match_in_order(d, base):
+    """Columns of L mod n1 read out of order, or interleaved, give the same
+    built columns and the same fields as one in-order pass."""
+    in_order = ColoringAnalysis(d, base)
+    n = in_order.c.cols
+    columns = [in_order._column(j) for j in range(n)]
+    assert in_order._built_columns == columns
+    descending = ColoringAnalysis(d, base)
+    for j in reversed(range(n)):
+        assert descending._column(j) == columns[j]
+    interleaved = ColoringAnalysis(d, base)
+    for j in range(n):  # an ascending pass and a descending one, in turn
+        assert interleaved._column(j) == columns[j]
+        assert interleaved._column(n - 1 - j) == columns[n - 1 - j]
+    fresh = ColoringAnalysis(d, base)
+    for analysis in (descending, interleaved):
+        assert analysis._built_columns == columns
+        assert analysis.l_mod == fresh.l_mod
+        assert analysis.extended_rows() == fresh.extended_rows()
+        assert analysis.perfect_columns == fresh.perfect_columns
+        assert analysis.report == ColoringAnalysis(d, base).report
+
+
+@pytest.mark.parametrize("name", NONZERO_FIXTURES)
+def test_fixture_columns_read_out_of_order_match_in_order(name):
+    d = fixture_diagram(name)
+    for base in range(len(d.arcs)):
+        assert_reads_in_any_order_match_in_order(d, base)
+
+
+def test_report_after_out_of_order_reads_builds_no_further():
+    # turks_head(25) has its first perfect column at 3: the report reads
+    # the columns already built and builds none past the witness
+    analysis = ColoringAnalysis(turks_head(25))
+    analysis._column(1)
+    assert len(analysis._built_columns) == 2
+    assert analysis.report.t_columns == (3,)
+    assert len(analysis._built_columns) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids())
+def test_random_mixed_sign_classes_give_the_integral_columns_and_l_mod(braid):
+    # column j of C^(-1) is integral exactly when the class of e_j in
+    # coker C is 0, exactly when column j of L mod n1 is 0; classes and
+    # columns of L mod n1 are equal together
+    strands, letters = braid
+    assume({abs(x) for x in letters} == set(range(1, strands)))  # no bare circle
+    d = braid_closure(BraidWord(strands, tuple(letters)))
+    assume(link_determinant(d) != 0)
+    for base in (None, 0):
+        analysis = ColoringAnalysis(d, base)
+        inverse = rational_inverse(analysis.c.dense())
+        n = analysis.c.cols
+        classes = [
+            tuple([u_row.get(j, 0) % x for x, _, u_row, _ in analysis._factors])
+            for j in range(n)
+        ]
+        columns = [analysis._column(j) for j in range(n)]
+        for j in range(n):
+            integral = all(row[j].denominator == 1 for row in inverse)
+            assert integral == (not any(classes[j])) == (not any(columns[j])), (base, j)
+            for k in range(j):
+                assert (classes[j] == classes[k]) == (columns[j] == columns[k]), (base, j, k)

@@ -284,6 +284,18 @@ def test_zero_determinant_group_is_input_error(capsys):
     assert code == 2 and "determinant 0" in err
 
 
+def test_zero_determinant_matrix_prints_c_but_not_l(capsys):
+    # C exists on a determinant-0 diagram and prints, as C' does; L mod n1
+    # and L need n1, which an infinite group does not have
+    code, out, err = run(capsys, "matrix", "--name", "split", "--which", "c", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"which": "c", "rows": [[0]]}
+    for which in ("lmod", "l"):
+        code, out, err = run(capsys, "matrix", "--name", "split", "--which", which)
+        assert code == 2 and out == ""
+        assert err == "kh: determinant 0: the reduced coloring group is infinite\n"
+
+
 def test_zero_determinant_pseudo_is_input_error(capsys):
     code, out, err = run(capsys, "pseudo", "--name", "split")
     assert code == 2 and out == ""

@@ -52,6 +52,18 @@ def test_parse_pd_syntax_errors_carry_position():
 
 @pytest.mark.parametrize(
     "text, position",
+    [("X", 1), ("X ", 2), ("PD[X", 4), ("PD[X(1,2,3,4),X", 15)],
+)
+def test_parse_pd_x_at_the_end_names_the_missing_bracket_there(text, position):
+    # the error is at the end of the input, not one past it
+    with pytest.raises(PdSyntaxError) as exc:
+        parse_pd(text)
+    assert str(exc.value) == f"expected '(' or '[' after 'X' at position {position}"
+    assert exc.value.position == position == len(text)
+
+
+@pytest.mark.parametrize(
+    "text, position",
     [
         ("PD[X(1,2,3,4\u00b2)]", 12),  # superscript two after the label 4
         ("X(1,2,\u0663,4)", 6),  # Arabic-Indic three

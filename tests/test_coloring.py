@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from gkh.coloring import (
     EnumerationLimitError,
     FoxColoring,
     ZeroDeterminantError,
+    _coloring_box,
     coloring_group,
     coloring_matrix,
     count_colorings,
@@ -22,7 +25,7 @@ from gkh.coloring import (
 )
 from gkh.diagram import braid_closure
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
-from gkh.linalg import IntMatrix, determinant
+from gkh.linalg import IntMatrix, SnfDecomposition, determinant
 from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import brute_force_colorings, transpose
 
@@ -95,6 +98,26 @@ def test_enumeration_is_sorted_and_equals_brute_force(name):
             found = [f.colors for f in enumerate_colorings(d, k)]
             assert found == sorted(found), (name, k)
             assert found == brute_force_colorings(d, k), (name, k)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_enumeration_builds_no_dense_factor(monkeypatch, name):
+    # the same listing as y -> V y over the whole box, with the dense V,
+    # while reading V's sparse columns alone
+    d = fixture_diagram(name)
+    expected = {}
+    for k in (2, 3, 5, 7, 9):
+        snf, sides = _coloring_box(d, k)
+        box = product(*[range(0, k, k // side) for side in sides])
+        expected[k] = sorted(tuple([x % k for x in snf.v.mul_vector(y)]) for y in box)
+
+    def refuse(self):
+        raise AssertionError("a dense U, D or V was built")
+
+    for view in ("u", "d", "v"):
+        monkeypatch.setattr(SnfDecomposition, view, property(refuse))
+    for k, listing in expected.items():
+        assert [f.colors for f in enumerate_colorings(d, k)] == listing, (name, k)
 
 
 def test_hopf_degenerate_rows():
