@@ -37,6 +37,7 @@ from .fixtures import FixtureError, fixture, fixture_diagram, fixture_names
 from .pseudo import PseudoError, pseudo_from_inverse_columns, tunnel_pseudo
 from .verify import (
     VerifyError,
+    _analysis_of,
     hypotheses_of,
     random_alternating_diagram,
     verify_connected_sum,
@@ -264,9 +265,9 @@ def _verify_all_fixtures(args) -> int:
     for name in fixture_names():
         e = fixture(name)
         d = fixture_diagram(name)
-        hyp = hypotheses_of(d)
+        analysis, hyp = _analysis_of(d)
         det = hyp.determinant
-        factors = coloring_group(d).invariant_factors if det != 0 else ()
+        factors = analysis.group.invariant_factors if det != 0 else ()
         expected = (e.determinant, e.factors, e.alternating, e.reduced, e.prime, e.components)
         ok = (det, factors, hyp.alternating, hyp.reduced, hyp.prime, hyp.components) == expected
         results.append((name, ok, det, factors))

@@ -14,15 +14,17 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report records which arc pairs those
 columns separate. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one certified Smith form: one table of
-its s non-unit factors gives the minimal set, the class of each e_j in
-coker C (0 exactly for the integral columns of C^(-1)) and column j of
-L mod n1, built by index when first read. An exact column of L is built
+derives all of this from that one Smith form, certified through the
+group it presents where the determinant is known: one table of its s
+non-unit factors gives the minimal set, the class of each e_j in coker
+C (0 exactly for the integral columns of C^(-1)) and column j of L mod
+n1, built by index when first read. An exact column of L is built
 only where one is asked for. Every column is checked at the crossings
 before it is read: mod n1 by the Fox relation, exactly by C col = n1
 e_j. The report stops reading at the first perfect column. The
 determinant alone comes from linalg.determinant and never factors;
-verify_gkh takes it from the same C the analysis factors.
+verify_gkh takes it from the same C the analysis factors and hands it
+to the analysis for the certificate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
+    check_cokernel,
+    check_smith_form,
     determinant,
     smith_normal_form,
 )
@@ -217,7 +221,7 @@ class DistinguishingReport:
     t: int | None
     t_columns: tuple[int, ...]
 
-    @property
+    @cached_property
     def failures(self) -> tuple[tuple[int, int], ...]:
         return tuple([(i, j) for i, j, c in self.separators if c is None])
 
@@ -228,10 +232,15 @@ class DistinguishingReport:
 
 class ColoringAnalysis:
     """C(D) for one base arc, as sparse rows, and its Smith form U C V = D,
-    factored once, on first use.
+    factored and certified once, on first use.
 
-    Everything else is a lazy field derived from that one certified
-    factorization, read off U's rows and V's columns as the sparse loop
+    A caller that has |det C| sets determinant before the first read; the
+    factorization is then certified through coker C by
+    linalg.check_cokernel, from U's s non-unit rows and V's matching
+    columns, and no other row of U is read. Without it, check_smith_form
+    multiplies U (C V) on every row of U. Everything else is a lazy field
+    derived from that one certified factorization, read off U's rows and
+    columns, replayed from the loop's record, and V's columns as the loop
     left them; no dense U, D or V is built. With D = diag(d_i): the group
     is the d_i > 1, and _factors, one table of them, gives the minimal
     distinguishing set, the class of each e_j in coker C, whether column
@@ -240,9 +249,9 @@ class ColoringAnalysis:
     and checked in index order on first read and kept in one list; the
     report reads them up to the first perfect column when there is one,
     while perfect_columns, l_mod and extended_rows read every column.
-    Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone and
-    checked against C col = n1 e_j; l is every such column, and an
-    integral column of C^(-1) is one of them divided by n1.
+    Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone from
+    column j of U and checked against C col = n1 e_j; l is every such
+    column, and an integral column of C^(-1) is one of them divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -251,10 +260,16 @@ class ColoringAnalysis:
         self.arc_count = len(d.arcs)
         self._built_columns: list[tuple[int, ...]] = []  # L mod n1, columns 0, 1, ...
         self._zero_column = (0,) * self.arc_count  # shared by the columns with a zero class
+        self.determinant: int | None = None  # |det C|, when the caller has computed it
 
     @cached_property
     def snf(self) -> SnfDecomposition:
-        return smith_normal_form(self.c)
+        snf = smith_normal_form(self.c)
+        if self.determinant is None:
+            check_smith_form(self.c, snf)
+        else:
+            check_cokernel(self.c, snf, self.determinant)
+        return snf
 
     @cached_property
     def group(self) -> ColoringGroup:
@@ -278,7 +293,8 @@ class ColoringAnalysis:
         return [*values[: self.base_arc], 0, *values[self.base_arc :]]
 
     def _exact_column(self, j: int) -> list[int]:
-        """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i].
+        """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i],
+        over the nonzeros of column j of U.
 
         Extended by 0 on the base arc, its crossing defects are C' col;
         without the base row they must be C col = n1 e_j, or LinalgError
@@ -287,11 +303,10 @@ class ColoringAnalysis:
         n1 = self.modulus
         snf = self.snf
         lift = [0] * self.c.cols
-        for x, u_row, v_col in zip(snf.diagonal, snf.u_rows, snf.v_cols):
-            f = n1 // x * u_row.get(j, 0)
-            if f:
-                for k, y in v_col.items():
-                    lift[k] += f * y
+        for i, u in snf.u_column(j).items():
+            f = n1 // snf.diagonal[i] * u
+            for k, y in snf.v_cols[i].items():
+                lift[k] += f * y
         image = list(_crossing_defects(self.diagram, self._on_arcs(lift)))
         del image[self.base_arc]
         if any(x != n1 * (i == j) for i, x in enumerate(image)):
@@ -312,13 +327,13 @@ class ColoringAnalysis:
         n1 = self.modulus
         snf = self.snf
         found = []
-        for i, (x, u_row, v_col) in enumerate(zip(snf.diagonal, snf.u_rows, snf.v_cols)):
+        for i, (x, v_col) in enumerate(zip(snf.diagonal, snf.v_cols)):
             if x > 1:
                 scale = n1 // x
                 colors = [0] * self.c.cols
                 for k, y in v_col.items():
                     colors[k] = scale * y % n1
-                found.append((x, i, u_row, self._on_arcs(colors)))
+                found.append((x, i, snf.u_row(i), self._on_arcs(colors)))
         return tuple(found)
 
     def _column(self, j: int) -> tuple[int, ...]:
@@ -534,6 +549,7 @@ def _coloring_box(d: Diagram, k: int) -> tuple[SnfDecomposition, list[int]]:
     _require_modulus(k)
     cprime = _crossing_rows(d)
     snf = smith_normal_form(cprime)
+    check_smith_form(cprime, snf)
     sides = [gcd(x, k) for x in snf.diagonal]
     sides.extend([k] * (cprime.cols - len(sides)))
     return snf, sides

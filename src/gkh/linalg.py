@@ -9,20 +9,23 @@ A crossing matrix has at most three nonzeros a row, so the library keeps
 it as a SparseMatrix, one {col: value} dict per row, from the diagram to
 the certificate; the dense IntMatrix is for what is printed and for the
 products the tests and the benchmark take. determinant, smith_normal_form
-and check_smith_form read either form as sparse rows. The Smith form is
+and the certificates read either form as sparse rows. The Smith form is
 one sparse loop over rows and columns kept as dicts: it pivots on the
 smallest entry, +-1 first and the least Markowitz cost first among equals
 (Markowitz 1957), with each row's least key cached and recomputed only
 where an entry or a column count changed, takes Euclid steps where no
 unit is left, and puts the few non-unit pivots into a divisor chain by
-gcd/lcm steps at the end. U and V stay sparse from start to finish: the
-decomposition keeps U's rows and V's columns as dicts, check_smith_form
-multiplies them with A's rows as dicts, and the dense matrices are built
-only for the callers that ask for them. The determinant is computed apart
-from the Smith form, so that each certifies the other: sparse elimination
-on the same dict rows modulo primes just below 2^78, fewest-rows column
-first, joined by the Chinese remainder theorem until the product of the
-primes passes twice the Hadamard bound, which makes it exact.
+gcd/lcm steps at the end. V's columns stay dicts from start to finish;
+U is kept as the record of the loop's row operations, from which one row
+or one column of U is replayed alone and all its rows only on demand.
+The reader certifies the result: check_smith_form multiplies U (A V) on
+the dicts, and check_cokernel, given |det A|, reads only the non-unit
+rows of U and columns of V and proves that they present coker A. The
+determinant is computed apart from the Smith form, so that each
+certifies the other: sparse elimination on the same dict rows modulo
+primes just below 2^78, fewest-rows column first, joined by the Chinese
+remainder theorem until the product of the primes passes twice the
+Hadamard bound, which makes it exact.
 """
 from __future__ import annotations
 
@@ -280,20 +283,66 @@ def _column_index(rows, cols: int) -> list[set]:
     return in_col
 
 
-@dataclass(frozen=True)
 class SnfDecomposition:
     """U A V = D for a rows x cols matrix A, U and V unimodular, D =
     diag(diagonal) with d_1 | d_2 | ..., kept as the sparse loop leaves it.
 
-    u_rows[i] is row i of U and v_cols[k] is column k of V, each a dict
-    {index: value}. The dense u, d and v are built on first use and kept.
+    v_cols[k] is column k of V and u_rows[i] row i of U, each a dict
+    {index: value}. smith_normal_form passes no rows of U but the record of
+    its row operations on A, and the order its rows end in: u_rows is
+    replayed from the record on first use, while u_row(i) and u_column(j)
+    replay it alone, in one pass over the record each. Two decompositions
+    are equal when their values are, however U is kept. The dense u, d and
+    v are built on first use and kept.
     """
 
-    rows: int
-    cols: int
-    u_rows: tuple[dict, ...]
-    diagonal: tuple[int, ...]
-    v_cols: tuple[dict, ...]
+    def __init__(self, rows, cols, u_rows, diagonal, v_cols, record=None):
+        self.rows, self.cols, self.diagonal, self.v_cols = rows, cols, diagonal, v_cols
+        self.record = record  # (row operations, final row order) when u_rows is None
+        self._rows_read = {}  # i -> row i of U, replayed alone
+        if u_rows is not None:
+            self.u_rows = u_rows
+
+    def __eq__(self, other):
+        if not isinstance(other, SnfDecomposition):
+            return NotImplemented
+        values = (self.rows, self.cols, self.u_rows, self.diagonal, self.v_cols)
+        return values == (other.rows, other.cols, other.u_rows, other.diagonal, other.v_cols)
+
+    @cached_property
+    def u_rows(self) -> tuple[dict, ...]:
+        """U's rows: the identity's, with the recorded operations applied in order."""
+        ops, order = self.record
+        rows = [{i: 1} for i in range(self.rows)]
+        for op in ops:
+            if len(op) == 3:
+                i, f, p = op
+                _add_scaled(rows[i], f, rows[p])  # with i == p, each entry is read, then set
+            else:
+                a, b, s, t, x, y = op
+                ra, rb = rows[a], rows[b]
+                rows[a], rows[b] = _combine(s, ra, t, rb), _combine(x, ra, y, rb)
+        return tuple([rows[i] for i in order])
+
+    def u_row(self, i: int) -> dict:
+        """Row i of U, e_i^T U; without u_rows, e_i^T E_m ... E_1 read as
+        (E_1^T ... E_m^T e_i)^T: the transposed operations, last first."""
+        if "u_rows" in self.__dict__ or self.record is None:
+            return self.u_rows[i]
+        if i not in self._rows_read:
+            ops, order = self.record
+            self._rows_read[i] = _replay({order[i]: 1}, reversed(ops), transpose=True)
+        return self._rows_read[i]
+
+    def u_column(self, j: int) -> dict:
+        """Column j of U, U e_j, as {row: value}; without u_rows, the
+        recorded operations applied to e_j in order."""
+        if "u_rows" in self.__dict__ or self.record is None:
+            return {i: r[j] for i, r in enumerate(self.u_rows) if j in r}
+        ops, order = self.record
+        col = _replay({j: 1}, ops)
+        position = {r: k for k, r in enumerate(order)}
+        return {position[r]: x for r, x in col.items()}
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -321,37 +370,43 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     least key is cached; after a pass only the rows whose entries changed
     and the rows of the columns whose count changed are keyed again, so the
     pivot is the least cached key, the same one a scan of every live entry
-    would find. Row operations on D and U reduce the pivot column by the
-    nearest multiples of x; once the column is clear, column operations on
-    V reduce the pivot row, which touches only row p of D. A remainder
-    either step leaves is at most |x| / 2, below every live entry, so the
-    next pass pivots on it (Euclid) and the loop ends. A pivot alone in its
-    row and column retires, its sign folded into U. The units then lead the
-    diagonal, and one sweep makes the other pivots a divisor chain: a pair
-    (a, b) with a not dividing b becomes (g, ab / g), where g = gcd(a, b) =
-    s a + t b, by the rows (s, t), (-b / g, a / g) on U and the columns
-    v_a + v_b, -(t b / g) v_a + (s a / g) v_b on V, both of determinant 1.
-    U's rows and V's columns go into the result as the dicts they are.
+    would find. Row operations on D reduce the pivot column by the nearest
+    multiples of x; once the column is clear, column operations on V
+    reduce the pivot row, which touches only row p of D. A remainder either
+    step leaves is at most |x| / 2, below every live entry, so the next
+    pass pivots on it (Euclid) and the loop ends. A pivot alone in its row
+    and column retires, its sign flipped by a row operation. The units then
+    lead the diagonal, and one sweep makes the other pivots a divisor
+    chain: a pair (a, b) with a not dividing b becomes (g, ab / g), where g
+    = gcd(a, b) = s a + t b, by the rows (s, t), (-b / g, a / g) and the
+    columns v_a + v_b, -(t b / g) v_a + (s a / g) v_b on V, both of
+    determinant 1. V's columns go into the result as the dicts they are;
+    U is not accumulated but recorded, one entry per row operation: (i, f,
+    p) adds f times row p to row i (a sign flip is (p, -2, p)), and (a, b,
+    s, t, x, y) puts s a + t b in row a and x a + y b in row b.
+
+    The result is not certified here: the caller checks it, by
+    check_smith_form, or by check_cokernel where |det A| is known.
     """
     a = _sparse(a)
     rows, cols = a.rows, a.cols
     d_rows = [dict(r) for r in a.row_maps]
     in_col = _column_index(d_rows, cols)
-    u_rows = [{i: 1} for i in range(rows)]
+    ops = []  # U's row operations, in order
     v_cols = [{j: 1} for j in range(cols)]
     keys = {}  # live row -> its least (|x|, cost, row, col)
     _key_rows(keys, range(rows), d_rows, in_col)
     pivots = []
     while keys:
         _, _, p, q = min(keys.values())
-        pivot_row, pivot_u = d_rows[p], u_rows[p]
+        pivot_row = d_rows[p]
         x = pivot_row[q]
         counts = [(j, len(in_col[j])) for j in pivot_row]
         changed = in_col[q] - {p}
         for i in changed:
             f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
-            _add_scaled(u_rows[i], f, pivot_u)
+            ops.append((i, f, p))
         changed.add(p)
         if len(in_col[q]) == 1:
             for j, y in list(pivot_row.items()):
@@ -371,7 +426,7 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
         if len(pivot_row) == 1 and len(in_col[q]) == 1:
             if x < 0:
                 pivot_row[q] = -x
-                u_rows[p] = {j: -y for j, y in pivot_u.items()}
+                ops.append((p, -2, p))
             del keys[p]
             pivots.append((p, q))
 
@@ -383,9 +438,7 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
             if y % x:
                 g, s, t = _xgcd(x, y)
                 d_rows[pa][qa], d_rows[pb][qb] = g, x // g * y
-                ua, ub = u_rows[pa], u_rows[pb]
-                u_rows[pa] = _combine(s, ua, t, ub)
-                u_rows[pb] = _combine(-(y // g), ua, x // g, ub)
+                ops.append((pa, pb, s, t, -(y // g), x // g))
                 va, vb = v_cols[qa], v_cols[qb]
                 v_cols[qa] = _combine(1, va, 1, vb)
                 v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
@@ -395,15 +448,47 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     pivot_cols = {q for _, q in pivots}
     row_order = [p for p, _ in pivots] + [i for i in range(rows) if i not in pivot_rows]
     col_order = [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols]
-    res = SnfDecomposition(
+    return SnfDecomposition(
         rows,
         cols,
-        tuple([u_rows[i] for i in row_order]),
+        None,
         tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
         tuple([v_cols[j] for j in col_order]),
+        (ops, row_order),
     )
-    check_smith_form(a, res)
-    return res
+
+
+def _replay(vector: dict, ops, transpose: bool = False) -> dict:
+    """ops applied in order to a column vector {index: value}, zeros
+    dropped: (i, f, p) adds f vector[p] to vector[i], and (a, b, s, t, x,
+    y) maps (vector[a], vector[b]) to (s va + t vb, x va + y vb). With
+    transpose, each operation's transpose: (i, f, p) adds f vector[i] to
+    vector[p], and t and x trade places."""
+    get = vector.get
+    for op in ops:
+        if len(op) == 3:
+            i, f, p = op
+            if transpose:
+                i, p = p, i
+            z = get(p)
+            if z:
+                z = get(i, 0) + f * z
+                if z:
+                    vector[i] = z
+                else:
+                    del vector[i]
+        else:
+            a, b, s, t, x, y = op
+            if transpose:
+                t, x = x, t
+            va, vb = get(a, 0), get(b, 0)
+            if va or vb:
+                for k, z in ((a, s * va + t * vb), (b, x * va + y * vb)):
+                    if z:
+                        vector[k] = z
+                    else:
+                        vector.pop(k, None)
+    return vector
 
 
 def _key_rows(keys: dict, changed, d_rows: list[dict], in_col: list[set]) -> None:
@@ -458,7 +543,9 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
     A multiplies first: on a crossing matrix A V stays about as sparse as
     A, so the product with U costs about one sparse row per nonzero of U.
     Raises LinalgError naming the shapes when they do not fit A, or the
-    first entry (i, j), in row-major order, that disagrees.
+    first entry (i, j), in row-major order, that disagrees. U (A V) = D
+    alone does not make U and V unimodular (2U A V = 2D passes);
+    check_cokernel, with |det A|, does.
     """
     a = _sparse(a)
     m, n = a.rows, a.cols
@@ -469,14 +556,9 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
             f"D is {snf.rows}x{snf.cols} with {len(diag)} diagonal entries, "
             f"V is {len(v_cols)}x{len(v_cols)}"
         )
-    for what, vectors, size in (("row {} of U", u_rows, m), ("column {} of V", v_cols, n)):
-        for k, vector in enumerate(vectors):
-            if vector and not (0 <= min(vector) and max(vector) < size):
-                raise LinalgError(f"Smith form {what.format(k)} has an index outside 0..{size - 1}")
-    for i, x in enumerate(diag):
-        nxt = diag[i + 1] if i + 1 < len(diag) else 0
-        if x < 0 or (nxt % x if x else nxt):
-            raise LinalgError(f"Smith form diagonal entry {i} = {x} does not start a divisor chain")
+    _check_indices("row {} of U", enumerate(u_rows), m)
+    _check_indices("column {} of V", enumerate(v_cols), n)
+    _check_chain(diag)
     v_rows = [{} for _ in range(n)]
     for k, col in enumerate(v_cols):
         for j, y in col.items():
@@ -501,3 +583,79 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
                 f"Smith form certificate fails at ({i}, {j}): U A V has {acc[j] + want}, "
                 f"D has {want}"
             )
+
+
+def check_cokernel(a: IntMatrix | SparseMatrix, snf: SnfDecomposition, det: int) -> None:
+    """Certificate for a Smith form of a square A with |det A| = det != 0,
+    read off its non-unit factors alone. With d_i > 1, u_i row i of U and
+    v_i column i of V, it requires:
+
+    - D a divisor chain with prod d_i = det;
+    - u_i A = 0 mod d_i;
+    - A v_i = d_i y_i with y_i integral, and u_k y_i = [k == i] mod d_k.
+
+    The second makes x -> (u_i x mod d_i) well defined on coker A, the
+    third makes it onto + Z_{d_i} (y_i goes to e_i), and both groups have
+    det elements, so it is an isomorphism. That certifies the group, the
+    class (u_i[j] mod d_i) of every e_j, and that sum_i (u_i[j] mod d_i)
+    (n / d_i) v_i = n A^(-1) e_j mod n for every common multiple n of the
+    d_i. It costs two sparse products per non-unit factor and s^2 dot
+    products, where check_smith_form multiplies all of U, so it is the
+    cheaper check while s is small. Raises LinalgError naming the row of U
+    or the column of V at fault.
+    """
+    a = _sparse(a)
+    n, diag = a.rows, snf.diagonal
+    u_count = snf.rows if snf.record else len(snf.u_rows)
+    if not a.is_square or (u_count, snf.rows, snf.cols, len(diag), len(snf.v_cols)) != (n,) * 5:
+        raise LinalgError(
+            f"Smith form shapes do not fit A ({a.rows}x{a.cols}): U is {u_count}x{u_count}, "
+            f"D is {snf.rows}x{snf.cols} with {len(diag)} diagonal entries, "
+            f"V is {len(snf.v_cols)}x{len(snf.v_cols)}"
+        )
+    if det == 0:
+        raise LinalgError("the cokernel certificate needs a nonzero determinant")
+    _check_chain(diag)
+    if prod(diag) != det:
+        raise LinalgError(
+            f"Smith form diagonal product {prod(diag)} != determinant {det}: "
+            f"the transforms are not unimodular"
+        )
+    factors = [(i, x, snf.u_row(i), snf.v_cols[i]) for i, x in enumerate(diag) if x > 1]
+    _check_indices("row {} of U", [(i, u) for i, _, u, _ in factors], n)
+    _check_indices("column {} of V", [(i, v) for i, _, _, v in factors], n)
+    images = []
+    for i, x, u_row, v_col in factors:
+        acc = {}
+        for t, y in u_row.items():
+            for j, z in a.row_maps[t].items():
+                acc[j] = acc.get(j, 0) + y * z
+        bad = min((j for j, z in acc.items() if z % x), default=None)
+        if bad is not None:
+            raise LinalgError(f"row {i} of U times A is not 0 mod {x} at column {bad}")
+        image = [sum([y * v_col.get(j, 0) for j, y in row.items()]) for row in a.row_maps]
+        bad = next((t for t, z in enumerate(image) if z % x), None)
+        if bad is not None:
+            raise LinalgError(f"A times column {i} of V is not divisible by {x} at row {bad}")
+        images.append((i, [z // x for z in image]))
+    for k, x, u_row, _ in factors:
+        for i, y in images:
+            r = sum([z * y[t] for t, z in u_row.items()]) % x
+            if r != (k == i):
+                raise LinalgError(
+                    f"row {k} of U takes A times column {i} of V over {diag[i]} to {r} "
+                    f"mod {x}, not {int(k == i)}"
+                )
+
+
+def _check_indices(what: str, vectors, size: int) -> None:
+    for k, vector in vectors:
+        if vector and not (0 <= min(vector) and max(vector) < size):
+            raise LinalgError(f"Smith form {what.format(k)} has an index outside 0..{size - 1}")
+
+
+def _check_chain(diag) -> None:
+    for i, x in enumerate(diag):
+        nxt = diag[i + 1] if i + 1 < len(diag) else 0
+        if x < 0 or (nxt % x if x else nxt):
+            raise LinalgError(f"Smith form diagonal entry {i} = {x} does not start a divisor chain")

@@ -8,7 +8,8 @@ form suffice to separate everything. Reports are total: hypotheses are
 recorded, the checks run regardless, and failures are listed rather than
 raised. verify_gkh builds the sparse reduced crossing matrix C once, from
 the diagram's crossing arcs, and the determinant and the Smith form both
-read it; no dense matrix is built. Composite diagrams are checked against
+read it; no dense matrix is built. The determinant then certifies the
+Smith form through the group coker C it presents. Composite diagrams are checked against
 the direct sum of their summands' groups, the Smith form of their
 invariant factors as sparse diagonal rows, and random_alternating_diagram
 draws the seeded inputs of `kh fuzz`.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
 
 from .codec import BraidWord
 from .coloring import (
@@ -30,7 +30,7 @@ from .coloring import (
     link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
-from .linalg import LinalgError, SparseMatrix, determinant, smith_normal_form
+from .linalg import LinalgError, SparseMatrix, check_smith_form, determinant, smith_normal_form
 from .pseudo import PseudoColoring
 
 
@@ -107,31 +107,34 @@ def hypotheses_of(d: Diagram, c: SparseMatrix | None = None) -> Hypotheses:
     )
 
 
+def _analysis_of(d: Diagram, base: int | None = None) -> tuple[ColoringAnalysis | None, Hypotheses]:
+    """The ColoringAnalysis of d at base, None where C'(D) is not square or
+    base is out of range, and the hypotheses, their determinant taken from
+    the analysis's C. A nonzero determinant is handed to the analysis:
+    exact by its Hadamard bound and computed apart from the Smith form, it
+    certifies that factorization through coker C (linalg.check_cokernel)."""
+    try:
+        analysis = ColoringAnalysis(d, base)  # builds C(D), factors it on first use
+    except ColoringError:
+        analysis = None
+    hyp = hypotheses_of(d, analysis.c if analysis else None)
+    if analysis is not None and hyp.determinant:
+        analysis.determinant = hyp.determinant
+    return analysis, hyp
+
+
 def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> VerificationReport:
     """Run parts (a), (b), (c) and the pseudo-coloring nonexistence check.
 
     Never aborts on failed hypotheses, so non-examples produce readable
     reports; a zero determinant is the one hard error. A certificate that
-    does not hold (the Smith diagonal against the determinant, L mod n1
-    against the minimal set) raises LinalgError.
+    does not hold (the Smith form through coker C with the determinant,
+    L mod n1 against the minimal set) raises LinalgError.
     """
-    try:
-        analysis = ColoringAnalysis(d, base)  # builds C(D), factors it on first use
-    except ColoringError:  # C'(D) is not square, or base is out of range
-        analysis = None
-    hyp = hypotheses_of(d, analysis.c if analysis else None)
+    analysis, hyp = _analysis_of(d, base)
     if hyp.determinant == 0:
         raise ZeroDeterminantError("determinant 0: nothing to verify")
     analysis = analysis or ColoringAnalysis(d, base)  # raises the base error
-    # U C V = D alone does not make U and V unimodular; the determinant,
-    # exact by its Hadamard bound and computed without the Smith form, equal
-    # to the product of D's diagonal forces det U det V = +-1
-    diagonal_product = prod(analysis.snf.diagonal)
-    if diagonal_product != hyp.determinant:
-        raise LinalgError(
-            f"Smith form diagonal product {diagonal_product} != determinant "
-            f"{hyp.determinant}: the transforms are not unimodular"
-        )
     group = analysis.group
     report = analysis.report
     # the columns of L mod n1 and the minimal set span the same group of
@@ -206,8 +209,9 @@ def verify_connected_sum(parts: list[Diagram]) -> ConnectedSumReport:
         total = connected_sum(total, part)
     analysis = ColoringAnalysis(total)
     diagonal = SparseMatrix(len(factors), len(factors), tuple([{i: x} for i, x in enumerate(factors)]))
-    combined = smith_normal_form(diagonal).diagonal
-    direct_sum = tuple(sorted((x for x in combined if x > 1), reverse=True))
+    combined = smith_normal_form(diagonal)
+    check_smith_form(diagonal, combined)
+    direct_sum = tuple(sorted((x for x in combined.diagonal if x > 1), reverse=True))
     junction_pairs = total.junction_arc_pairs
     rows = analysis.extended_rows()
     return ConnectedSumReport(

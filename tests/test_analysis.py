@@ -40,6 +40,7 @@ from gkh.linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
+    check_cokernel,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -56,6 +57,7 @@ from oracles import (
     scaled_inverse,
     snf_from_dense,
 )
+from test_diagram import closable_braids
 
 MODULES = [
     importlib.import_module(f"gkh.{m}")
@@ -244,6 +246,114 @@ def dense_views(monkeypatch):
         view.__set_name__(SnfDecomposition, name)
         monkeypatch.setattr(SnfDecomposition, name, view)
     return built
+
+
+@pytest.fixture
+def rows_of_u(monkeypatch):
+    """The sizes of the Smith forms whose U has all its rows built from
+    the record of row operations, as they are built."""
+    built = []
+    original = SnfDecomposition.u_rows.func
+
+    def build(self):
+        built.append(self.rows)
+        return original(self)
+
+    view = functools.cached_property(build)
+    view.__set_name__(SnfDecomposition, "u_rows")
+    monkeypatch.setattr(SnfDecomposition, "u_rows", view)
+    return built
+
+
+def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, dense_views, monkeypatch):
+    certificates = []
+    for name in ("check_smith_form", "check_cokernel"):
+        original = getattr(gkh.coloring, name)
+
+        def counted(*args, name=name, original=original):
+            certificates.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(gkh.coloring, name, counted)
+    report = verify_gkh(turks_head(25))  # 50 crossings, s = 2
+    assert report.passed and report.s == 2
+    # conway has s = 0: the certificate reads no row of U, and each of its
+    # 10 integral columns of C^(-1) is an exact column of L read off the record
+    assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
+    assert verify_gkh(fixture_diagram("8_19")).s == 1
+    assert certificates == ["check_cokernel"] * 3
+    assert rows_of_u == [] and dense_views == []
+    # without a determinant the full U (C V) = D certificate reads all of U
+    coloring_group(turks_head(6))
+    assert certificates[3:] == ["check_smith_form"] and rows_of_u == [11]
+
+
+@st.composite
+def invertible_diagrams(draw):
+    """A fixture or a random braid closure with a nonzero determinant."""
+    if draw(st.booleans()):
+        return fixture_diagram(draw(st.sampled_from(NONZERO_FIXTURES)))
+    d = braid_closure(draw(closable_braids(5, 1, 14)))
+    assume(link_determinant(d) != 0)
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(invertible_diagrams(), st.sampled_from("uv"), st.sampled_from((1, -1)), st.data())
+def test_cokernel_certificate_accepts_the_factorization_and_names_a_change(d, where, delta, data):
+    analysis = ColoringAnalysis(d)
+    c = analysis.c
+    det = abs(determinant(c))
+    snf = smith_normal_form(c)
+    check_cokernel(c, snf, det)
+    with pytest.raises(LinalgError, match=rf"product {det} != determinant {det + 1}: the transforms are not unimodular"):
+        check_cokernel(c, snf, det + 1)
+    factors = [i for i, x in enumerate(snf.diagonal) if x > 1]
+    assume(factors)
+    k = data.draw(st.sampled_from(factors))
+    x = snf.diagonal[k]
+    # 2 u_k still annihilates C mod d_k, but takes y_k to 2, not 1
+    rows = list(snf.u_rows)
+    rows[k] = {j: 2 * y for j, y in rows[k].items()}
+    doubled = SnfDecomposition(snf.rows, snf.cols, tuple(rows), snf.diagonal, snf.v_cols)
+    with pytest.raises(LinalgError, match=rf"row {k} of U takes A times column {k} of V over {x} to \d+ mod {x}, not 1"):
+        check_cokernel(c, doubled, det)
+    # a change at t is wrong for sure when row t of C (for U) or column t
+    # (for V) is not 0 mod d_k; where it is, the changed factor may still
+    # present coker C, and then the certificate rightly holds
+    if where == "u":
+        positions = [t for t, row in enumerate(c.row_maps) if any(y % x for y in row.values())]
+        message = rf"row {k} of U times A is not 0 mod {x} at column \d+"
+    else:
+        positions = [t for t in range(c.cols) if any(row.get(t, 0) % x for row in c.row_maps)]
+        message = rf"A times column {k} of V is not divisible by {x} at row \d+"
+    assume(positions)  # the Hopf link's C is (2)
+    bad = tampered(snf, where, k, data.draw(st.sampled_from(positions)), delta)
+    with pytest.raises(LinalgError, match=message):
+        check_cokernel(c, bad, det)
+
+
+def test_cokernel_certificate_survives_optimize_flag():
+    # 7_7 has one non-unit factor, 21, last on the diagonal
+    code = (
+        "from gkh.coloring import ColoringAnalysis\n"
+        "from gkh.fixtures import fixture_diagram\n"
+        "from gkh.linalg import *\n"
+        f"{inspect.getsource(tampered)}\n"
+        "c = ColoringAnalysis(fixture_diagram('7_7')).c\n"
+        "snf = smith_normal_form(c)\n"
+        "k = len(snf.diagonal) - 1\n"
+        "for bad, det in ((snf, 22), (tampered(snf, 'u', k, 0, 1), 21), (tampered(snf, 'v', k, 0, -1), 21)):\n"
+        "    try:\n"
+        "        check_cokernel(c, bad, det)\n"
+        "    except LinalgError as err:\n"
+        "        print(err)\n"
+    )
+    out = run_fresh(code, "-O").splitlines()
+    assert len(out) == 3
+    assert out[0] == "Smith form diagonal product 21 != determinant 22: the transforms are not unimodular"
+    assert out[1].startswith("row 5 of U times A is not 0 mod 21 at column ")
+    assert out[2].startswith("A times column 5 of V is not divisible by 21 at row ")
 
 
 def test_verify_factors_once_and_inverts_nothing(counts, dense_views):

@@ -200,6 +200,25 @@ def test_verify_all_fixtures_stable(capsys):
     assert first == second
 
 
+def test_verify_all_fixtures_reads_each_group_off_one_certified_factorization(capsys, monkeypatch):
+    calls = []
+    for name in ("smith_normal_form", "check_smith_form", "check_cokernel"):
+        original = getattr(gkh.coloring, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(gkh.coloring, name, counted)
+    code, out, _ = run(capsys, "verify", "--all-fixtures", "--json")
+    fixtures = {f["name"]: f for f in json.loads(out)["fixtures"]}
+    assert code == 0 and fixtures["split"]["determinant"] == 0
+    assert fixtures["split"]["factors"] == [] and fixtures["7_7"]["factors"] == [21]
+    # one factorization per fixture of nonzero determinant, certified
+    # through coker C with the determinant hypotheses_of computed
+    assert calls == ["smith_normal_form", "check_cokernel"] * (len(fixtures) - 1)
+
+
 def test_pseudo_json(capsys):
     code, out, _ = run(capsys, "pseudo", "--name", "8_19", "--json")
     assert code == 0

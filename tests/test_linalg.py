@@ -17,6 +17,7 @@ from gkh.linalg import (
     IntMatrix,
     LinalgError,
     SnfDecomposition,
+    check_cokernel,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -148,8 +149,15 @@ def test_snf_divisor_chain_sweep(rows, diagonal):
 
 def assert_same_factors(a):
     snf, expected = smith_normal_form(a), full_scan_smith_normal_form(a)
+    # each row and column of U replayed alone from the record of row
+    # operations, before the record builds all of U's rows
+    rows = tuple([snf.u_row(i) for i in range(a.rows)])
+    cols = [snf.u_column(j) for j in range(a.rows)]
+    assert "u_rows" not in vars(snf)
     assert (snf.u, snf.d, snf.v) == (expected.u, expected.d, expected.v)
     assert snf == expected
+    assert rows == snf.u_rows == expected.u_rows
+    assert cols == [{i: x for i, x in enumerate(expected.u.col(j)) if x} for j in range(a.rows)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,6 +241,37 @@ def test_certificate_rejects_an_index_outside_the_matrix():
         bad = SnfDecomposition(2, 2, snf.u_rows, snf.diagonal, v_cols)
         with pytest.raises(LinalgError, match=r"column 1 of V has an index outside 0\.\.1"):
             check_smith_form(a, bad)
+
+
+def test_decompositions_compare_by_value_not_by_record():
+    a = IntMatrix.from_rows([[2, 0, 1], [0, 3, 0], [1, 1, 5]])
+    snf = smith_normal_form(a)
+    given_rows = SnfDecomposition(3, 3, snf.u_rows, snf.diagonal, snf.v_cols)
+    assert smith_normal_form(a) == given_rows == snf
+    assert given_rows.record is None
+    assert [given_rows.u_row(i) for i in range(3)] == list(snf.u_rows)
+    assert smith_normal_form(a) != SnfDecomposition(3, 3, snf.u_rows, (1, 1, 1), snf.v_cols)
+    assert smith_normal_form(a) != snf.d
+
+
+def test_cokernel_certificate_checks_shape_chain_and_determinant():
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    snf = smith_normal_form(a)
+    check_cokernel(a, snf, 6)
+    with pytest.raises(LinalgError, match="diagonal product 6 != determinant 12: the transforms are not unimodular"):
+        check_cokernel(a, snf, 12)
+    with pytest.raises(LinalgError, match="needs a nonzero determinant"):
+        check_cokernel(a, snf, 0)
+    with pytest.raises(LinalgError, match=r"A \(2x3\)"):
+        check_cokernel(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]]), snf, 6)
+    with pytest.raises(LinalgError, match=r"A \(2x2\): U is 1x1"):
+        check_cokernel(a, SnfDecomposition(2, 2, snf.u_rows[:1], snf.diagonal, snf.v_cols), 6)
+    # 2 does not divide 3: the pivots as the loop found them, before the sweep
+    with pytest.raises(LinalgError, match="entry 0 = 2 does not start a divisor chain"):
+        check_cokernel(a, snf_from_dense(identity(2), a, identity(2)), 6)
+    u_rows = (snf.u_rows[0], {**snf.u_rows[1], 2: 1})
+    with pytest.raises(LinalgError, match=r"row 1 of U has an index outside 0\.\.1"):
+        check_cokernel(a, SnfDecomposition(2, 2, u_rows, snf.diagonal, snf.v_cols), 6)
 
 
 @settings(max_examples=100)

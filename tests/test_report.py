@@ -9,6 +9,7 @@ the same separators, perfect columns, t and first witness.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -50,6 +51,16 @@ def assert_report_matches_oracles(d):
             assert (report.t, report.t_columns) == (None, ())
         else:
             assert (report.t, report.t_columns) == minimum_cover(masks, len(separators))
+
+
+def test_failures_are_kept_and_a_replaced_report_finds_its_own():
+    report = ColoringAnalysis(fixture_diagram("8_19")).report
+    assert report.failures is report.failures
+    assert report.failures == ((0, 3), (0, 4), (0, 7), (1, 5), (2, 6), (3, 4), (3, 7), (4, 7))
+    separators = tuple([(i, j, None) if (i, j) == (0, 1) else (i, j, c) for i, j, c in report.separators])
+    replaced = dataclasses.replace(report, separators=separators)
+    assert replaced.failures == ((0, 1),) + report.failures
+    assert not replaced.injective
 
 
 @settings(max_examples=30, deadline=None)
