@@ -12,8 +12,9 @@ crossing_matrix, for what is printed and for the tests, is dense.
 
 With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
-arc colored 0. The distinguishing report records which arc pairs those
-columns separate. ColoringAnalysis factors C once per (diagram, base) and
+arc colored 0. The distinguishing report keeps one bitset per column it
+reads, of the arc pairs that column separates, and reads the unseparated
+pairs and each pair's least separator off them. ColoringAnalysis factors C once per (diagram, base) and
 derives all of this from that one Smith form, certified through the
 group it presents where the determinant is known: one table of its s
 non-unit factors gives the minimal set, the class of each e_j in coker
@@ -30,9 +31,9 @@ to the analysis for the certificate.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, product, repeat
+from itertools import combinations, compress, count, product
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
@@ -58,7 +59,7 @@ if TYPE_CHECKING:
 # on a 2-core Xeon (pretzel 3^20)
 COVER_BUDGET = 16_000_000
 
-# bin() digits to the bytes 0 and 1, which itertools.compress reads as flags
+# bin() digits to the bytes 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -194,36 +195,56 @@ def link_determinant(d: Diagram) -> int:
 class DistinguishingReport:
     """Which arc pairs the columns of L mod n1 tell apart, and how few suffice.
 
-    separators lists every arc pair i < j with the least column whose
-    colorings differ on the two arcs, or None; t is the size of a smallest
-    set of columns separating all pairs, with t_columns the first such set
-    in lexicographic order, and both are None and () when some pair is
-    never separated. The pairs are read from one bitset per column, built
-    with O(arcs) big-int operations from the arcs of each color, in column
-    order as the columns are built. A perfect column, one that gives every
-    arc its own color, ends the reading: t is 1 with it as witness, and
-    every pair has its least separator there at the latest, so no later
-    column is built. Otherwise every column gets its bitset, and t comes
+    masks holds one bitset per column the report read, in column order:
+    bit p is set when the column colors the two arcs of pair p apart, the
+    pairs (i, j), i < j, numbered in lexicographic order. Each is built
+    with O(arcs) big-int operations from the arcs of each color, as the
+    columns are built. A perfect column, one that gives every arc its own
+    color, has every pair's bit and ends the reading: t is 1 with it as
+    witness, and no later column is built. Otherwise every column gets its
+    bitset, and t, the size of a smallest set of columns separating all
+    pairs, with t_columns the first such set in lexicographic order, comes
     from a pruned search that raises CoverBudgetError past COVER_BUDGET
-    nodes. The search first drops every column whose bitset lies inside an
-    earlier column's, since swapping it for that column gives a cover no
-    larger and lexicographically smaller, and fills the last slot only
-    from the columns that separate the lowest uncovered pair, since a
-    column completing the cover must separate it; neither changes t or
-    the first witness. ColoringAnalysis.perfect_columns lists every
-    perfect column.
+    nodes; both are None and () when some pair is never separated. The
+    search first drops every column whose bitset lies inside an earlier
+    column's, since swapping it for that column gives a cover no larger
+    and lexicographically smaller, and fills the last slot only from the
+    columns that separate the lowest uncovered pair, since a column
+    completing the cover must separate it; neither changes t or the first
+    witness. failures and separators are read off the masks on first use.
+    ColoringAnalysis.perfect_columns lists every perfect column.
     """
 
     base_arc: int
     modulus: int
     arc_count: int
-    separators: tuple[tuple[int, int, int | None], ...]
+    masks: tuple[int, ...] = field(repr=False)
     t: int | None
     t_columns: tuple[int, ...]
 
     @cached_property
     def failures(self) -> tuple[tuple[int, int], ...]:
-        return tuple([(i, j) for i, j, c in self.separators if c is None])
+        """The arc pairs that no mask covers, in (i, j) order; the pairs
+        are not enumerated when every one is covered."""
+        arcs = self.arc_count
+        uncovered = (1 << arcs * (arcs - 1) // 2) - 1
+        for mask in self.masks:
+            uncovered &= ~mask
+        return tuple(compress(combinations(range(arcs), 2), _bit_flags(uncovered)))
+
+    @cached_property
+    def separators(self) -> tuple[tuple[int, int, int | None], ...]:
+        """Every arc pair i < j with the least column whose mask covers it,
+        or None, in (i, j) order."""
+        arcs = self.arc_count
+        least = [None] * (arcs * (arcs - 1) // 2)
+        remaining = (1 << len(least)) - 1
+        for col, mask in enumerate(self.masks):
+            new = mask & remaining
+            remaining ^= new
+            for p in compress(count(), _bit_flags(new)):
+                least[p] = col
+        return tuple([(i, j, c) for (i, j), c in zip(combinations(range(arcs), 2), least)])
 
     @property
     def injective(self) -> bool:
@@ -247,8 +268,9 @@ class ColoringAnalysis:
     j of C^(-1) is integral (the class is 0) and column j of L mod n1.
     Those columns, one Fox n1-coloring of every arc each, are built
     and checked in index order on first read and kept in one list; the
-    report reads them up to the first perfect column when there is one,
-    while perfect_columns, l_mod and extended_rows read every column.
+    report keeps one pair bitset per column up to the first perfect column
+    when there is one, while perfect_columns, l_mod and extended_rows read
+    every column.
     Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone from
     column j of U and checked against C col = n1 e_j; l is every such
     column, and an integral column of C^(-1) is one of them divided by n1.
@@ -396,44 +418,31 @@ class ColoringAnalysis:
         offsets = [i * (2 * arcs - 1 - i) // 2 for i in range(arcs)]
         pair_count = arcs * (arcs - 1) // 2
         masks = []
-        least = [None] * pair_count
         remaining = (1 << pair_count) - 1
-        witness = None
+        t, t_columns = None, ()
         for col in range(self.c.cols):
             values = self._column(col)
             arcs_of = {}
             for i, v in enumerate(values):
                 arcs_of[v] = arcs_of.get(v, 0) | 1 << i
             if len(arcs_of) == arcs:
-                # a perfect column separates every pair, and no later column is read
-                new, witness = remaining, col
-            else:
-                mask = 0
-                for i, v in enumerate(values):
-                    mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
-                masks.append(mask)
-                new = mask & remaining
-            if new:
-                remaining ^= new
-                for k in compress(count(), bin(new)[:1:-1].encode().translate(_BITS)):
-                    least[k] = col
-            if witness is not None:
+                # a perfect column separates every pair, so it is a cover,
+                # and no smaller set is while pairs exist; no later column is read
+                masks.append((1 << pair_count) - 1)
+                t, t_columns = 1, (col,)
                 break
-        firsts = chain.from_iterable(repeat(i, arcs - 1 - i) for i in range(arcs))
-        seconds = chain.from_iterable(range(i + 1, arcs) for i in range(arcs))
-        separators = tuple(zip(firsts, seconds, least))
-        if witness is not None:
-            # one column covers every pair, and no smaller set does while pairs exist
-            t, t_columns = 1, (witness,)
-        elif remaining:
-            t, t_columns = None, ()
-        else:
+            mask = 0
+            for i, v in enumerate(values):
+                mask |= ((all_arcs ^ arcs_of[v]) >> (i + 1)) << offsets[i]
+            masks.append(mask)
+            remaining &= ~mask
+        if t is None and not remaining:
             t, t_columns = _minimum_cover(masks, pair_count)
         return DistinguishingReport(
             base_arc=self.base_arc,
             modulus=self.modulus,
             arc_count=arcs,
-            separators=separators,
+            masks=tuple(masks),
             t=t,
             t_columns=t_columns,
         )
@@ -511,17 +520,6 @@ def coloring_matrix(d: Diagram, base: int | None = None) -> ColoringAnalysis:
     return analysis
 
 
-def is_fox_coloring(d: Diagram, colors, k: int) -> bool:
-    """Check the coloring relation at every crossing, colors indexed by arc."""
-    colors = tuple(colors)
-    if len(colors) != len(d.arcs):
-        raise ColoringError(
-            f"{len(colors)} colors for {len(d.arcs)} arcs"
-        )
-    _require_modulus(k)
-    return _fox_violation(d, colors, k) is None
-
-
 def _require_modulus(k: int) -> None:
     if k < 1:
         raise ColoringError("modulus must be >= 1")
@@ -530,6 +528,12 @@ def _require_modulus(k: int) -> None:
 def _crossing_defects(d: Diagram, colors) -> tuple[int, ...]:
     """C'(D) . colors, read off the crossings: 2 * over - under_in - under_out."""
     return tuple([2 * colors[o] - colors[a] - colors[b] for o, a, b in d.crossing_arcs])
+
+
+def _bit_flags(x: int) -> bytes:
+    """One byte per binary digit of x >= 0, lowest first: 1 where the bit
+    is set, else 0, as itertools.compress reads flags."""
+    return bin(x)[:1:-1].encode().translate(_BITS)
 
 
 def _fox_violation(d: Diagram, colors, k: int) -> int | None:
@@ -553,11 +557,6 @@ def _coloring_box(d: Diagram, k: int) -> tuple[SnfDecomposition, list[int]]:
     sides = [gcd(x, k) for x in snf.diagonal]
     sides.extend([k] * (cprime.cols - len(sides)))
     return snf, sides
-
-
-def count_colorings(d: Diagram, k: int) -> int:
-    """Number of Fox k-colorings, constant colorings included."""
-    return prod(_coloring_box(d, k)[1])
 
 
 def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxColoring, ...]:

@@ -95,12 +95,6 @@ class IntMatrix:
         ]
         return IntMatrix(self.rows, other.cols, tuple(entries))
 
-    def mul_vector(self, v) -> tuple[int, ...]:
-        v = tuple(v)
-        if len(v) != self.cols:
-            raise LinalgError(f"vector length {len(v)} != {self.cols}")
-        return tuple([sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows)])
-
     def sparse(self) -> SparseMatrix:
         return SparseMatrix(
             self.rows,

@@ -8,7 +8,9 @@ dense smallest-pivot Smith form, the sparse Smith form's pivots found by
 scanning every live row, faces traced around a PD code, a PD reader
 that steps one character at a time, or plain enumeration: every
 assignment of colors, every arc pair compared on every column, every
-column subset tried in order.
+column subset tried in order. It also keeps the few helpers that only
+the tests call: a matrix-vector product, a Fox-coloring check that
+validates its input, and the coloring count from the Smith form of C'.
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from gkh.codec import PdCode, PdSyntaxError
-from gkh.coloring import ColoringError, ZeroDeterminantError, crossing_matrix
+from gkh.coloring import (
+    ColoringError,
+    ZeroDeterminantError,
+    _coloring_box,
+    _fox_violation,
+    _require_modulus,
+    crossing_matrix,
+)
 from gkh.linalg import (
     IntMatrix,
     LinalgError,
@@ -38,6 +47,29 @@ from gkh.verify import VerifyError
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def mul_vector(a: IntMatrix, v) -> tuple[int, ...]:
+    """a times the column vector v."""
+    v = tuple(v)
+    if len(v) != a.cols:
+        raise LinalgError(f"vector length {len(v)} != {a.cols}")
+    return tuple([sum(x * y for x, y in zip(a.row(i), v)) for i in range(a.rows)])
+
+
+def is_fox_coloring(d, colors, k: int) -> bool:
+    """Check the coloring relation at every crossing, colors indexed by arc."""
+    colors = tuple(colors)
+    if len(colors) != len(d.arcs):
+        raise ColoringError(f"{len(colors)} colors for {len(d.arcs)} arcs")
+    _require_modulus(k)
+    return _fox_violation(d, colors, k) is None
+
+
+def count_colorings(d, k: int) -> int:
+    """Number of Fox k-colorings, constant colorings included: the product
+    of the sides of the Smith-form box of C'(D)."""
+    return prod(_coloring_box(d, k)[1])
 
 
 def snf_from_dense(u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfDecomposition:
@@ -463,7 +495,7 @@ def row_relation_basis(d) -> tuple[RowRelation, ...]:
     for i in range(transposed.cols):
         if i >= len(diag) or diag[i] == 0:
             vector = snf.v.col(i)
-            if any(transposed.mul_vector(vector)):
+            if any(mul_vector(transposed, vector)):
                 raise PseudoError(
                     f"column {i} of V is not a relation among the crossing matrix rows"
                 )

@@ -18,7 +18,6 @@ import gkh.coloring
 from gkh.coloring import (
     coloring_group,
     coloring_matrix,
-    count_colorings,
     crossing_matrix,
     distinguishing_report,
     enumerate_colorings,
@@ -30,6 +29,8 @@ from gkh.pseudo import pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_connected_sum, verify_gkh
 from oracles import (
     brute_force_coloring_count,
+    count_colorings,
+    mul_vector,
     permuted,
     rational_inverse,
     reduced_crossing_matrix,
@@ -216,7 +217,7 @@ def integral_column_types(cprime: IntMatrix) -> list[tuple[int, int]]:
         if any(x.denominator != 1 for x in column):
             continue
         colors = [int(x) for x in column] + [0]
-        defects = cprime.mul_vector(colors)
+        defects = mul_vector(cprime, colors)
         nonzero = [(i, v) for i, v in enumerate(defects) if v]
         assert len(nonzero) == 2 and {abs(v) for _, v in nonzero} == {1}, j
         if all(v == -1 for _, v in nonzero):

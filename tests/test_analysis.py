@@ -14,6 +14,7 @@ import inspect
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -650,16 +651,19 @@ def test_unimodularity_check_survives_optimize_flag():
 
 
 def tampered_report_analysis(pair, separator):
-    """ColoringAnalysis with the report's separator of pair replaced."""
+    """ColoringAnalysis with the report's masks changed at pair: its bit
+    cleared in every mask when separator is None, else set in the mask of
+    column separator."""
 
     class Tampered(ColoringAnalysis):
         @property
         def report(self):
             honest = ColoringAnalysis.report.func(self)
-            separators = tuple(
-                (i, j, separator if (i, j) == pair else c) for i, j, c in honest.separators
-            )
-            return dataclasses.replace(honest, separators=separators)
+            bit = 1 << list(combinations(range(honest.arc_count), 2)).index(pair)
+            masks = [m & ~bit for m in honest.masks]
+            if separator is not None:
+                masks[separator] |= bit
+            return dataclasses.replace(honest, masks=tuple(masks))
 
     return Tampered
 
@@ -681,6 +685,7 @@ def test_tampered_report_fails_the_minimal_set_certificate(monkeypatch, name, pa
 def test_minimal_set_certificate_survives_optimize_flag():
     code = (
         "import dataclasses\n"
+        "from itertools import combinations\n"
         "import gkh.verify\n"
         "from gkh.coloring import ColoringAnalysis\n"
         "from gkh.fixtures import fixture_diagram\n"

@@ -15,10 +15,10 @@ import pytest
 import gkh.cli
 import gkh.coloring
 from gkh.cli import build_parser, main
-from gkh.coloring import crossing_matrix, is_fox_coloring
+from gkh.coloring import crossing_matrix
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import reduced_crossing_matrix, reduced_mod, scaled_inverse
+from oracles import is_fox_coloring, reduced_crossing_matrix, reduced_mod, scaled_inverse
 
 
 def run(capsys, *argv):

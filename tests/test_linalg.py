@@ -31,6 +31,7 @@ from oracles import (
     full_scan_smith_normal_form,
     identity,
     laplace_determinant,
+    mul_vector,
     permuted,
     rational_inverse,
     reduced_crossing_matrix,
@@ -311,7 +312,7 @@ def test_matmul_and_identity():
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
     assert a @ identity(2) == a
-    assert a.mul_vector((1, -1)) == (-1, -1)
+    assert mul_vector(a, (1, -1)) == (-1, -1)
 
 
 def test_permuted_roundtrip():

@@ -15,7 +15,7 @@ from gkh.pseudo import (
     tunnel_pseudo,
 )
 from gkh.verify import random_alternating_diagram
-from oracles import row_relation, row_relation_basis
+from oracles import mul_vector, row_relation, row_relation_basis
 
 ALTERNATING_PRIME = [
     n
@@ -163,7 +163,7 @@ def test_l_column_lifts_have_two_defects():
         for j in range(cm.l.cols):
             lift = [cm.l.at(k, j) for k in range(cm.l.rows)]
             lift.insert(cm.base_arc, 0)
-            defects = cp.mul_vector(lift)
+            defects = mul_vector(cp, lift)
             nonzero = {i: v for i, v in enumerate(defects) if v}
             crossing_j = j if j < cm.base_arc else j + 1
             assert nonzero == {crossing_j: n1, cm.base_arc: -n1}, name

@@ -1,10 +1,11 @@
 """The distinguishing report and its minimum cover against the exhaustive oracles.
 
-ColoringAnalysis.report builds its column masks as bitsets, stops at the
+ColoringAnalysis.report keeps its column masks as bitsets, stops at the
 first perfect column when there is one (t = 1) and otherwise finds t with
 a pruned lexicographic search; tests/oracles.py compares every arc pair
 on every column and tries every column subset in order. Both must give
-the same separators, perfect columns, t and first witness.
+the same masks for the columns read, separators, perfect columns, t and
+first witness.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from gkh.codec import BraidWord, parse_pd, serialize_pd
 from gkh.coloring import (
     ColoringAnalysis,
     CoverBudgetError,
+    DistinguishingReport,
     _minimum_cover,
     distinguishing_report,
 )
@@ -47,6 +49,11 @@ def assert_report_matches_oracles(d):
         separators, masks, perfect = pair_separators(analysis.extended_rows())
         assert report.separators == separators
         assert analysis.perfect_columns == perfect
+        # the report reads up to the first perfect column, whose mask is full
+        read = perfect[0] + 1 if perfect else len(masks)
+        assert report.masks == tuple(masks[:read])
+        if perfect:
+            assert report.masks[-1] == (1 << len(separators)) - 1
         if report.failures:
             assert (report.t, report.t_columns) == (None, ())
         else:
@@ -57,8 +64,8 @@ def test_failures_are_kept_and_a_replaced_report_finds_its_own():
     report = ColoringAnalysis(fixture_diagram("8_19")).report
     assert report.failures is report.failures
     assert report.failures == ((0, 3), (0, 4), (0, 7), (1, 5), (2, 6), (3, 4), (3, 7), (4, 7))
-    separators = tuple([(i, j, None) if (i, j) == (0, 1) else (i, j, c) for i, j, c in report.separators])
-    replaced = dataclasses.replace(report, separators=separators)
+    # pair (0, 1) is bit 0: cleared in every mask, no column separates it
+    replaced = dataclasses.replace(report, masks=tuple([m & ~1 for m in report.masks]))
     assert replaced.failures == ((0, 1),) + report.failures
     assert not replaced.injective
 
@@ -141,6 +148,33 @@ def test_verify_builds_columns_up_to_the_first_perfect_one(verify_analyses, d, t
     rows = analysis.extended_rows()
     assert len(analysis._built_columns) == n
     assert len(rows) == analysis.arc_count and all(len(row) == n for row in rows)
+
+
+def refuse_separators(report):
+    raise AssertionError("the verdict reads the failures off the masks, not the separators")
+
+
+@pytest.mark.parametrize(
+    "d, passed",
+    [
+        (turks_head(25), True),
+        (braid_closure(BraidWord(4, BRAID_52)), True),
+        (pretzel(3, 3, 3, 3, 3), True),  # no perfect column: the cover search runs
+        (fixture_diagram("square"), False),  # pair (1, 5) is never separated
+    ],
+    ids=["turks_head(25)", "braid4x52", "pretzel(3,3,3,3,3)", "square"],
+)
+def test_verify_and_distinguish_build_no_separators(monkeypatch, capsys, d, passed):
+    pd = serialize_pd(d.to_pd())
+    expected = verify_gkh(d)
+    assert main(["distinguish", "--pd", pd, "--json"]) == 0
+    distinguished = capsys.readouterr().out
+    monkeypatch.setattr(DistinguishingReport, "separators", property(refuse_separators))
+    report = verify_gkh(d)
+    assert report == expected and report.passed == passed
+    assert bool(report.failures) != passed
+    assert main(["distinguish", "--pd", pd, "--json"]) == 0
+    assert capsys.readouterr().out == distinguished
 
 
 def test_cover_search_builds_a_mask_for_every_column(monkeypatch):

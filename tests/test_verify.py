@@ -14,8 +14,6 @@ from gkh.coloring import (
     ColoringAnalysis,
     ColoringError,
     ZeroDeterminantError,
-    count_colorings,
-    is_fox_coloring,
     link_determinant,
 )
 from gkh.diagram import braid_closure, from_pd
@@ -30,7 +28,13 @@ from gkh.verify import (
     verify_connected_sum,
     verify_gkh,
 )
-from oracles import block_diag, brute_force_coloring_count, dense_smith_normal_form
+from oracles import (
+    block_diag,
+    brute_force_coloring_count,
+    count_colorings,
+    dense_smith_normal_form,
+    is_fox_coloring,
+)
 
 # name -> (t, t_columns, s, perfect column count)
 EXPECTED_REPORTS = {
