@@ -34,6 +34,7 @@ from .coloring import (
 )
 from .diagram import Diagram, DiagramError, braid_closure, from_pd
 from .fixtures import FixtureError, fixture, fixture_diagram, fixture_names
+from .linalg import DeterminantBoundError
 from .pseudo import PseudoError, pseudo_from_inverse_columns, tunnel_pseudo
 from .verify import (
     VerifyError,
@@ -49,6 +50,7 @@ EXIT_BROKEN_PIPE = 141
 INPUT_ERRORS = (
     CodecError,
     ColoringError,
+    DeterminantBoundError,
     DiagramError,
     FixtureError,
     PseudoError,
@@ -250,6 +252,9 @@ def _print_verify(name, report):
 
 def _cmd_verify(args) -> int:
     if args.all_fixtures:
+        given = [f"--{o}" for o in ("name", "pd", "braid", "base") if getattr(args, o) is not None]
+        if given:
+            build_parser().error(f"verify --all-fixtures takes no {', '.join(given)}")
         return _verify_all_fixtures(args)
     name, d = _load_diagram(args)
     report = verify_gkh(d, name=name, base=args.base)
@@ -273,20 +278,11 @@ def _verify_all_fixtures(args) -> int:
         results.append((name, ok, det, factors))
     passed = all(ok for _, ok, _, _ in results)
     if args.json:
-        _emit(
-            {
-                "fixtures": [
-                    {
-                        "name": name,
-                        "ok": ok,
-                        "determinant": det,
-                        "factors": list(factors),
-                    }
-                    for name, ok, det, factors in results
-                ],
-                "passed": passed,
-            }
-        )
+        fixtures = [
+            {"name": name, "ok": ok, "determinant": det, "factors": list(factors)}
+            for name, ok, det, factors in results
+        ]
+        _emit({"fixtures": fixtures, "passed": passed})
     else:
         for name, ok, det, factors in results:
             print(

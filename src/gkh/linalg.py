@@ -23,9 +23,9 @@ the dicts, and check_cokernel, given |det A|, reads only the non-unit
 rows of U and columns of V and proves that they present coker A. The
 determinant is computed apart from the Smith form, so that each
 certifies the other: sparse elimination on the same dict rows modulo
-primes just below 2^78, fewest-rows column first, joined by the Chinese
-remainder theorem until the product of the primes passes twice the
-Hadamard bound, which makes it exact.
+Proth primes from a checked-in table, each proven on first use, fewest-rows
+column first, joined by the Chinese remainder theorem until the primes'
+product passes twice the Hadamard bound, which makes it exact.
 """
 from __future__ import annotations
 
@@ -36,6 +36,10 @@ from math import prod
 
 class LinalgError(Exception):
     pass
+
+
+class DeterminantBoundError(LinalgError):
+    """The determinant's Hadamard bound is past what the prime table reaches."""
 
 
 @dataclass(frozen=True)
@@ -158,60 +162,54 @@ def determinant(a: IntMatrix | SparseMatrix) -> int:
     By Hadamard's inequality |det A| is at most the product of the row
     norms, so once the primes' product M satisfies M^2 > 4 prod |row|^2,
     det A is the residue mod M taken in (-M/2, M/2): the result is exact,
-    not probabilistic (Abbott, Bronstein & Mulders 1999). A zero row makes
-    the bound 0 and the answer 0 before any prime is used.
+    not probabilistic (Abbott, Bronstein & Mulders 1999). The primes are
+    _PROTH's, smallest first; a bound past them all raises
+    DeterminantBoundError. A zero row makes the bound 0 and the answer 0
+    before any prime is used.
     """
     if not a.is_square:
         raise LinalgError("determinant needs a square matrix")
     rows = _sparse(a).row_maps
     bound = 4 * prod(sum(x * x for x in r.values()) for r in rows)
-    residue, modulus, k = 0, 1, 0
+    residue, modulus, i = 0, 1, 0
     while modulus * modulus <= bound:
-        p = _prime(k)
+        if i == len(_PROTH):
+            raise DeterminantBoundError(
+                f"the determinant's bound needs a modulus of {(bound.bit_length() + 1) // 2} "
+                f"bits, past the {modulus.bit_length()} bits of the prime table's product"
+            )
+        p = _prime(i)
         residue += modulus * ((_det_mod(rows, p) - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-        k += 1
+        i += 1
     return residue - modulus if 2 * residue > modulus else residue
 
 
-# psi_12, about 2^78.07: the least strong pseudoprime to all twelve prime
-# bases up to 37, so below it those bases decide primality
-_PSI_12 = 318665857834031151167461
-# the prime search counts down from here; one such prime passes the
-# Hadamard bound of a 50-crossing matrix, where two primes below 2^61 do not
-_PRIME_CEILING = 1 << 78
-
-# primes below _PRIME_CEILING, largest first, found on demand by _prime
-_PRIMES: list[int] = []
-
-
-def _prime(k: int) -> int:
-    """The k-th prime below _PRIME_CEILING, counting down (k = 0 the largest)."""
-    while len(_PRIMES) <= k:
-        p = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
-        while not _is_prime(p):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[k]
+# Proth primes N = k 2^m + 1 (k odd, k < 2^m), smallest first: one each of 80,
+# 160, 320 and 640 bits, then 50 of 1280 bits (m = 1268). Each k is the least
+# odd k above 2^11 (in the block, the next ones) for which N has no factor
+# below 20000 and passes _prime's proof.
+_PROTH = ((2061, 68), (2133, 148), (2101, 308), (2571, 628)) + tuple((k, 1268) for k in (
+    2331, 2601, 3717, 6931, 7045, 8221, 9891, 10125, 11031, 13677, 15351, 16365, 16657, 20041,
+    20461, 21441, 23377, 25041, 26965, 28855, 29827, 29857, 30643, 32157, 32755, 34491, 36487,
+    36541, 37767, 38767, 41371, 41913, 42513, 43297, 44257, 44485, 44625, 44731, 45531, 48063,
+    48127, 48595, 48625, 48997, 49483, 50037, 50085, 50955, 51297, 51405,
+))
+_PRIMES: list[int] = []  # the entries of _PROTH proven so far, by _prime
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the twelve prime bases up to 37, deterministic for
-    odd n > 37 below _PSI_12 (Sorenson & Webster, Math. Comp. 86, 2017)."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _prime(i: int) -> int:
+    """Entry i of _PROTH, proven on first use by Proth's theorem (1878): N = k 2^m + 1,
+    k odd and k < 2^m, is prime if a^((N-1)/2) = -1 mod N for some a. A prime gives
+    +-1 for every a (Euler), so the first small prime a not giving 1 must give -1."""
+    while len(_PRIMES) <= i:
+        k, m = _PROTH[len(_PRIMES)]
+        n = (k << m) + 1
+        x = next((x for a in (3, 5, 7, 11, 13, 17, 19, 23) if (x := pow(a, n >> 1, n)) != 1), 1)
+        if not (k % 2 and k < 1 << m and x == n - 1):
+            raise LinalgError(f"Proth entry {len(_PRIMES)} (k = {k}, m = {m}) is not proven prime")
+        _PRIMES.append(n)
+    return _PRIMES[i]
 
 
 def _det_mod(rows, p: int) -> int:

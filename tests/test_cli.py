@@ -14,9 +14,11 @@ import pytest
 
 import gkh.cli
 import gkh.coloring
+import gkh.linalg
 from gkh.cli import build_parser, main
 from gkh.coloring import crossing_matrix
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
+from gkh.linalg import LinalgError
 from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import is_fox_coloring, reduced_crossing_matrix, reduced_mod, scaled_inverse
 
@@ -194,6 +196,17 @@ def test_verify_all_fixtures(capsys):
     assert all(" ok " in line for line in lines)
 
 
+@pytest.mark.parametrize(
+    "extra", [["--name", "3_1", "--base", "3"], ["--base", "0"], ["--pd", "PD[]"], ["--braid", "1"]]
+)
+def test_verify_all_fixtures_refuses_a_diagram_or_base(capsys, extra):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--all-fixtures", *extra])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and f"--all-fixtures takes no {extra[0]}" in err
+
+
 def test_verify_all_fixtures_stable(capsys):
     first = run(capsys, "verify", "--all-fixtures", "--json")
     second = run(capsys, "verify", "--all-fixtures", "--json")
@@ -319,6 +332,24 @@ def test_zero_determinant_pseudo_is_input_error(capsys):
     code, out, err = run(capsys, "pseudo", "--name", "split")
     assert code == 2 and out == ""
     assert err.startswith("kh:") and "determinant 0" in err
+
+
+def test_det_past_the_prime_table_is_input_error(capsys, monkeypatch):
+    # one 4-bit entry, 13 = 3 * 2^2 + 1: 10_123's bound needs more than it
+    monkeypatch.setattr(gkh.linalg, "_PROTH", ((3, 2),))
+    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
+    code, out, err = run(capsys, "det", "--name", "10_123")
+    assert code == 2 and out == ""
+    assert err.startswith("kh: the determinant's bound needs a modulus of ")
+    assert err.endswith("past the 4 bits of the prime table's product\n")
+
+
+def test_a_failed_prime_proof_is_not_an_input_error(monkeypatch):
+    # a certificate failure surfaces as a traceback, not as exit 2
+    monkeypatch.setattr(gkh.linalg, "_PROTH", ((2063, 68),))
+    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
+    with pytest.raises(LinalgError, match="not proven prime"):
+        main(["det", "--name", "3_1"])
 
 
 def test_verify_json_reports_inverse_pseudos(capsys):

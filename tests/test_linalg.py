@@ -9,14 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkh.linalg
-from gkh.codec import BraidWord
-from gkh.coloring import crossing_matrix
-from gkh.diagram import braid_closure, turks_head
+from gkh.codec import BraidWord, parse_pd
+from gkh.coloring import crossing_matrix, link_determinant
+from gkh.diagram import braid_closure, from_pd, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
+    DeterminantBoundError,
     IntMatrix,
     LinalgError,
     SnfDecomposition,
+    SparseMatrix,
     check_cokernel,
     check_smith_form,
     determinant,
@@ -390,36 +392,99 @@ def test_determinant_of_a_dense_matrix_with_200_bit_entries():
     rng = random.Random(5)
     m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 200), 1 << 200) for _ in range(64)))
     assert determinant(m) == bareiss_determinant(m)
-    # twice the Hadamard bound, about 2^1607, is past the product of 20
-    # primes below 2^78, so the CRT joins 21 residues
+    # twice the Hadamard bound, about 2^1607, is past the 1200-bit product of
+    # the 80- to 640-bit primes, so the CRT joins 5 residues, the last modulo
+    # the first 1280-bit prime
     bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
-    assert prod(gkh.linalg._prime(k) for k in range(20)) ** 2 <= bound
+    assert prod(gkh.linalg._prime(k) for k in range(4)) ** 2 <= bound
+    assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 > bound
 
 
-def test_every_prime_is_below_the_miller_rabin_bound():
-    # the 200-bit matrix needs the most primes of any test, 21; every prime
-    # the suite reaches lies below psi_12, where the twelve bases decide
-    primes = [gkh.linalg._prime(k) for k in range(21)]
-    assert primes == sorted(set(primes), reverse=True)
-    assert all(p < gkh.linalg._PSI_12 for p in gkh.linalg._PRIMES)
-    assert primes[0] > 1 << 77
-    # Fermat with three more bases is an independent check that each is prime
+def test_every_proth_entry_is_proven():
+    # _prime proves each entry by Proth's theorem on first use; Fermat with
+    # three bases the proof never tries is an independent check
+    primes = [gkh.linalg._prime(i) for i in range(len(gkh.linalg._PROTH))]
+    assert primes == sorted(set(primes)) == gkh.linalg._PRIMES
+    assert [p.bit_length() for p in primes[:5]] == [80, 160, 320, 640, 1280]
     assert all(pow(b, p - 1, p) == 1 for p in primes for b in (41, 43, 47))
 
 
-def test_is_prime_on_strong_pseudoprimes():
-    # 149491 * 747451 * 34233211 passes the bases 2 through 23
-    assert 149491 * 747451 * 34233211 == 3825123056546413051
-    assert not gkh.linalg._is_prime(3825123056546413051)
-    # psi_12 itself passes all twelve bases: the bound is sharp
-    assert 399165290221 * 798330580441 == gkh.linalg._PSI_12
-    assert gkh.linalg._is_prime(gkh.linalg._PSI_12)
-    assert gkh.linalg._PRIME_CEILING < gkh.linalg._PSI_12
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (2063, 68),  # the first entry's k + 2: 2063 * 2^68 + 1 is divisible by 3
+        (4122, 67),  # the first entry's prime, with an even k
+        (5, 1),  # 11 = 5 * 2 + 1 is prime and 7^5 = -1 mod 11, but k >= 2^m
+    ],
+)
+def test_a_tampered_proth_entry_is_refused(monkeypatch, entry):
+    monkeypatch.setattr(gkh.linalg, "_PROTH", (entry,) + gkh.linalg._PROTH[1:])
+    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
+    k, m = entry
+    with pytest.raises(LinalgError, match=f"entry 0 \\(k = {k}, m = {m}\\)"):
+        determinant(IntMatrix.from_rows([[7]]))
+
+
+@pytest.mark.parametrize("primes", [1, 2, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_determinant_sign_at_the_edge_of_the_bound(primes, sign):
+    # a diagonal matrix's |det| is its Hadamard bound H. With 2H = M - 1, M
+    # the product of the first primes, those primes pass 2H and det = -H is
+    # the residue M - H, just past M / 2; with 2H = M + 1 one more is needed
+    modulus = prod(gkh.linalg._prime(k) for k in range(primes))
+    for h in ((modulus - 1) // 2, (modulus + 1) // 2):
+        for m, det in (
+            (IntMatrix.from_rows([[sign * h]]), sign * h),
+            (IntMatrix.from_rows([[1, 0, 0], [0, sign * h, 0], [0, 0, -1]]), -sign * h),
+            (IntMatrix.from_rows([[0, -h], [sign, 0]]), sign * h),  # a permuted diagonal
+        ):
+            assert determinant(m) == bareiss_determinant(m) == det
+
+
+def test_determinant_runs_into_the_1280_bit_block():
+    rng = random.Random(7)
+    m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 400), 1 << 400) for _ in range(64)))
+    assert determinant(m) == bareiss_determinant(m)
+    # twice the Hadamard bound, about 2^3207, needs the 80- to 640-bit primes
+    # and two of the 1280-bit block
+    bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
+    assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 <= bound
+    assert prod(gkh.linalg._prime(k) for k in range(6)) ** 2 > bound
+
+
+def test_determinant_of_split_diagrams_is_zero():
+    # a zero determinant is settled only when the primes pass the bound:
+    # 1000 disjoint Hopf links, 2000 crossings, take two of the 1280-bit block
+    def hopf_links(n):
+        return from_pd(
+            parse_pd(
+                "PD["
+                + ",".join(
+                    f"X({4 * i + 1},{4 * i + 3},{4 * i + 2},{4 * i + 4}),"
+                    f"X({4 * i + 3},{4 * i + 1},{4 * i + 4},{4 * i + 2})"
+                    for i in range(n)
+                )
+                + "]"
+            )
+        )
+
+    for d in (fixture_diagram("split"), hopf_links(2), hopf_links(10)):
+        c = reduced_crossing_matrix(crossing_matrix(d))
+        assert link_determinant(d) == 0 == bareiss_determinant(c)
+    assert link_determinant(hopf_links(1000)) == 0
+
+
+def test_a_bound_past_the_prime_table_is_refused():
+    # 4 * (2^70000)^2 has 140003 bits, so the modulus needs 70002; the
+    # product of the table's 54 primes has 65328
+    m = SparseMatrix(1, 1, ({0: 1 << 70000},))
+    with pytest.raises(DeterminantBoundError, match="modulus of 70002 bits, past the 65328 bits"):
+        determinant(m)
 
 
 def test_determinant_of_turks_head_300_is_the_lucas_value():
     # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2;
-    # 599 rows need 10 primes below 2^78, each found on demand
+    # 599 rows need the 80- to 640-bit primes
     lucas = [2, 1]
     while len(lucas) <= 600:
         lucas.append(lucas[-1] + lucas[-2])
