@@ -14,18 +14,19 @@ With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
 arc colored 0. The distinguishing report keeps one bitset per column it
 reads, of the arc pairs that column separates, and reads the unseparated
-pairs and each pair's least separator off them. ColoringAnalysis factors C once per (diagram, base) and
-derives all of this from that one Smith form, certified through the
-group it presents where the determinant is known: one table of its s
-non-unit factors gives the minimal set, the class of each e_j in coker
-C (0 exactly for the integral columns of C^(-1)) and column j of L mod
-n1, built by index when first read. An exact column of L is built
+pairs and each pair's least separator off them. ColoringAnalysis factors
+C once per (diagram, base) and derives all of this from that one Smith
+form, certified by replaying the record of its operations: one table of
+its s non-unit factors, each row of U and column of V in it checked
+against the certificate, gives the minimal set, the class of each e_j in
+coker C (0 exactly for the integral columns of C^(-1)) and column j of L
+mod n1, built by index when first read. An exact column of L is built
 only where one is asked for. Every column is checked at the crossings
 before it is read: mod n1 by the Fox relation, exactly by C col = n1
 e_j. The report stops reading at the first perfect column. The
-determinant alone comes from linalg.determinant and never factors;
-verify_gkh takes it from the same C the analysis factors and hands it
-to the analysis for the certificate.
+certified diagonal's product is |det C|, which verify_gkh reads off it;
+link_determinant computes the determinant apart, by linalg.determinant,
+and never factors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
-    check_cokernel,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -255,25 +255,26 @@ class ColoringAnalysis:
     """C(D) for one base arc, as sparse rows, and its Smith form U C V = D,
     factored and certified once, on first use.
 
-    A caller that has |det C| sets determinant before the first read; the
-    factorization is then certified through coker C by
-    linalg.check_cokernel, from U's s non-unit rows and V's matching
-    columns, and no other row of U is read. Without it, check_smith_form
-    multiplies U (C V) on every row of U. Everything else is a lazy field
-    derived from that one certified factorization, read off U's rows and
-    columns, replayed from the loop's record, and V's columns as the loop
-    left them; no dense U, D or V is built. With D = diag(d_i): the group
-    is the d_i > 1, and _factors, one table of them, gives the minimal
-    distinguishing set, the class of each e_j in coker C, whether column
-    j of C^(-1) is integral (the class is 0) and column j of L mod n1.
-    Those columns, one Fox n1-coloring of every arc each, are built
-    and checked in index order on first read and kept in one list; the
-    report keeps one pair bitset per column up to the first perfect column
-    when there is one, while perfect_columns, l_mod and extended_rows read
-    every column.
+    linalg.check_smith_form certifies the factorization by replaying the
+    record of its row and column operations, which makes U and V
+    unimodular, so |det C| is the product of the diagonal; no row of U or
+    column of V is built for it. Everything else is a lazy field derived
+    from that one certified factorization: U's rows and columns and V's
+    columns are replayed from the record, and no dense U, D or V is built.
+    With D = diag(d_i): the group is the d_i > 1, and _factors, one table
+    of them, gives the minimal distinguishing set, the class of each e_j
+    in coker C, whether column j of C^(-1) is integral (the class is 0)
+    and column j of L mod n1; the rows of U and columns of V it takes are
+    replayed together and checked against the certificate's products. Those
+    columns, one Fox n1-coloring of every arc each, are built and checked
+    in index order on first read and kept in one list; the report keeps
+    one pair bitset per column up to the first perfect column when there
+    is one, while perfect_columns, l_mod and extended_rows read every
+    column.
     Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone from
-    column j of U and checked against C col = n1 e_j; l is every such
-    column, and an integral column of C^(-1) is one of them divided by n1.
+    column j of U and the columns of V, and checked against C col = n1
+    e_j; l is every such column, and an integral column of C^(-1) is one
+    of them divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -282,15 +283,11 @@ class ColoringAnalysis:
         self.arc_count = len(d.arcs)
         self._built_columns: list[tuple[int, ...]] = []  # L mod n1, columns 0, 1, ...
         self._zero_column = (0,) * self.arc_count  # shared by the columns with a zero class
-        self.determinant: int | None = None  # |det C|, when the caller has computed it
 
     @cached_property
     def snf(self) -> SnfDecomposition:
         snf = smith_normal_form(self.c)
-        if self.determinant is None:
-            check_smith_form(self.c, snf)
-        else:
-            check_cokernel(self.c, snf, self.determinant)
+        check_smith_form(self.c, snf)
         return snf
 
     @cached_property
@@ -349,13 +346,14 @@ class ColoringAnalysis:
         n1 = self.modulus
         snf = self.snf
         found = []
-        for i, (x, v_col) in enumerate(zip(snf.diagonal, snf.v_cols)):
-            if x > 1:
-                scale = n1 // x
-                colors = [0] * self.c.cols
-                for k, y in v_col.items():
-                    colors[k] = scale * y % n1
-                found.append((x, i, snf.u_row(i), self._on_arcs(colors)))
+        factors = [i for i, x in enumerate(snf.diagonal) if x > 1]
+        for i, u_row, v_col in zip(factors, snf.u_rows_at(factors), snf.v_cols_at(factors)):
+            x = snf.diagonal[i]
+            scale = n1 // x
+            colors = [0] * self.c.cols
+            for k, y in v_col.items():
+                colors[k] = scale * y % n1
+            found.append((x, i, u_row, self._on_arcs(colors)))
         return tuple(found)
 
     def _column(self, j: int) -> tuple[int, ...]:
@@ -565,14 +563,16 @@ def enumerate_colorings(d: Diagram, k: int, limit: int = 1 << 24) -> tuple[FoxCo
     on the choice of V.
 
     Each is the sum of y_i V[:, i] over the axes of more than one point,
-    read off V's sparse columns. Bails out when the count passes limit;
+    the columns of V replayed together from the record and checked
+    against the certificate. Bails out when the count passes limit;
     the error carries the count, so callers can fall back to it.
     """
     snf, sides = _coloring_box(d, k)
     count = prod(sides)
     if count > limit:
         raise EnumerationLimitError(count, limit)
-    axes = [(range(0, k, k // side), v_col) for side, v_col in zip(sides, snf.v_cols) if side > 1]
+    wide = [i for i, side in enumerate(sides) if side > 1]
+    axes = [(range(0, k, k // sides[i]), v_col) for i, v_col in zip(wide, snf.v_cols_at(wide))]
     found = []
     for ys in product(*[points for points, _ in axes]):
         colors = [0] * len(sides)

@@ -9,29 +9,34 @@ A crossing matrix has at most three nonzeros a row, so the library keeps
 it as a SparseMatrix, one {col: value} dict per row, from the diagram to
 the certificate; the dense IntMatrix is for what is printed and for the
 products the tests and the benchmark take. determinant, smith_normal_form
-and the certificates read either form as sparse rows. The Smith form is
+and check_smith_form read either form as sparse rows. The Smith form is
 one sparse loop over rows and columns kept as dicts: it pivots on the
 smallest entry, +-1 first and the least Markowitz cost first among equals
 (Markowitz 1957), with each row's least key cached and recomputed only
 where an entry or a column count changed, takes Euclid steps where no
 unit is left, and puts the few non-unit pivots into a divisor chain by
-gcd/lcm steps at the end. V's columns stay dicts from start to finish;
-U is kept as the record of the loop's row operations, from which one row
-or one column of U is replayed alone and all its rows only on demand.
-The reader certifies the result: check_smith_form multiplies U (A V) on
-the dicts, and check_cokernel, given |det A|, reads only the non-unit
-rows of U and columns of V and proves that they present coker A. The
-determinant is computed apart from the Smith form, so that each
-certifies the other: sparse elimination on the same dict rows modulo
-Proth primes from a checked-in table, each proven on first use, fewest-rows
-column first, joined by the Chinese remainder theorem until the primes'
-product passes twice the Hadamard bound, which makes it exact.
+gcd/lcm steps at the end. Neither U nor V is accumulated: both are kept
+as the record of the loop's row and column operations, from which the
+rows of U or columns of V a reader asks for, or one column of U, are
+replayed in one pass, and all of U or V only on demand. The reader
+certifies the result: check_smith_form replays the record, checks that
+every operation is elementary and that the row operations on A's rows
+give the final matrix times the undone column operations, which makes U
+and V unimodular and |det A| the product of the diagonal; each row of U
+and column of V read off the record is then checked against that
+certificate's products. The determinant that kh det and link_determinant
+print is computed apart from the Smith form, and the tests keep it as an
+oracle for the diagonal: sparse elimination on the same dict rows modulo
+Proth primes from a checked-in table, each proven on first use,
+fewest-rows column first, joined by the Chinese remainder theorem until
+the primes' product passes twice the Hadamard bound, which makes it
+exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import prod
+from functools import cache, cached_property
+from math import gcd, prod
 
 
 class LinalgError(Exception):
@@ -164,20 +169,21 @@ def determinant(a: IntMatrix | SparseMatrix) -> int:
     det A is the residue mod M taken in (-M/2, M/2): the result is exact,
     not probabilistic (Abbott, Bronstein & Mulders 1999). The primes are
     _PROTH's, smallest first; a bound past them all raises
-    DeterminantBoundError. A zero row makes the bound 0 and the answer 0
-    before any prime is used.
+    DeterminantBoundError before the first elimination. A zero row makes
+    the bound 0 and the answer 0 before any prime is used.
     """
     if not a.is_square:
         raise LinalgError("determinant needs a square matrix")
     rows = _sparse(a).row_maps
     bound = 4 * prod(sum(x * x for x in r.values()) for r in rows)
+    reach, capacity = _reach(_PROTH)
+    if capacity <= bound:
+        raise DeterminantBoundError(
+            f"the determinant's bound needs a modulus of {(bound.bit_length() + 1) // 2} "
+            f"bits, past the {reach.bit_length()} bits of the prime table's product"
+        )
     residue, modulus, i = 0, 1, 0
     while modulus * modulus <= bound:
-        if i == len(_PROTH):
-            raise DeterminantBoundError(
-                f"the determinant's bound needs a modulus of {(bound.bit_length() + 1) // 2} "
-                f"bits, past the {modulus.bit_length()} bits of the prime table's product"
-            )
         p = _prime(i)
         residue += modulus * ((_det_mod(rows, p) - residue) * pow(modulus, -1, p) % p)
         modulus *= p
@@ -196,6 +202,15 @@ _PROTH = ((2061, 68), (2133, 148), (2101, 308), (2571, 628)) + tuple((k, 1268) f
     48127, 48595, 48625, 48997, 49483, 50037, 50085, 50955, 51297, 51405,
 ))
 _PRIMES: list[int] = []  # the entries of _PROTH proven so far, by _prime
+
+
+@cache
+def _reach(table) -> tuple[int, int]:
+    """The product M of the table's k 2^m + 1, read off (k, m) without
+    proving any entry, and M^2: a bound at or past M^2 needs more primes
+    than the table has."""
+    reach = prod((k << m) + 1 for k, m in table)
+    return reach, reach * reach
 
 
 def _prime(i: int) -> int:
@@ -279,21 +294,31 @@ class SnfDecomposition:
     """U A V = D for a rows x cols matrix A, U and V unimodular, D =
     diag(diagonal) with d_1 | d_2 | ..., kept as the sparse loop leaves it.
 
-    v_cols[k] is column k of V and u_rows[i] row i of U, each a dict
-    {index: value}. smith_normal_form passes no rows of U but the record of
-    its row operations on A, and the order its rows end in: u_rows is
-    replayed from the record on first use, while u_row(i) and u_column(j)
-    replay it alone, in one pass over the record each. Two decompositions
-    are equal when their values are, however U is kept. The dense u, d and
-    v are built on first use and kept.
+    u_rows[i] is row i of U and v_cols[k] column k of V, each a dict
+    {index: value}. smith_normal_form passes neither, but its record: the
+    row operations on A and the order its rows end in, the column
+    operations and the order its columns end in. u_rows and v_cols are
+    replayed from the record on first use, while u_rows_at and v_cols_at
+    replay only the rows of U and columns of V they are asked for, and
+    u_column(j) only column j of U, each in one pass over the record. Once
+    check_smith_form has certified a recorded decomposition, every row of
+    U and column of V read is checked against the certificate's products
+    before it is returned. Two decompositions are equal when their values
+    are, however U and V are kept. The dense u, d and v are built on first
+    use and kept.
     """
 
     def __init__(self, rows, cols, u_rows, diagonal, v_cols, record=None):
-        self.rows, self.cols, self.diagonal, self.v_cols = rows, cols, diagonal, v_cols
-        self.record = record  # (row operations, final row order) when u_rows is None
-        self._rows_read = {}  # i -> row i of U, replayed alone
+        self.rows, self.cols, self.diagonal = rows, cols, diagonal
+        # (row operations, row order, column operations, column order) when
+        # u_rows and v_cols are None
+        self.record = record
+        self.certified = None  # (A's rows, U A, V^(-1)), set by check_smith_form
+        self._vectors = {}  # (0, i) or (2, k) -> row i of U or column k of V, as read
         if u_rows is not None:
             self.u_rows = u_rows
+        if v_cols is not None:
+            self.v_cols = v_cols
 
     def __eq__(self, other):
         if not isinstance(other, SnfDecomposition):
@@ -303,36 +328,75 @@ class SnfDecomposition:
 
     @cached_property
     def u_rows(self) -> tuple[dict, ...]:
-        """U's rows: the identity's, with the recorded operations applied in order."""
-        ops, order = self.record
-        rows = [{i: 1} for i in range(self.rows)]
-        for op in ops:
-            if len(op) == 3:
-                i, f, p = op
-                _add_scaled(rows[i], f, rows[p])  # with i == p, each entry is read, then set
-            else:
-                a, b, s, t, x, y = op
-                ra, rb = rows[a], rows[b]
-                rows[a], rows[b] = _combine(s, ra, t, rb), _combine(x, ra, y, rb)
-        return tuple([rows[i] for i in order])
+        """U's rows: the identity's, with the recorded row operations applied in order."""
+        ops, order, _, _ = self.record
+        vectors = _apply([{i: 1} for i in range(self.rows)], ops, "row")
+        return tuple([vectors[i] for i in order])
 
-    def u_row(self, i: int) -> dict:
-        """Row i of U, e_i^T U; without u_rows, e_i^T E_m ... E_1 read as
-        (E_1^T ... E_m^T e_i)^T: the transposed operations, last first."""
-        if "u_rows" in self.__dict__ or self.record is None:
-            return self.u_rows[i]
-        if i not in self._rows_read:
-            ops, order = self.record
-            self._rows_read[i] = _replay({order[i]: 1}, reversed(ops), transpose=True)
-        return self._rows_read[i]
+    @cached_property
+    def v_cols(self) -> tuple[dict, ...]:
+        """V's columns: the identity's, with the recorded column operations applied in order."""
+        _, _, ops, order = self.record
+        vectors = _apply([{j: 1} for j in range(self.cols)], ops, "column")
+        return tuple([vectors[j] for j in order])
+
+    def u_rows_at(self, indices) -> list[dict]:
+        """The rows of U at indices; without u_rows, e_i^T E_m ... E_1 read
+        as (E_1^T ... E_m^T e_i)^T: the transposed operations, last first.
+        Once certified, each row u must give u A = its row of the certified
+        U A."""
+        return self._read(0, indices)
+
+    def v_cols_at(self, indices) -> list[dict]:
+        """The columns of V at indices; without v_cols, F_1 ... F_m e_k: the
+        transposed operations, last first. Once certified, each column v
+        must give V^(-1) v = e_k, which makes (D V^(-1)) v = d_k e_k."""
+        return self._read(2, indices)
+
+    def _read(self, side: int, indices) -> list[dict]:
+        """Rows of U (side 0) or columns of V (side 2) at indices, each kept
+        once read; those not read before are replayed together, in one pass
+        over the record. Once certified, each one's image, v A for a row of
+        U or V^(-1) v for a column of V, is checked against the
+        certificate's products, or LinalgError names the vector and the
+        first index where they differ."""
+        new = [k for k in indices if (side, k) not in self._vectors]
+        if new:
+            view = "v_cols" if side else "u_rows"
+            if view in self.__dict__ or self.record is None:
+                vectors = [getattr(self, view)[k] for k in new]
+            else:
+                ops, order = self.record[side : side + 2]
+                vectors = _replay([order[k] for k in new], reversed(ops), transpose=True)
+            for k, vector in zip(new, vectors):
+                if self.certified:
+                    a_rows, ua, w = self.certified
+                    order = self.record[side + 1]
+                    factors, want = (w, {order[k]: 1}) if side else (a_rows, ua[order[k]])
+                    image = {}
+                    get = image.get
+                    for t, x in vector.items():
+                        for j, y in factors[t].items():
+                            image[j] = get(j, 0) + x * y
+                    image = {j: z for j, z in image.items() if z}
+                    if image != want:
+                        j = min(j for j in image.keys() | want.keys() if image.get(j) != want.get(j))
+                        raise LinalgError(
+                            f"{'column' if side else 'row'} {k} of {'V' if side else 'U'}, read off "
+                            f"the record, is not the certified one: {'V^(-1) v' if side else 'v A'} "
+                            f"has {image.get(j, 0)} at {order.index(j) if side else j}, the "
+                            f"certificate {want.get(j, 0)}"
+                        )
+                self._vectors[side, k] = vector
+        return [self._vectors[side, k] for k in indices]
 
     def u_column(self, j: int) -> dict:
         """Column j of U, U e_j, as {row: value}; without u_rows, the
         recorded operations applied to e_j in order."""
         if "u_rows" in self.__dict__ or self.record is None:
             return {i: r[j] for i, r in enumerate(self.u_rows) if j in r}
-        ops, order = self.record
-        col = _replay({j: 1}, ops)
+        ops, order, _, _ = self.record
+        col = _replay([j], ops)[0]
         position = {r: k for k, r in enumerate(order)}
         return {position[r]: x for r, x in col.items()}
 
@@ -362,30 +426,29 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     least key is cached; after a pass only the rows whose entries changed
     and the rows of the columns whose count changed are keyed again, so the
     pivot is the least cached key, the same one a scan of every live entry
-    would find. Row operations on D reduce the pivot column by the nearest
-    multiples of x; once the column is clear, column operations on V
-    reduce the pivot row, which touches only row p of D. A remainder either
-    step leaves is at most |x| / 2, below every live entry, so the next
-    pass pivots on it (Euclid) and the loop ends. A pivot alone in its row
-    and column retires, its sign flipped by a row operation. The units then
-    lead the diagonal, and one sweep makes the other pivots a divisor
-    chain: a pair (a, b) with a not dividing b becomes (g, ab / g), where g
-    = gcd(a, b) = s a + t b, by the rows (s, t), (-b / g, a / g) and the
-    columns v_a + v_b, -(t b / g) v_a + (s a / g) v_b on V, both of
-    determinant 1. V's columns go into the result as the dicts they are;
-    U is not accumulated but recorded, one entry per row operation: (i, f,
-    p) adds f times row p to row i (a sign flip is (p, -2, p)), and (a, b,
-    s, t, x, y) puts s a + t b in row a and x a + y b in row b.
+    would find. Row operations reduce the pivot column by the nearest
+    multiples of x; once the column is clear, column operations reduce the
+    pivot row, which touches only row p. A remainder either step leaves is
+    at most |x| / 2, below every live entry, so the next pass pivots on it
+    (Euclid) and the loop ends. A pivot alone in its row and column
+    retires, its sign flipped by a row operation. The units then lead the
+    diagonal, and one sweep makes the other pivots a divisor chain: a pair
+    (a, b) with a not dividing b becomes (g, ab / g), where g = gcd(a, b) =
+    s a + t b, by the rows (s, t), (-b / g, a / g) and the columns v_a +
+    v_b, -(t b / g) v_a + (s a / g) v_b, both of determinant 1. Neither U
+    nor V is accumulated; each is recorded, one entry per operation: (i,
+    f, p) adds f times row (column) p to row (column) i, a sign flip is
+    (p, -2, p), and (a, b, s, t, x, y) puts s a + t b in a and x a + y b in
+    b.
 
-    The result is not certified here: the caller checks it, by
-    check_smith_form, or by check_cokernel where |det A| is known.
+    The result is not certified here: the caller checks it by
+    check_smith_form, which replays the record.
     """
     a = _sparse(a)
     rows, cols = a.rows, a.cols
     d_rows = [dict(r) for r in a.row_maps]
     in_col = _column_index(d_rows, cols)
-    ops = []  # U's row operations, in order
-    v_cols = [{j: 1} for j in range(cols)]
+    u_ops, v_ops = [], []  # the row and column operations, in order
     keys = {}  # live row -> its least (|x|, cost, row, col)
     _key_rows(keys, range(rows), d_rows, in_col)
     pivots = []
@@ -398,13 +461,13 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
         for i in changed:
             f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
-            ops.append((i, f, p))
+            u_ops.append((i, f, p))
         changed.add(p)
         if len(in_col[q]) == 1:
             for j, y in list(pivot_row.items()):
                 if j != q:
                     f = -((2 * y + x) // (2 * x))
-                    _add_scaled(v_cols[j], f, v_cols[q])
+                    v_ops.append((j, f, q))
                     y += f * x
                     if y:
                         pivot_row[j] = y
@@ -418,22 +481,29 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
         if len(pivot_row) == 1 and len(in_col[q]) == 1:
             if x < 0:
                 pivot_row[q] = -x
-                ops.append((p, -2, p))
+                u_ops.append((p, -2, p))
             del keys[p]
             pivots.append((p, q))
 
     units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
     chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
+    # rest[k]: the gcd of the chain's values from k on, before the sweep. A
+    # step only turns a later value into a multiple of itself, so a value
+    # dividing rest[k + 1] divides every later one, and its pass does nothing.
+    rest = [0] * (len(chain) + 1)
+    for k in range(len(chain) - 1, -1, -1):
+        p, q = chain[k]
+        rest[k] = gcd(rest[k + 1], d_rows[p][q])
     for k, (pa, qa) in enumerate(chain):
+        if rest[k + 1] % d_rows[pa][qa] == 0:
+            continue
         for pb, qb in chain[k + 1 :]:
             x, y = d_rows[pa][qa], d_rows[pb][qb]
             if y % x:
                 g, s, t = _xgcd(x, y)
                 d_rows[pa][qa], d_rows[pb][qb] = g, x // g * y
-                ops.append((pa, pb, s, t, -(y // g), x // g))
-                va, vb = v_cols[qa], v_cols[qb]
-                v_cols[qa] = _combine(1, va, 1, vb)
-                v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
+                u_ops.append((pa, pb, s, t, -(y // g), x // g))
+                v_ops.append((qa, qb, 1, 1, -t * (y // g), s * (x // g)))
     pivots = units + chain
 
     pivot_rows = {p for p, _ in pivots}
@@ -445,42 +515,50 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
         cols,
         None,
         tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
-        tuple([v_cols[j] for j in col_order]),
-        (ops, row_order),
+        None,
+        (u_ops, row_order, v_ops, col_order),
     )
 
 
-def _replay(vector: dict, ops, transpose: bool = False) -> dict:
-    """ops applied in order to a column vector {index: value}, zeros
-    dropped: (i, f, p) adds f vector[p] to vector[i], and (a, b, s, t, x,
-    y) maps (vector[a], vector[b]) to (s va + t vb, x va + y vb). With
-    transpose, each operation's transpose: (i, f, p) adds f vector[i] to
-    vector[p], and t and x trade places."""
-    get = vector.get
+def _replay(starts, ops, transpose: bool = False) -> list[dict]:
+    """The unit vectors e_t, t in starts, with ops applied in order, as
+    {index: value} dicts, zeros dropped: (i, f, p) adds f v[p] to v[i],
+    and (a, b, s, t, x, y) maps (v[a], v[b]) to (s va + t vb, x va + y vb).
+    With transpose, each operation's transpose: (i, f, p) adds f v[i] to
+    v[p], and t and x trade places. The vectors are kept together, by
+    index: at[j] is {vector: value}, so one pass over ops costs little
+    more for many vectors than for one."""
+    at = {}
+    for k, j in enumerate(starts):
+        at.setdefault(j, {})[k] = 1
+    get = at.get
     for op in ops:
         if len(op) == 3:
             i, f, p = op
             if transpose:
                 i, p = p, i
-            z = get(p)
-            if z:
-                z = get(i, 0) + f * z
-                if z:
-                    vector[i] = z
-                else:
-                    del vector[i]
+            source = get(p)
+            if source:
+                target = at.setdefault(i, {})
+                for k, z in source.items():  # with i == p, each entry is read, then set
+                    z = target.get(k, 0) + f * z
+                    if z:
+                        target[k] = z
+                    else:
+                        target.pop(k, None)
         else:
             a, b, s, t, x, y = op
             if transpose:
                 t, x = x, t
-            va, vb = get(a, 0), get(b, 0)
+            va, vb = get(a), get(b)
             if va or vb:
-                for k, z in ((a, s * va + t * vb), (b, x * va + y * vb)):
-                    if z:
-                        vector[k] = z
-                    else:
-                        vector.pop(k, None)
-    return vector
+                va, vb = va or {}, vb or {}
+                at[a], at[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
+    vectors = [{} for _ in starts]
+    for j, entries in at.items():
+        for k, z in entries.items():
+            vectors[k][j] = z
+    return vectors
 
 
 def _key_rows(keys: dict, changed, d_rows: list[dict], in_col: list[set]) -> None:
@@ -528,29 +606,127 @@ def _combine(f: int, x: dict, g: int, y: dict) -> dict:
     return out
 
 
-def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None:
-    """Certificate for a Smith form: D is a nonnegative divisor chain and
-    U (A V) == D, computed exactly on U's rows and V's columns as dicts.
+def _apply(vectors: list[dict], ops, what: str, undo: bool = False) -> list[dict]:
+    """vectors, changed in place by ops in order, or with undo by each
+    op's inverse, last first: (i, f, p) adds f vectors[p] to vectors[i],
+    and (a, b, s, t, x, y) maps (va, vb) to (s va + t vb, x va + y vb).
 
-    A multiplies first: on a crossing matrix A V stays about as sparse as
-    A, so the product with U costs about one sparse row per nonzero of U.
-    Raises LinalgError naming the shapes when they do not fit A, or the
-    first entry (i, j), in row-major order, that disagrees. U (A V) = D
-    alone does not make U and V unimodular (2U A V = 2D passes);
-    check_cokernel, with |det A|, does.
+    Each op must be elementary on len(vectors) vectors: an add with i !=
+    p, the sign flip (p, -2, p), or a 2x2 step on two distinct indices with
+    s y - t x = e = +-1, whose inverse is (e y, -e t, -e x, e s). Otherwise
+    LinalgError names the what operation and its place in ops.
+    """
+    n = len(vectors)
+    for k in range(len(ops) - 1, -1, -1) if undo else range(len(ops)):
+        op = ops[k]
+        if len(op) == 3:
+            i, f, p = op
+            if not (0 <= i < n and 0 <= p < n and (i != p or f == -2)):
+                raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
+            if undo and i != p:
+                f = -f
+            target = vectors[i]
+            for j, z in vectors[p].items():  # with i == p, each entry is read, then set
+                z = target.get(j, 0) + f * z
+                if z:
+                    target[j] = z
+                else:
+                    target.pop(j, None)
+        else:
+            a, b, s, t, x, y = op
+            e = s * y - t * x
+            if not (0 <= a < n and 0 <= b < n and a != b and e in (1, -1)):
+                raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
+            if undo:
+                s, t, x, y = e * y, -e * t, -e * x, e * s
+            va, vb = vectors[a], vectors[b]
+            vectors[a], vectors[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
+    return vectors
+
+
+def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None:
+    """Certificate for a Smith form U A V = D: D is a nonnegative divisor
+    chain, U and V are unimodular and U A = D V^(-1). Raises LinalgError
+    naming the shapes when they do not fit A, or the operation or entry at
+    fault.
+
+    A decomposition smith_normal_form recorded is certified by replaying
+    its record, with no determinant and no product with U or V: every
+    operation must be elementary, so the row operations make a unimodular
+    U_0 and the column operations a unimodular V_0, with U = P U_0 and V =
+    V_0 Q for the permutations P and Q its row and column orders give. The
+    row operations replayed on A's rows give U_0 A, and the column
+    operations undone on the identity's columns, last first, give V_0^(-1);
+    U_0 A must equal M V_0^(-1), where M = P^T D Q^T is the loop's final
+    matrix, d_k at its k-th pivot: row p of M V_0^(-1) is d_k times row q
+    of V_0^(-1) at the pivot (p, q), and 0 off the pivots. Then U A V = P
+    M Q = D, so |det A| = prod d_i and coker A = + Z_{d_i}. U_0 A and
+    V_0^(-1) are kept on snf as its certified products, against which
+    u_rows_at and v_cols_at check every row of U and column of V they return.
+
+    A decomposition given by its rows of U and columns of V, as the tests'
+    dense oracles build, is checked by the full product U (A V) == D on
+    the dicts, A first, and where A is square by prod d_i = |det A|: U (A
+    V) = D alone holds for 2U A V = 2D too, whose 2U is not unimodular.
     """
     a = _sparse(a)
     m, n = a.rows, a.cols
-    u_rows, diag, v_cols = snf.u_rows, snf.diagonal, snf.v_cols
-    if (len(u_rows), snf.rows, snf.cols, len(diag), len(v_cols)) != (m, m, n, min(m, n), n):
+    diag, record = snf.diagonal, snf.record
+    u_count, v_count = (len(record[1]), len(record[3])) if record else (len(snf.u_rows), len(snf.v_cols))
+    if (u_count, snf.rows, snf.cols, len(diag), v_count) != (m, m, n, min(m, n), n):
         raise LinalgError(
-            f"Smith form shapes do not fit A ({m}x{n}): U is {len(u_rows)}x{len(u_rows)}, "
+            f"Smith form shapes do not fit A ({m}x{n}): U is {u_count}x{u_count}, "
             f"D is {snf.rows}x{snf.cols} with {len(diag)} diagonal entries, "
-            f"V is {len(v_cols)}x{len(v_cols)}"
+            f"V is {v_count}x{v_count}"
         )
+    _check_chain(diag)
+    if record is None:
+        _check_product(a, snf)
+        det = abs(determinant(a)) if m == n else None
+        if det is not None and prod(diag) != det:
+            raise LinalgError(
+                f"Smith form diagonal product {prod(diag)} != |det A| = {det}: "
+                f"the transforms are not unimodular"
+            )
+        return
+    u_ops, row_order, v_ops, col_order = record
+    for what, order, size in (("row", row_order, m), ("column", col_order, n)):
+        if sorted(order) != list(range(size)):
+            raise LinalgError(f"Smith form {what} order is not a permutation of 0..{size - 1}")
+    ua = _apply([dict(r) for r in a.row_maps], u_ops, "row")
+    w = _apply([{j: 1} for j in range(n)], v_ops, "column", undo=True)
+    w_rows = [{} for _ in range(n)]
+    for j, col in enumerate(w):
+        for q, y in col.items():
+            w_rows[q][j] = y
+    for i, p in enumerate(row_order):
+        x = diag[i] if i < len(diag) else 0
+        want = w_rows[col_order[i]] if x else {}
+        if x > 1:
+            want = {j: x * y for j, y in want.items()}
+        row = ua[p]
+        if row != want:
+            j = min(j for j in row.keys() | want.keys() if row.get(j) != want.get(j))
+            raise LinalgError(
+                f"Smith form certificate fails at ({i}, {j}): U A has {row.get(j, 0)}, "
+                f"D V^(-1) has {want.get(j, 0)}"
+            )
+    snf.certified = (a.row_maps, ua, w)
+    snf._vectors.clear()  # a vector read before now is checked again when read next
+
+
+def _check_product(a: SparseMatrix, snf: SnfDecomposition) -> None:
+    """U (A V) == D, computed exactly on U's rows and V's columns as dicts.
+
+    A multiplies first: on a crossing matrix A V stays about as sparse as
+    A, so the product with U costs about one sparse row per nonzero of U.
+    Raises LinalgError naming the first entry (i, j), in row-major order,
+    that disagrees.
+    """
+    m, n = a.rows, a.cols
+    u_rows, diag, v_cols = snf.u_rows, snf.diagonal, snf.v_cols
     _check_indices("row {} of U", enumerate(u_rows), m)
     _check_indices("column {} of V", enumerate(v_cols), n)
-    _check_chain(diag)
     v_rows = [{} for _ in range(n)]
     for k, col in enumerate(v_cols):
         for j, y in col.items():
@@ -575,69 +751,6 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
                 f"Smith form certificate fails at ({i}, {j}): U A V has {acc[j] + want}, "
                 f"D has {want}"
             )
-
-
-def check_cokernel(a: IntMatrix | SparseMatrix, snf: SnfDecomposition, det: int) -> None:
-    """Certificate for a Smith form of a square A with |det A| = det != 0,
-    read off its non-unit factors alone. With d_i > 1, u_i row i of U and
-    v_i column i of V, it requires:
-
-    - D a divisor chain with prod d_i = det;
-    - u_i A = 0 mod d_i;
-    - A v_i = d_i y_i with y_i integral, and u_k y_i = [k == i] mod d_k.
-
-    The second makes x -> (u_i x mod d_i) well defined on coker A, the
-    third makes it onto + Z_{d_i} (y_i goes to e_i), and both groups have
-    det elements, so it is an isomorphism. That certifies the group, the
-    class (u_i[j] mod d_i) of every e_j, and that sum_i (u_i[j] mod d_i)
-    (n / d_i) v_i = n A^(-1) e_j mod n for every common multiple n of the
-    d_i. It costs two sparse products per non-unit factor and s^2 dot
-    products, where check_smith_form multiplies all of U, so it is the
-    cheaper check while s is small. Raises LinalgError naming the row of U
-    or the column of V at fault.
-    """
-    a = _sparse(a)
-    n, diag = a.rows, snf.diagonal
-    u_count = snf.rows if snf.record else len(snf.u_rows)
-    if not a.is_square or (u_count, snf.rows, snf.cols, len(diag), len(snf.v_cols)) != (n,) * 5:
-        raise LinalgError(
-            f"Smith form shapes do not fit A ({a.rows}x{a.cols}): U is {u_count}x{u_count}, "
-            f"D is {snf.rows}x{snf.cols} with {len(diag)} diagonal entries, "
-            f"V is {len(snf.v_cols)}x{len(snf.v_cols)}"
-        )
-    if det == 0:
-        raise LinalgError("the cokernel certificate needs a nonzero determinant")
-    _check_chain(diag)
-    if prod(diag) != det:
-        raise LinalgError(
-            f"Smith form diagonal product {prod(diag)} != determinant {det}: "
-            f"the transforms are not unimodular"
-        )
-    factors = [(i, x, snf.u_row(i), snf.v_cols[i]) for i, x in enumerate(diag) if x > 1]
-    _check_indices("row {} of U", [(i, u) for i, _, u, _ in factors], n)
-    _check_indices("column {} of V", [(i, v) for i, _, _, v in factors], n)
-    images = []
-    for i, x, u_row, v_col in factors:
-        acc = {}
-        for t, y in u_row.items():
-            for j, z in a.row_maps[t].items():
-                acc[j] = acc.get(j, 0) + y * z
-        bad = min((j for j, z in acc.items() if z % x), default=None)
-        if bad is not None:
-            raise LinalgError(f"row {i} of U times A is not 0 mod {x} at column {bad}")
-        image = [sum([y * v_col.get(j, 0) for j, y in row.items()]) for row in a.row_maps]
-        bad = next((t for t, z in enumerate(image) if z % x), None)
-        if bad is not None:
-            raise LinalgError(f"A times column {i} of V is not divisible by {x} at row {bad}")
-        images.append((i, [z // x for z in image]))
-    for k, x, u_row, _ in factors:
-        for i, y in images:
-            r = sum([z * y[t] for t, z in u_row.items()]) % x
-            if r != (k == i):
-                raise LinalgError(
-                    f"row {k} of U takes A times column {i} of V over {diag[i]} to {r} "
-                    f"mod {x}, not {int(k == i)}"
-                )
 
 
 def _check_indices(what: str, vectors, size: int) -> None:

@@ -7,9 +7,11 @@ and (c) s = number of invariant factors colorings built from the Smith
 form suffice to separate everything. Reports are total: hypotheses are
 recorded, the checks run regardless, and failures are listed rather than
 raised. verify_gkh builds the sparse reduced crossing matrix C once, from
-the diagram's crossing arcs, and the determinant and the Smith form both
-read it; no dense matrix is built. The determinant then certifies the
-Smith form through the group coker C it presents. Composite diagrams are checked against
+the diagram's crossing arcs, and factors it once, U C V = D; no dense
+matrix is built. The factorization's certificate replays the record of
+its operations, which makes U and V unimodular, so the determinant is the
+product of the certified diagonal and no second elimination is run.
+Composite diagrams are checked against
 the direct sum of their summands' groups, the Smith form of their
 invariant factors as sparse diagonal rows, and random_alternating_diagram
 draws the seeded inputs of `kh fuzz`.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 
 from .codec import BraidWord
 from .coloring import (
@@ -30,7 +33,7 @@ from .coloring import (
     link_determinant,
 )
 from .diagram import Diagram, braid_closure, connected_sum
-from .linalg import LinalgError, SparseMatrix, check_smith_form, determinant, smith_normal_form
+from .linalg import LinalgError, SparseMatrix, check_smith_form, smith_normal_form
 from .pseudo import PseudoColoring
 
 
@@ -95,32 +98,31 @@ class VerificationReport:
         return self.inverse_pseudo_count == 0
 
 
-def hypotheses_of(d: Diagram, c: SparseMatrix | None = None) -> Hypotheses:
-    """The theorems' hypotheses; c, the sparse reduced crossing matrix at
-    any base arc, saves building it again for the determinant."""
+def hypotheses_of(d: Diagram) -> Hypotheses:
+    """The theorems' hypotheses, the determinant by link_determinant."""
+    return _hypotheses(d, link_determinant(d))
+
+
+def _hypotheses(d: Diagram, determinant: int) -> Hypotheses:
     return Hypotheses(
         alternating=d.is_alternating,
         reduced=d.is_reduced,
         prime=d.is_prime_diagram,
-        determinant=link_determinant(d) if c is None else abs(determinant(c)),
+        determinant=determinant,
         components=len(d.spans),
     )
 
 
 def _analysis_of(d: Diagram, base: int | None = None) -> tuple[ColoringAnalysis | None, Hypotheses]:
     """The ColoringAnalysis of d at base, None where C'(D) is not square or
-    base is out of range, and the hypotheses, their determinant taken from
-    the analysis's C. A nonzero determinant is handed to the analysis:
-    exact by its Hadamard bound and computed apart from the Smith form, it
-    certifies that factorization through coker C (linalg.check_cokernel)."""
+    base is out of range, and the hypotheses. Where the analysis exists,
+    their determinant is the product of its certified Smith diagonal: U C
+    V = D with U and V unimodular makes |det C| = prod d_i."""
     try:
         analysis = ColoringAnalysis(d, base)  # builds C(D), factors it on first use
     except ColoringError:
-        analysis = None
-    hyp = hypotheses_of(d, analysis.c if analysis else None)
-    if analysis is not None and hyp.determinant:
-        analysis.determinant = hyp.determinant
-    return analysis, hyp
+        return None, hypotheses_of(d)
+    return analysis, _hypotheses(d, prod(analysis.snf.diagonal))
 
 
 def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> VerificationReport:
@@ -128,8 +130,9 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
 
     Never aborts on failed hypotheses, so non-examples produce readable
     reports; a zero determinant is the one hard error. A certificate that
-    does not hold (the Smith form through coker C with the determinant,
-    L mod n1 against the minimal set) raises LinalgError.
+    does not hold (the Smith form's replayed record, a row of U or column
+    of V read against it, L mod n1 against the minimal set) raises
+    LinalgError.
     """
     analysis, hyp = _analysis_of(d, base)
     if hyp.determinant == 0:

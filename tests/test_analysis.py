@@ -31,6 +31,7 @@ from gkh.coloring import (
     coloring_group,
     coloring_matrix,
     crossing_matrix,
+    enumerate_colorings,
     link_determinant,
 )
 from gkh.codec import BraidWord
@@ -41,7 +42,6 @@ from gkh.linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
-    check_cokernel,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -266,27 +266,47 @@ def rows_of_u(monkeypatch):
     return built
 
 
-def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, dense_views, monkeypatch):
+@pytest.fixture
+def cols_of_v(monkeypatch):
+    """The sizes of the Smith forms whose V has all its columns built from
+    the record of column operations, as they are built."""
+    built = []
+    original = SnfDecomposition.v_cols.func
+
+    def build(self):
+        built.append(self.cols)
+        return original(self)
+
+    view = functools.cached_property(build)
+    view.__set_name__(SnfDecomposition, "v_cols")
+    monkeypatch.setattr(SnfDecomposition, "v_cols", view)
+    return built
+
+
+def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_views, monkeypatch):
     certificates = []
-    for name in ("check_smith_form", "check_cokernel"):
-        original = getattr(gkh.coloring, name)
+    original = gkh.coloring.check_smith_form
 
-        def counted(*args, name=name, original=original):
-            certificates.append(name)
-            return original(*args)
+    def counted(a, snf):
+        certificates.append(snf.record is not None)
+        return original(a, snf)
 
-        monkeypatch.setattr(gkh.coloring, name, counted)
+    monkeypatch.setattr(gkh.coloring, "check_smith_form", counted)
     report = verify_gkh(turks_head(25))  # 50 crossings, s = 2
     assert report.passed and report.s == 2
-    # conway has s = 0: the certificate reads no row of U, and each of its
-    # 10 integral columns of C^(-1) is an exact column of L read off the record
-    assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
-    assert verify_gkh(fixture_diagram("8_19")).s == 1
-    assert certificates == ["check_cokernel"] * 3
-    assert rows_of_u == [] and dense_views == []
-    # without a determinant the full U (C V) = D certificate reads all of U
+    # the record certificate replays the operations on C's rows and undoes
+    # them on the identity's columns; it builds no row of U and no column of
+    # V, and _factors replays the s rows and columns it reads alone
+    assert certificates == [True] and rows_of_u == cols_of_v == []
     coloring_group(turks_head(6))
-    assert certificates[3:] == ["check_smith_form"] and rows_of_u == [11]
+    assert certificates == [True] * 2 and rows_of_u == cols_of_v == []
+    # 8_19 (s = 1) has 3 integral columns of C^(-1), conway (s = 0) 10: each
+    # is an exact column of L, read off the record of U and V's columns,
+    # replayed once
+    assert verify_gkh(fixture_diagram("8_19")).s == 1
+    assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
+    assert certificates == [True] * 4 and rows_of_u == [] and cols_of_v == [7, 10]
+    assert dense_views == []
 
 
 @st.composite
@@ -299,62 +319,165 @@ def invertible_diagrams(draw):
     return d
 
 
-@settings(max_examples=120, deadline=None)
-@given(invertible_diagrams(), st.sampled_from("uv"), st.sampled_from((1, -1)), st.data())
-def test_cokernel_certificate_accepts_the_factorization_and_names_a_change(d, where, delta, data):
-    analysis = ColoringAnalysis(d)
-    c = analysis.c
-    det = abs(determinant(c))
-    snf = smith_normal_form(c)
-    check_cokernel(c, snf, det)
-    with pytest.raises(LinalgError, match=rf"product {det} != determinant {det + 1}: the transforms are not unimodular"):
-        check_cokernel(c, snf, det + 1)
-    factors = [i for i, x in enumerate(snf.diagonal) if x > 1]
-    assume(factors)
-    k = data.draw(st.sampled_from(factors))
-    x = snf.diagonal[k]
-    # 2 u_k still annihilates C mod d_k, but takes y_k to 2, not 1
-    rows = list(snf.u_rows)
-    rows[k] = {j: 2 * y for j, y in rows[k].items()}
-    doubled = SnfDecomposition(snf.rows, snf.cols, tuple(rows), snf.diagonal, snf.v_cols)
-    with pytest.raises(LinalgError, match=rf"row {k} of U takes A times column {k} of V over {x} to \d+ mod {x}, not 1"):
-        check_cokernel(c, doubled, det)
-    # a change at t is wrong for sure when row t of C (for U) or column t
-    # (for V) is not 0 mod d_k; where it is, the changed factor may still
-    # present coker C, and then the certificate rightly holds
+def with_op(snf, where, k, op):
+    """snf's record with operation k of U (where "u") or of V (where "v")
+    replaced by op, uncertified."""
+    u_ops, row_order, v_ops, col_order = snf.record
+    ops = list(u_ops if where == "u" else v_ops)
+    ops[k] = op
     if where == "u":
-        positions = [t for t, row in enumerate(c.row_maps) if any(y % x for y in row.values())]
-        message = rf"row {k} of U times A is not 0 mod {x} at column \d+"
+        record = (ops, row_order, v_ops, col_order)
     else:
-        positions = [t for t in range(c.cols) if any(row.get(t, 0) % x for row in c.row_maps)]
-        message = rf"A times column {k} of V is not divisible by {x} at row \d+"
-    assume(positions)  # the Hopf link's C is (2)
-    bad = tampered(snf, where, k, data.draw(st.sampled_from(positions)), delta)
-    with pytest.raises(LinalgError, match=message):
-        check_cokernel(c, bad, det)
+        record = (u_ops, row_order, ops, col_order)
+    return SnfDecomposition(snf.rows, snf.cols, None, snf.diagonal, None, record)
 
 
-def test_cokernel_certificate_survives_optimize_flag():
-    # 7_7 has one non-unit factor, 21, last on the diagonal
+def first_difference(x, y):
+    """The first (i, j), in row-major order, where the matrices x and y differ."""
+    k = next(k for k, (p, q) in enumerate(zip(x.entries, y.entries)) if p != q)
+    return divmod(k, x.cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(invertible_diagrams(), st.sampled_from("uv"), st.integers(-3, 3).filter(bool), st.data())
+def test_record_certificate_names_the_entry_a_changed_factor_moves(d, where, delta, data):
+    # C is invertible, so a changed f in one operation moves U C (for U) or
+    # D V^(-1) (for V); the dense oracles name the first entry that moves
+    c = ColoringAnalysis(d).c
+    snf = smith_normal_form(c)
+    check_smith_form(c, snf)
+    ops = snf.record[0 if where == "u" else 2]
+    adds = [k for k, op in enumerate(ops) if len(op) == 3 and op[0] != op[2]]
+    assume(adds)  # the Hopf link's C is (2)
+    k = data.draw(st.sampled_from(adds))
+    i, f, p = ops[k]
+    bad = with_op(snf, where, k, (i, f + delta, p))
+    honest = snf.u @ c.dense()
+    if where == "u":
+        row, col = first_difference(bad.u @ c.dense(), honest)
+    else:
+        inverse = IntMatrix.from_rows([[int(x) for x in r] for r in rational_inverse(bad.v)])
+        row, col = first_difference(snf.d @ inverse, honest)
+    with pytest.raises(LinalgError, match=rf"certificate fails at \({row}, {col}\): U A has"):
+        check_smith_form(c, bad)
+
+
+def test_record_certificate_refuses_a_non_elementary_operation():
+    c = ColoringAnalysis(fixture_diagram("7_7")).c
+    snf = smith_normal_form(c)
+    i, _, _ = snf.record[0][3]
+    with pytest.raises(LinalgError, match=rf"row operation 3, \({i}, 1, {i}\), is not elementary on 6"):
+        check_smith_form(c, with_op(snf, "u", 3, (i, 1, i)))
+    # the chain sweep's 2x2 steps, (6, 4) -> (2, 12); s t, x y scaled by 2
+    # gives s y - t x = 2
+    a = IntMatrix.from_rows([[6, 0], [0, 4]])
+    snf = smith_normal_form(a)
+    check_smith_form(a, snf)
+    for where, ops in (("u", snf.record[0]), ("v", snf.record[2])):
+        k, (p, q, s, t, x, y) = next((k, op) for k, op in enumerate(ops) if len(op) == 6)
+        doubled = (p, q, 2 * s, 2 * t, x, y)
+        what = "row" if where == "u" else "column"
+        with pytest.raises(LinalgError, match=rf"{what} operation {k}, \({', '.join(map(str, doubled))}\), is not elementary"):
+            check_smith_form(a, with_op(snf, where, k, doubled))
+
+
+@pytest.mark.parametrize("name", ["7_7", "10_123", "conway"])
+def test_record_certificate_refuses_a_changed_diagonal_entry(name):
+    # doubling the last entry keeps a divisor chain, so only the product can
+    # see it: row k of D V^(-1) doubles, row k of U C does not
+    c = ColoringAnalysis(fixture_diagram(name)).c
+    snf = smith_normal_form(c)
+    k = len(snf.diagonal) - 1
+    diagonal = snf.diagonal[:k] + (2 * snf.diagonal[k],)
+    bad = SnfDecomposition(snf.rows, snf.cols, None, diagonal, None, snf.record)
+    with pytest.raises(LinalgError, match=rf"certificate fails at \({k}, \d+\)"):
+        check_smith_form(c, bad)
+
+
+@pytest.mark.parametrize("name", NONZERO_FIXTURES)
+def test_a_read_that_differs_from_the_certified_products_is_refused(name):
+    # a record changed after the certificate ran: every row of U and column
+    # of V read off it is checked against the certified U C and
+    # V^(-1), so exactly the rows and columns the change moves are refused
+    c = ColoringAnalysis(fixture_diagram(name)).c
+    for where in "uv":
+        snf = smith_normal_form(c)
+        check_smith_form(c, snf)
+        ops = snf.record[0 if where == "u" else 2]
+        adds = [k for k, op in enumerate(ops) if len(op) == 3 and op[0] != op[2]]
+        if not adds:
+            continue
+        i, f, p = ops[adds[-1]]
+        ops[adds[-1]] = (i, f + 1, p)
+        changed = smith_normal_form(c)
+        changed.record[0 if where == "u" else 2][adds[-1]] = (i, f + 1, p)
+        honest = smith_normal_form(c)
+        at = SnfDecomposition.u_rows_at if where == "u" else SnfDecomposition.v_cols_at
+
+        def read(x, k):
+            return at(x, [k])[0]
+
+        moved = [k for k in range(c.rows) if read(changed, k) != read(honest, k)]
+        assert moved
+        for k in range(c.rows):
+            if k not in moved:
+                assert read(snf, k) == read(honest, k)
+            elif where == "u":
+                with pytest.raises(LinalgError, match=rf"row {k} of U, read off the record, is not the certified one: v A has"):
+                    read(snf, k)
+            else:
+                with pytest.raises(LinalgError, match=rf"column {k} of V, read off the record, is not the certified one: V\^\(-1\) v has"):
+                    read(snf, k)
+
+
+def test_readers_check_each_row_and_column_they_take(monkeypatch):
+    # a replay that goes wrong after the certificate: _factors reads row 5
+    # of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V, and
+    # a column of V read alone is checked the same way
+    replay = gkh.linalg._replay
+
+    def wrong(starts, ops, transpose=False):
+        vectors = replay(starts, ops, transpose)
+        for vector in vectors:
+            vector[0] = vector.get(0, 0) + 1
+        return vectors
+
+    monkeypatch.setattr(gkh.linalg, "_replay", wrong)
+    with pytest.raises(LinalgError, match="row 5 of U, read off the record, is not the certified one: v A has"):
+        verify_gkh(fixture_diagram("7_7"))
+    with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one"):
+        enumerate_colorings(fixture_diagram("3_1"), 3)
+    with pytest.raises(LinalgError, match=r"column 5 of V, read off the record, is not the certified one: V\^\(-1\) v has"):
+        ColoringAnalysis(fixture_diagram("7_7")).snf.v_cols_at([5])
+
+
+def test_record_certificate_survives_optimize_flag():
+    c = ColoringAnalysis(fixture_diagram("7_7")).c
+    snf = smith_normal_form(c)
+    tampers = [("u", 3, (snf.record[0][3][0], 1, snf.record[0][3][0]))]
+    for where, ops in (("u", snf.record[0]), ("v", snf.record[2])):
+        i, f, p = ops[0]
+        tampers.append((where, 0, (i, f + 1, p)))
+    expected = []
+    for where, k, op in tampers:
+        with pytest.raises(LinalgError) as err:
+            check_smith_form(c, with_op(snf, where, k, op))
+        expected.append(str(err.value))
     code = (
         "from gkh.coloring import ColoringAnalysis\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
-        f"{inspect.getsource(tampered)}\n"
+        f"{inspect.getsource(with_op)}\n"
         "c = ColoringAnalysis(fixture_diagram('7_7')).c\n"
         "snf = smith_normal_form(c)\n"
-        "k = len(snf.diagonal) - 1\n"
-        "for bad, det in ((snf, 22), (tampered(snf, 'u', k, 0, 1), 21), (tampered(snf, 'v', k, 0, -1), 21)):\n"
+        f"for where, k, op in {tampers!r}:\n"
         "    try:\n"
-        "        check_cokernel(c, bad, det)\n"
+        "        check_smith_form(c, with_op(snf, where, k, op))\n"
         "    except LinalgError as err:\n"
         "        print(err)\n"
     )
-    out = run_fresh(code, "-O").splitlines()
-    assert len(out) == 3
-    assert out[0] == "Smith form diagonal product 21 != determinant 22: the transforms are not unimodular"
-    assert out[1].startswith("row 5 of U times A is not 0 mod 21 at column ")
-    assert out[2].startswith("A times column 5 of V is not divisible by 21 at row ")
+    assert run_fresh(code, "-O").splitlines() == expected
+    assert "not elementary" in expected[0] and all("certificate fails at" in e for e in expected[1:])
 
 
 def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
@@ -367,23 +490,22 @@ def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
     assert dense_views == []
 
 
-def test_verify_builds_one_crossing_matrix_and_one_determinant(monkeypatch):
-    # the one build is the sparse C; the dense crossing_matrix is never called
+def test_verify_builds_one_crossing_matrix_and_no_determinant(monkeypatch):
+    # the one build is the sparse C; the dense crossing_matrix is never
+    # called, and the determinant is the product of the certified diagonal
     calls = {"_crossing_rows": 0, "crossing_matrix": 0, "determinant": 0}
-    for module, name in (
-        (gkh.coloring, "_crossing_rows"),
-        (gkh.coloring, "crossing_matrix"),
-        (gkh.verify, "determinant"),
-    ):
-        original = getattr(module, name)
+    for module in MODULES:
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is not None and original is getattr(gkh.coloring, name, gkh.linalg.determinant):
 
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+                def counted(*args, name=name, original=original):
+                    calls[name] += 1
+                    return original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, counted)
     report = verify_gkh(turks_head(6))
-    assert calls == {"_crossing_rows": 1, "crossing_matrix": 0, "determinant": 1}
+    assert calls == {"_crossing_rows": 1, "crossing_matrix": 0, "determinant": 0}
     assert report.hypotheses.determinant == 320
 
 
@@ -627,7 +749,9 @@ def doubled_smith_form(a):
 def test_non_unimodular_transform_fails_verify(monkeypatch):
     d = fixture_diagram("7_7")
     c = ColoringAnalysis(d).c
-    check_smith_form(c, doubled_smith_form(c))  # U C V = D alone cannot see it
+    # U C V = D alone cannot see it; the product of the diagonal can
+    with pytest.raises(LinalgError, match=r"product 1344 != \|det A\| = 21: the transforms are not unimodular"):
+        check_smith_form(c, doubled_smith_form(c))
     monkeypatch.setattr(gkh.coloring, "smith_normal_form", doubled_smith_form)
     with pytest.raises(LinalgError, match="not unimodular"):
         verify_gkh(d)

@@ -215,7 +215,7 @@ def test_verify_all_fixtures_stable(capsys):
 
 def test_verify_all_fixtures_reads_each_group_off_one_certified_factorization(capsys, monkeypatch):
     calls = []
-    for name in ("smith_normal_form", "check_smith_form", "check_cokernel"):
+    for name in ("smith_normal_form", "check_smith_form", "determinant"):
         original = getattr(gkh.coloring, name)
 
         def counted(*args, name=name, original=original):
@@ -227,9 +227,10 @@ def test_verify_all_fixtures_reads_each_group_off_one_certified_factorization(ca
     fixtures = {f["name"]: f for f in json.loads(out)["fixtures"]}
     assert code == 0 and fixtures["split"]["determinant"] == 0
     assert fixtures["split"]["factors"] == [] and fixtures["7_7"]["factors"] == [21]
-    # one factorization per fixture of nonzero determinant, certified
-    # through coker C with the determinant hypotheses_of computed
-    assert calls == ["smith_normal_form", "check_cokernel"] * (len(fixtures) - 1)
+    # one factorization per fixture, split among them, certified by
+    # replaying its record; each determinant is the product of the
+    # certified diagonal, and none is computed apart
+    assert calls == ["smith_normal_form", "check_smith_form"] * len(fixtures)
 
 
 def test_pseudo_json(capsys):

@@ -19,7 +19,6 @@ from gkh.linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
-    check_cokernel,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -152,14 +151,24 @@ def test_snf_divisor_chain_sweep(rows, diagonal):
 
 def assert_same_factors(a):
     snf, expected = smith_normal_form(a), full_scan_smith_normal_form(a)
-    # each row and column of U replayed alone from the record of row
-    # operations, before the record builds all of U's rows
-    rows = tuple([snf.u_row(i) for i in range(a.rows)])
+    # each row and column of U and each column of V replayed alone from the
+    # record of operations, before the record builds all of U's rows and
+    # V's columns; then again, checked against the certificate's products
+    rows = tuple([snf.u_rows_at([i])[0] for i in range(a.rows)])
     cols = [snf.u_column(j) for j in range(a.rows)]
-    assert "u_rows" not in vars(snf)
+    v_cols = tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
+    assert "u_rows" not in vars(snf) and "v_cols" not in vars(snf)
+    # all of them replayed together, in one pass, read in reverse order
+    together = smith_normal_form(a)
+    assert together.u_rows_at(range(a.rows - 1, -1, -1)) == list(rows[::-1])
+    assert together.v_cols_at(range(a.cols - 1, -1, -1)) == list(v_cols[::-1])
+    check_smith_form(a, snf)
+    assert rows == tuple([snf.u_rows_at([i])[0] for i in range(a.rows)])
+    assert v_cols == tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
     assert (snf.u, snf.d, snf.v) == (expected.u, expected.d, expected.v)
     assert snf == expected
     assert rows == snf.u_rows == expected.u_rows
+    assert v_cols == snf.v_cols == expected.v_cols
     assert cols == [{i: x for i, x in enumerate(expected.u.col(j)) if x} for j in range(a.rows)]
 
 
@@ -252,29 +261,30 @@ def test_decompositions_compare_by_value_not_by_record():
     given_rows = SnfDecomposition(3, 3, snf.u_rows, snf.diagonal, snf.v_cols)
     assert smith_normal_form(a) == given_rows == snf
     assert given_rows.record is None
-    assert [given_rows.u_row(i) for i in range(3)] == list(snf.u_rows)
+    assert given_rows.u_rows_at(range(3)) == list(snf.u_rows)
     assert smith_normal_form(a) != SnfDecomposition(3, 3, snf.u_rows, (1, 1, 1), snf.v_cols)
     assert smith_normal_form(a) != snf.d
 
 
-def test_cokernel_certificate_checks_shape_chain_and_determinant():
+def test_record_certificate_checks_shape_order_and_chain():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     snf = smith_normal_form(a)
-    check_cokernel(a, snf, 6)
-    with pytest.raises(LinalgError, match="diagonal product 6 != determinant 12: the transforms are not unimodular"):
-        check_cokernel(a, snf, 12)
-    with pytest.raises(LinalgError, match="needs a nonzero determinant"):
-        check_cokernel(a, snf, 0)
+    check_smith_form(a, snf)
+    u_ops, row_order, v_ops, col_order = snf.record
     with pytest.raises(LinalgError, match=r"A \(2x3\)"):
-        check_cokernel(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]]), snf, 6)
-    with pytest.raises(LinalgError, match=r"A \(2x2\): U is 1x1"):
-        check_cokernel(a, SnfDecomposition(2, 2, snf.u_rows[:1], snf.diagonal, snf.v_cols), 6)
+        check_smith_form(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]]), snf)
+    for record, message in (
+        ((u_ops, row_order[:1], v_ops, col_order), r"A \(2x2\): U is 1x1"),
+        ((u_ops, [0, 0], v_ops, col_order), r"row order is not a permutation of 0\.\.1"),
+        ((u_ops, row_order, v_ops, [1, 1]), r"column order is not a permutation of 0\.\.1"),
+        ((u_ops + [(2, 1, 0)], row_order, v_ops, col_order), r"row operation \d+, \(2, 1, 0\), is not elementary"),
+        ((u_ops, row_order, v_ops + [(0, 1, -1)], col_order), r"column operation \d+, \(0, 1, -1\), is not elementary"),
+    ):
+        with pytest.raises(LinalgError, match=message):
+            check_smith_form(a, SnfDecomposition(2, 2, None, snf.diagonal, None, record))
     # 2 does not divide 3: the pivots as the loop found them, before the sweep
     with pytest.raises(LinalgError, match="entry 0 = 2 does not start a divisor chain"):
-        check_cokernel(a, snf_from_dense(identity(2), a, identity(2)), 6)
-    u_rows = (snf.u_rows[0], {**snf.u_rows[1], 2: 1})
-    with pytest.raises(LinalgError, match=r"row 1 of U has an index outside 0\.\.1"):
-        check_cokernel(a, SnfDecomposition(2, 2, u_rows, snf.diagonal, snf.v_cols), 6)
+        check_smith_form(a, SnfDecomposition(2, 2, None, (2, 3), None, ([], [0, 1], [], [0, 1])))
 
 
 @settings(max_examples=100)
@@ -474,12 +484,18 @@ def test_determinant_of_split_diagrams_is_zero():
     assert link_determinant(hopf_links(1000)) == 0
 
 
-def test_a_bound_past_the_prime_table_is_refused():
+def test_a_bound_past_the_prime_table_is_refused(monkeypatch):
     # 4 * (2^70000)^2 has 140003 bits, so the modulus needs 70002; the
-    # product of the table's 54 primes has 65328
+    # product of the table's 54 primes has 65328, read off the table before
+    # any elimination and without proving an entry
+    calls = []
+    det_mod = gkh.linalg._det_mod
+    monkeypatch.setattr(gkh.linalg, "_det_mod", lambda *args: calls.append(args) or det_mod(*args))
+    proven = list(gkh.linalg._PRIMES)
     m = SparseMatrix(1, 1, ({0: 1 << 70000},))
     with pytest.raises(DeterminantBoundError, match="modulus of 70002 bits, past the 65328 bits"):
         determinant(m)
+    assert calls == [] and gkh.linalg._PRIMES == proven
 
 
 def test_determinant_of_turks_head_300_is_the_lucas_value():

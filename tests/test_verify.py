@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from gkh.coloring import (
 )
 from gkh.diagram import braid_closure, from_pd
 from gkh.fixtures import fixture_diagram, fixture_names
-from gkh.linalg import smith_normal_form
+from gkh.linalg import determinant, smith_normal_form
 from gkh.verify import (
     _MAX_CROSSINGS,
     GenerationError,
@@ -35,6 +36,7 @@ from oracles import (
     dense_smith_normal_form,
     is_fox_coloring,
 )
+from test_diagram import closable_braids
 
 # name -> (t, t_columns, s, perfect column count)
 EXPECTED_REPORTS = {
@@ -314,6 +316,34 @@ def test_report_matches_the_dense_smith_form_at_every_base(index, monkeypatch):
             if field.name != "distinguishing":
                 assert getattr(report, field.name) == getattr(expected, field.name), (base, field.name)
         assert len(report.distinguishing) == len(expected.distinguishing) == report.s
+
+
+def assert_certified_diagonal_is_the_determinant(d):
+    """At every base arc, the product of the certified Smith diagonal is
+    |det C| by the multi-modular determinant, kept as an independent
+    oracle, and verify_gkh's hypotheses carry link_determinant's value."""
+    expected = link_determinant(d)
+    for base in range(len(d.arcs)):
+        analysis = ColoringAnalysis(d, base)
+        assert prod(analysis.snf.diagonal) == abs(determinant(analysis.c)) == expected, base
+        if expected:
+            assert verify_gkh(d, base=base).hypotheses.determinant == expected, base
+
+
+@pytest.mark.parametrize("index", range(len(REPORT_DIAGRAMS)))
+def test_certified_diagonal_is_the_multi_modular_determinant(index):
+    assert_certified_diagonal_is_the_determinant(REPORT_DIAGRAMS[index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(closable_braids(4, 1, 14))
+def test_random_closures_certified_diagonal_is_the_multi_modular_determinant(word):
+    d = braid_closure(word)
+    try:
+        ColoringAnalysis(d)
+    except ZeroDeterminantError:  # C' is not square
+        return
+    assert_certified_diagonal_is_the_determinant(d)
 
 
 def test_hypotheses_of_disjoint_hopf_links_stays_sparse():
