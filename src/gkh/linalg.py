@@ -294,37 +294,23 @@ class SnfDecomposition:
     """U A V = D for a rows x cols matrix A, U and V unimodular, D =
     diag(diagonal) with d_1 | d_2 | ..., kept as the sparse loop leaves it.
 
-    u_rows[i] is row i of U and v_cols[k] column k of V, each a dict
-    {index: value}. smith_normal_form passes neither, but its record: the
-    row operations on A and the order its rows end in, the column
-    operations and the order its columns end in. u_rows and v_cols are
-    replayed from the record on first use, while u_rows_at and v_cols_at
-    replay only the rows of U and columns of V they are asked for, and
-    u_column(j) only column j of U, each in one pass over the record. Once
-    check_smith_form has certified a recorded decomposition, every row of
-    U and column of V read is checked against the certificate's products
-    before it is returned. Two decompositions are equal when their values
-    are, however U and V are kept. The dense u, d and v are built on first
-    use and kept.
+    U and V are kept only as the record of the loop's operations: the row
+    operations on A and the order its rows end in, the column operations
+    and the order its columns end in. u_rows and v_cols, all of U's rows
+    and V's columns, are replayed from the record on first use, while
+    u_rows_at and v_cols_at replay only the rows of U and columns of V
+    they are asked for, and u_column(j) only column j of U, each in one
+    pass over the record. Once check_smith_form has certified the record,
+    every row of U and column of V read is checked against the
+    certificate's products before it is returned. The dense u, d and v
+    are built on first use and kept.
     """
 
-    def __init__(self, rows, cols, u_rows, diagonal, v_cols, record=None):
+    def __init__(self, rows, cols, diagonal, record):
         self.rows, self.cols, self.diagonal = rows, cols, diagonal
-        # (row operations, row order, column operations, column order) when
-        # u_rows and v_cols are None
-        self.record = record
+        self.record = record  # (row operations, row order, column operations, column order)
         self.certified = None  # (A's rows, U A, V^(-1)), set by check_smith_form
         self._vectors = {}  # (0, i) or (2, k) -> row i of U or column k of V, as read
-        if u_rows is not None:
-            self.u_rows = u_rows
-        if v_cols is not None:
-            self.v_cols = v_cols
-
-    def __eq__(self, other):
-        if not isinstance(other, SnfDecomposition):
-            return NotImplemented
-        values = (self.rows, self.cols, self.u_rows, self.diagonal, self.v_cols)
-        return values == (other.rows, other.cols, other.u_rows, other.diagonal, other.v_cols)
 
     @cached_property
     def u_rows(self) -> tuple[dict, ...]:
@@ -341,37 +327,37 @@ class SnfDecomposition:
         return tuple([vectors[j] for j in order])
 
     def u_rows_at(self, indices) -> list[dict]:
-        """The rows of U at indices; without u_rows, e_i^T E_m ... E_1 read
-        as (E_1^T ... E_m^T e_i)^T: the transposed operations, last first.
-        Once certified, each row u must give u A = its row of the certified
-        U A."""
+        """The rows of U at indices: e_i^T E_m ... E_1 read as (E_1^T ...
+        E_m^T e_i)^T, the transposed operations, last first. Once
+        certified, each row u must give u A = its row of the certified U A."""
         return self._read(0, indices)
 
     def v_cols_at(self, indices) -> list[dict]:
-        """The columns of V at indices; without v_cols, F_1 ... F_m e_k: the
-        transposed operations, last first. Once certified, each column v
-        must give V^(-1) v = e_k, which makes (D V^(-1)) v = d_k e_k."""
+        """The columns of V at indices: F_1 ... F_m e_k, the transposed
+        operations, last first. Once certified, each column v must give
+        V^(-1) v = e_k, which makes (D V^(-1)) v = d_k e_k."""
         return self._read(2, indices)
 
     def _read(self, side: int, indices) -> list[dict]:
         """Rows of U (side 0) or columns of V (side 2) at indices, each kept
         once read; those not read before are replayed together, in one pass
-        over the record. Once certified, each one's image, v A for a row of
-        U or V^(-1) v for a column of V, is checked against the
-        certificate's products, or LinalgError names the vector and the
-        first index where they differ."""
-        new = [k for k in indices if (side, k) not in self._vectors]
+        over the record, held by position: at[j] is {vector: value}. Once
+        certified, each one's image, v A for a row of U or V^(-1) v for a
+        column of V, is checked against the certificate's products, or
+        LinalgError names the vector and the first index where they differ."""
+        new = list(dict.fromkeys(k for k in indices if (side, k) not in self._vectors))
         if new:
-            view = "v_cols" if side else "u_rows"
-            if view in self.__dict__ or self.record is None:
-                vectors = [getattr(self, view)[k] for k in new]
-            else:
-                ops, order = self.record[side : side + 2]
-                vectors = _replay([order[k] for k in new], reversed(ops), transpose=True)
+            ops, order = self.record[side : side + 2]
+            at = [None] * len(order)
+            for t, k in enumerate(new):
+                at[order[k]] = {t: 1}
+            vectors = [{} for _ in new]
+            for j, entries in enumerate(_apply(at, ops, "column" if side else "row", transpose=True)):
+                for t, z in (entries or {}).items():
+                    vectors[t][j] = z
             for k, vector in zip(new, vectors):
                 if self.certified:
                     a_rows, ua, w = self.certified
-                    order = self.record[side + 1]
                     factors, want = (w, {order[k]: 1}) if side else (a_rows, ua[order[k]])
                     image = {}
                     get = image.get
@@ -391,14 +377,13 @@ class SnfDecomposition:
         return [self._vectors[side, k] for k in indices]
 
     def u_column(self, j: int) -> dict:
-        """Column j of U, U e_j, as {row: value}; without u_rows, the
-        recorded operations applied to e_j in order."""
-        if "u_rows" in self.__dict__ or self.record is None:
-            return {i: r[j] for i, r in enumerate(self.u_rows) if j in r}
+        """Column j of U, U e_j, as {row: value}: the recorded operations
+        applied to e_j in order."""
         ops, order, _, _ = self.record
-        col = _replay([j], ops)[0]
-        position = {r: k for k, r in enumerate(order)}
-        return {position[r]: x for r, x in col.items()}
+        col = [None] * self.rows
+        col[j] = {0: 1}
+        _apply(col, ops, "row")
+        return {k: x[0] for k, r in enumerate(order) if (x := col[r])}
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -513,52 +498,9 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     return SnfDecomposition(
         rows,
         cols,
-        None,
         tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
-        None,
         (u_ops, row_order, v_ops, col_order),
     )
-
-
-def _replay(starts, ops, transpose: bool = False) -> list[dict]:
-    """The unit vectors e_t, t in starts, with ops applied in order, as
-    {index: value} dicts, zeros dropped: (i, f, p) adds f v[p] to v[i],
-    and (a, b, s, t, x, y) maps (v[a], v[b]) to (s va + t vb, x va + y vb).
-    With transpose, each operation's transpose: (i, f, p) adds f v[i] to
-    v[p], and t and x trade places. The vectors are kept together, by
-    index: at[j] is {vector: value}, so one pass over ops costs little
-    more for many vectors than for one."""
-    at = {}
-    for k, j in enumerate(starts):
-        at.setdefault(j, {})[k] = 1
-    get = at.get
-    for op in ops:
-        if len(op) == 3:
-            i, f, p = op
-            if transpose:
-                i, p = p, i
-            source = get(p)
-            if source:
-                target = at.setdefault(i, {})
-                for k, z in source.items():  # with i == p, each entry is read, then set
-                    z = target.get(k, 0) + f * z
-                    if z:
-                        target[k] = z
-                    else:
-                        target.pop(k, None)
-        else:
-            a, b, s, t, x, y = op
-            if transpose:
-                t, x = x, t
-            va, vb = get(a), get(b)
-            if va or vb:
-                va, vb = va or {}, vb or {}
-                at[a], at[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
-    vectors = [{} for _ in starts]
-    for j, entries in at.items():
-        for k, z in entries.items():
-            vectors[k][j] = z
-    return vectors
 
 
 def _key_rows(keys: dict, changed, d_rows: list[dict], in_col: list[set]) -> None:
@@ -606,10 +548,15 @@ def _combine(f: int, x: dict, g: int, y: dict) -> dict:
     return out
 
 
-def _apply(vectors: list[dict], ops, what: str, undo: bool = False) -> list[dict]:
-    """vectors, changed in place by ops in order, or with undo by each
-    op's inverse, last first: (i, f, p) adds f vectors[p] to vectors[i],
-    and (a, b, s, t, x, y) maps (va, vb) to (s va + t vb, x va + y vb).
+def _apply(vectors: list, ops, what: str, transpose: bool = False, undo: bool = False) -> list:
+    """vectors, each a {index: value} dict or None for a zero vector,
+    changed in place by ops in order: (i, f, p) adds f vectors[p] to
+    vectors[i], and (a, b, s, t, x, y) maps (va, vb) to (s va + t vb, x va
+    + y vb). Taken as the rows of a matrix X, they become M X for M = E_m
+    ... E_1, E_k the matrix of op k. With transpose, each op's transpose,
+    last first, gives M^T X: (i, f, p) adds f vectors[i] to vectors[p],
+    and t and x trade places; with undo, each op's inverse, last first,
+    gives M^(-1) X.
 
     Each op must be elementary on len(vectors) vectors: an add with i !=
     p, the sign flip (p, -2, p), or a 2x2 step on two distinct indices with
@@ -617,21 +564,29 @@ def _apply(vectors: list[dict], ops, what: str, undo: bool = False) -> list[dict
     LinalgError names the what operation and its place in ops.
     """
     n = len(vectors)
-    for k in range(len(ops) - 1, -1, -1) if undo else range(len(ops)):
-        op = ops[k]
+    steps = enumerate(ops)
+    if transpose != undo:
+        steps = zip(range(len(ops) - 1, -1, -1), reversed(ops))
+    for k, op in steps:
         if len(op) == 3:
             i, f, p = op
             if not (0 <= i < n and 0 <= p < n and (i != p or f == -2)):
                 raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
             if undo and i != p:
                 f = -f
-            target = vectors[i]
-            for j, z in vectors[p].items():  # with i == p, each entry is read, then set
-                z = target.get(j, 0) + f * z
-                if z:
-                    target[j] = z
-                else:
-                    target.pop(j, None)
+            if transpose:
+                i, p = p, i
+            source = vectors[p]
+            if source:
+                target = vectors[i]
+                if target is None:
+                    target = vectors[i] = {}
+                for j, z in source.items():  # with i == p, each entry is read, then set
+                    z = target.get(j, 0) + f * z
+                    if z:
+                        target[j] = z
+                    else:
+                        target.pop(j, None)
         else:
             a, b, s, t, x, y = op
             e = s * y - t * x
@@ -639,8 +594,12 @@ def _apply(vectors: list[dict], ops, what: str, undo: bool = False) -> list[dict
                 raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
             if undo:
                 s, t, x, y = e * y, -e * t, -e * x, e * s
+            if transpose:
+                t, x = x, t
             va, vb = vectors[a], vectors[b]
-            vectors[a], vectors[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
+            if va or vb:
+                va, vb = va or {}, vb or {}
+                vectors[a], vectors[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
     return vectors
 
 
@@ -650,29 +609,25 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
     naming the shapes when they do not fit A, or the operation or entry at
     fault.
 
-    A decomposition smith_normal_form recorded is certified by replaying
-    its record, with no determinant and no product with U or V: every
-    operation must be elementary, so the row operations make a unimodular
-    U_0 and the column operations a unimodular V_0, with U = P U_0 and V =
-    V_0 Q for the permutations P and Q its row and column orders give. The
-    row operations replayed on A's rows give U_0 A, and the column
-    operations undone on the identity's columns, last first, give V_0^(-1);
-    U_0 A must equal M V_0^(-1), where M = P^T D Q^T is the loop's final
-    matrix, d_k at its k-th pivot: row p of M V_0^(-1) is d_k times row q
-    of V_0^(-1) at the pivot (p, q), and 0 off the pivots. Then U A V = P
-    M Q = D, so |det A| = prod d_i and coker A = + Z_{d_i}. U_0 A and
-    V_0^(-1) are kept on snf as its certified products, against which
-    u_rows_at and v_cols_at check every row of U and column of V they return.
-
-    A decomposition given by its rows of U and columns of V, as the tests'
-    dense oracles build, is checked by the full product U (A V) == D on
-    the dicts, A first, and where A is square by prod d_i = |det A|: U (A
-    V) = D alone holds for 2U A V = 2D too, whose 2U is not unimodular.
+    The record is replayed, with no determinant and no product with U or
+    V: every operation must be elementary, so the row operations make a
+    unimodular U_0 and the column operations a unimodular V_0, with U = P
+    U_0 and V = V_0 Q for the permutations P and Q its row and column
+    orders give. The row operations replayed on A's rows give U_0 A, and
+    the column operations undone on the identity's columns, last first,
+    give V_0^(-1); U_0 A must equal M V_0^(-1), where M = P^T D Q^T is the
+    loop's final matrix, d_k at its k-th pivot: row p of M V_0^(-1) is d_k
+    times row q of V_0^(-1) at the pivot (p, q), and 0 off the pivots.
+    Then U A V = P M Q = D, so |det A| = prod d_i and coker A = + Z_{d_i}.
+    U_0 A and V_0^(-1) are kept on snf as its certified products, against
+    which u_rows_at and v_cols_at check every row of U and column of V
+    they return.
     """
     a = _sparse(a)
     m, n = a.rows, a.cols
-    diag, record = snf.diagonal, snf.record
-    u_count, v_count = (len(record[1]), len(record[3])) if record else (len(snf.u_rows), len(snf.v_cols))
+    diag = snf.diagonal
+    u_ops, row_order, v_ops, col_order = snf.record
+    u_count, v_count = len(row_order), len(col_order)
     if (u_count, snf.rows, snf.cols, len(diag), v_count) != (m, m, n, min(m, n), n):
         raise LinalgError(
             f"Smith form shapes do not fit A ({m}x{n}): U is {u_count}x{u_count}, "
@@ -680,16 +635,6 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
             f"V is {v_count}x{v_count}"
         )
     _check_chain(diag)
-    if record is None:
-        _check_product(a, snf)
-        det = abs(determinant(a)) if m == n else None
-        if det is not None and prod(diag) != det:
-            raise LinalgError(
-                f"Smith form diagonal product {prod(diag)} != |det A| = {det}: "
-                f"the transforms are not unimodular"
-            )
-        return
-    u_ops, row_order, v_ops, col_order = record
     for what, order, size in (("row", row_order, m), ("column", col_order, n)):
         if sorted(order) != list(range(size)):
             raise LinalgError(f"Smith form {what} order is not a permutation of 0..{size - 1}")
@@ -713,50 +658,6 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
             )
     snf.certified = (a.row_maps, ua, w)
     snf._vectors.clear()  # a vector read before now is checked again when read next
-
-
-def _check_product(a: SparseMatrix, snf: SnfDecomposition) -> None:
-    """U (A V) == D, computed exactly on U's rows and V's columns as dicts.
-
-    A multiplies first: on a crossing matrix A V stays about as sparse as
-    A, so the product with U costs about one sparse row per nonzero of U.
-    Raises LinalgError naming the first entry (i, j), in row-major order,
-    that disagrees.
-    """
-    m, n = a.rows, a.cols
-    u_rows, diag, v_cols = snf.u_rows, snf.diagonal, snf.v_cols
-    _check_indices("row {} of U", enumerate(u_rows), m)
-    _check_indices("column {} of V", enumerate(v_cols), n)
-    v_rows = [{} for _ in range(n)]
-    for k, col in enumerate(v_cols):
-        for j, y in col.items():
-            v_rows[j][k] = y
-    av_rows = []
-    for row in a.row_maps:
-        acc = {}
-        for j, x in row.items():
-            _add_scaled(acc, x, v_rows[j])
-        av_rows.append(acc)
-    for i, u_row in enumerate(u_rows):
-        acc = [0] * n
-        for t, x in u_row.items():
-            for k, y in av_rows[t].items():
-                acc[k] += x * y
-        if i < len(diag):
-            acc[i] -= diag[i]
-        if any(acc):
-            j = next(j for j, z in enumerate(acc) if z)
-            want = diag[i] if i == j else 0
-            raise LinalgError(
-                f"Smith form certificate fails at ({i}, {j}): U A V has {acc[j] + want}, "
-                f"D has {want}"
-            )
-
-
-def _check_indices(what: str, vectors, size: int) -> None:
-    for k, vector in vectors:
-        if vector and not (0 <= min(vector) and max(vector) < size):
-            raise LinalgError(f"Smith form {what.format(k)} has an index outside 0..{size - 1}")
 
 
 def _check_chain(diag) -> None:

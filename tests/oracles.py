@@ -38,7 +38,6 @@ from gkh.linalg import (
     _column_index,
     _combine,
     _xgcd,
-    check_smith_form,
     smith_normal_form,
 )
 from gkh.pseudo import PseudoError
@@ -72,19 +71,23 @@ def count_colorings(d, k: int) -> int:
     return prod(_coloring_box(d, k)[1])
 
 
-def snf_from_dense(u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfDecomposition:
-    """The decomposition with dense factors; raises LinalgError when D has
-    a nonzero entry off the diagonal."""
+def check_dense_smith_form(a: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+    """Certificate for explicit factors, by products and determinants
+    alone: U A V = D, D diagonal with a nonnegative divisor chain on it,
+    and |det U| = |det V| = 1 by Bareiss. Raises LinalgError naming what
+    fails."""
+    if u @ a @ v != d:
+        raise LinalgError("U A V != D")
     off = [(i, j) for i in range(d.rows) for j in range(d.cols) if i != j and d.at(i, j)]
     if off:
-        raise LinalgError(f"Smith form D has a nonzero entry off the diagonal at {off[0]}")
-    return SnfDecomposition(
-        d.rows,
-        d.cols,
-        tuple({j: x for j, x in enumerate(u.row(i)) if x} for i in range(u.rows)),
-        tuple(d.at(i, i) for i in range(min(d.rows, d.cols))),
-        tuple({i: x for i, x in enumerate(v.col(k)) if x} for k in range(v.cols)),
-    )
+        raise LinalgError(f"D has a nonzero entry off the diagonal at {off[0]}")
+    diag = [d.at(i, i) for i in range(min(d.rows, d.cols))]
+    for i, (x, y) in enumerate(zip(diag, diag[1:] + [0])):
+        if x < 0 or (y % x if x else y):
+            raise LinalgError(f"diagonal entry {i} = {x} does not start a divisor chain")
+    for name, m in (("U", u), ("V", v)):
+        if abs(bareiss_determinant(m)) != 1:
+            raise LinalgError(f"{name} is not unimodular")
 
 
 def without_row_col(a: IntMatrix, i: int, j: int) -> IntMatrix:
@@ -273,31 +276,45 @@ def determinantal_divisors(a: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+def dense_smith_factors(a: IntMatrix) -> tuple[SnfDecomposition, IntMatrix, IntMatrix]:
     """Smith form by the dense loop alone: at every step the smallest
     nonzero entry of the trailing block is the pivot, its row and column
     are reduced, and a row that the pivot does not divide is added to it.
-    Its U and V are another valid choice than the library's."""
+    Its U and V are another valid choice than the library's.
+
+    Each step is recorded in the library's format, a swap as the 2x2 step
+    (a, b, 0, 1, 1, 0) of determinant -1, which the library's own loop
+    never takes; the decomposition is that record, uncertified, returned
+    with the U and V accumulated alongside."""
     rows, cols = a.rows, a.cols
     d = a.row_list()
     u = identity(rows).row_list()
     v = identity(cols).row_list()
+    u_ops, v_ops = [], []
 
     def add_row(i, j, q):
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if q:
+            d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            u_ops.append((i, q, j))
 
     def add_col(i, j, q):
-        for r in d + v:
-            r[i] += q * r[j]
+        if q:
+            for r in d + v:
+                r[i] += q * r[j]
+            v_ops.append((i, q, j))
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[i], u[j] = u[j], u[i]
+            u_ops.append((i, j, 0, 1, 1, 0))
 
     def swap_cols(i, j):
-        for r in d + v:
-            r[i], r[j] = r[j], r[i]
+        if i != j:
+            for r in d + v:
+                r[i], r[j] = r[j], r[i]
+            v_ops.append((i, j, 0, 1, 1, 0))
 
     t = 0
     while t < min(rows, cols):
@@ -331,22 +348,30 @@ def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
+            u_ops.append((t, -2, t))
         t += 1
-    res = snf_from_dense(
-        IntMatrix(rows, rows, tuple(x for r in u for x in r)),
-        IntMatrix(rows, cols, tuple(x for r in d for x in r)),
-        IntMatrix(cols, cols, tuple(x for r in v for x in r)),
+    snf = SnfDecomposition(
+        rows,
+        cols,
+        tuple(d[i][i] for i in range(min(rows, cols))),
+        (u_ops, list(range(rows)), v_ops, list(range(cols))),
     )
-    check_smith_form(a, res)
-    return res
+    return snf, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
-def full_scan_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+    """The dense loop's recorded decomposition, uncertified, in place of
+    the library's smith_normal_form."""
+    return dense_smith_factors(a)[0]
+
+
+def full_scan_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """The library's sparse Smith form loop as it was before its pivot keys
     were cached: every pass scans every entry of every live row for the
-    least key (|x|, Markowitz cost, row, col), and U, D and V are written
-    out densely at the end. The library must pick the same pivots, so its
-    U, D and V must equal these exactly."""
+    least key (|x|, Markowitz cost, row, col), and U, D and V, accumulated
+    as it goes, are written out densely at the end, uncertified. The
+    library must pick the same pivots, so its U, D and V must equal these
+    exactly."""
     rows, cols = a.rows, a.cols
     d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
     in_col = _column_index(d_rows, cols)
@@ -418,13 +443,11 @@ def full_scan_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     for k, j in enumerate(col_order):
         for i, x in v_cols[j].items():
             v[i * cols + k] = x
-    res = snf_from_dense(
+    return (
         IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
         IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
         IntMatrix(cols, cols, tuple(v)),
     )
-    check_smith_form(a, res)
-    return res
 
 
 def reduced_mod(a: IntMatrix, k: int) -> IntMatrix:

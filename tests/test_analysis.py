@@ -51,12 +51,10 @@ from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import (
     bareiss_determinant,
     dense_crossing_matrix,
-    identity,
     rational_inverse,
     reduced_crossing_matrix,
     reduced_mod,
     scaled_inverse,
-    snf_from_dense,
 )
 from test_diagram import closable_braids
 
@@ -288,7 +286,7 @@ def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_
     original = gkh.coloring.check_smith_form
 
     def counted(a, snf):
-        certificates.append(snf.record is not None)
+        certificates.append(snf.rows)
         return original(a, snf)
 
     monkeypatch.setattr(gkh.coloring, "check_smith_form", counted)
@@ -297,15 +295,15 @@ def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_
     # the record certificate replays the operations on C's rows and undoes
     # them on the identity's columns; it builds no row of U and no column of
     # V, and _factors replays the s rows and columns it reads alone
-    assert certificates == [True] and rows_of_u == cols_of_v == []
+    assert certificates == [49] and rows_of_u == cols_of_v == []
     coloring_group(turks_head(6))
-    assert certificates == [True] * 2 and rows_of_u == cols_of_v == []
+    assert certificates == [49, 11] and rows_of_u == cols_of_v == []
     # 8_19 (s = 1) has 3 integral columns of C^(-1), conway (s = 0) 10: each
     # is an exact column of L, read off the record of U and V's columns,
     # replayed once
     assert verify_gkh(fixture_diagram("8_19")).s == 1
     assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
-    assert certificates == [True] * 4 and rows_of_u == [] and cols_of_v == [7, 10]
+    assert certificates == [49, 11, 7, 10] and rows_of_u == [] and cols_of_v == [7, 10]
     assert dense_views == []
 
 
@@ -329,7 +327,18 @@ def with_op(snf, where, k, op):
         record = (ops, row_order, v_ops, col_order)
     else:
         record = (u_ops, row_order, ops, col_order)
-    return SnfDecomposition(snf.rows, snf.cols, None, snf.diagonal, None, record)
+    return SnfDecomposition(snf.rows, snf.cols, snf.diagonal, record)
+
+
+def appended(snf, where, op):
+    """snf's record with op after the last operation of U (where "u") or
+    of V (where "v"), uncertified."""
+    u_ops, row_order, v_ops, col_order = snf.record
+    if where == "u":
+        record = (u_ops + [op], row_order, v_ops, col_order)
+    else:
+        record = (u_ops, row_order, v_ops + [op], col_order)
+    return SnfDecomposition(snf.rows, snf.cols, snf.diagonal, record)
 
 
 def first_difference(x, y):
@@ -389,7 +398,7 @@ def test_record_certificate_refuses_a_changed_diagonal_entry(name):
     snf = smith_normal_form(c)
     k = len(snf.diagonal) - 1
     diagonal = snf.diagonal[:k] + (2 * snf.diagonal[k],)
-    bad = SnfDecomposition(snf.rows, snf.cols, None, diagonal, None, snf.record)
+    bad = SnfDecomposition(snf.rows, snf.cols, diagonal, snf.record)
     with pytest.raises(LinalgError, match=rf"certificate fails at \({k}, \d+\)"):
         check_smith_form(c, bad)
 
@@ -434,15 +443,18 @@ def test_readers_check_each_row_and_column_they_take(monkeypatch):
     # a replay that goes wrong after the certificate: _factors reads row 5
     # of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V, and
     # a column of V read alone is checked the same way
-    replay = gkh.linalg._replay
+    apply = gkh.linalg._apply
 
-    def wrong(starts, ops, transpose=False):
-        vectors = replay(starts, ops, transpose)
-        for vector in vectors:
-            vector[0] = vector.get(0, 0) + 1
+    def wrong(vectors, ops, what, transpose=False, undo=False):
+        vectors = apply(vectors, ops, what, transpose, undo)
+        if transpose:  # a read, held by position: add 1 at position 0 of each vector read
+            read = {t for entries in vectors if entries for t in entries}
+            first = vectors[0] = dict(vectors[0] or {})
+            for t in read:
+                first[t] = first.get(t, 0) + 1
         return vectors
 
-    monkeypatch.setattr(gkh.linalg, "_replay", wrong)
+    monkeypatch.setattr(gkh.linalg, "_apply", wrong)
     with pytest.raises(LinalgError, match="row 5 of U, read off the record, is not the certified one: v A has"):
         verify_gkh(fixture_diagram("7_7"))
     with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one"):
@@ -522,88 +534,28 @@ def test_group_builds_no_l(counts):
 
 
 def test_corrupted_u_fails_the_certificate():
+    # one more row operation keeps U unimodular, but U C no longer equals
+    # D V^(-1)
     c = ColoringAnalysis(fixture_diagram("7_7")).c
     snf = smith_normal_form(c)
-    entries = list(snf.u.entries)
-    entries[0] += 1
-    bad = snf_from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
-    with pytest.raises(LinalgError):
-        check_smith_form(c, bad)
+    row_order = snf.record[1]
+    with pytest.raises(LinalgError, match=r"certificate fails at \(0, \d+\)"):
+        check_smith_form(c, appended(snf, "u", (row_order[0], 1, row_order[1])))
     check_smith_form(c, snf)
 
 
 def test_certificate_rejects_an_off_diagonal_d():
-    # U A V = D holds here; only the shape of D is wrong
+    # no operation at all: U and V are the identity, so U A is A itself,
+    # and its entry off the diagonal is named
     a = IntMatrix.from_rows([[1, 1], [0, 1]])
-    with pytest.raises(LinalgError, match=r"off the diagonal at \(0, 1\)"):
-        check_smith_form(a, snf_from_dense(identity(2), a, identity(2)))
-
-
-def tampered(snf, where, k, t, delta):
-    """snf with delta added at index t of row k of U (where "u") or of
-    column k of V (where "v")."""
-    vectors = list(snf.u_rows if where == "u" else snf.v_cols)
-    vector = dict(vectors[k])
-    vector[t] = vector.get(t, 0) + delta
-    if not vector[t]:
-        del vector[t]
-    vectors[k] = vector
-    if where == "u":
-        return SnfDecomposition(snf.rows, snf.cols, tuple(vectors), snf.diagonal, snf.v_cols)
-    return SnfDecomposition(snf.rows, snf.cols, snf.u_rows, snf.diagonal, tuple(vectors))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([n for n in NONZERO_FIXTURES if len(fixture_diagram(n).arcs) > 1]),
-    st.sampled_from("uv"),
-    st.booleans(),
-    st.integers(-3, 3).filter(bool),
-    st.data(),
-)
-def test_tampered_factor_fails_the_sparse_certificate(name, where, at_nonzero, delta, data):
-    analysis = ColoringAnalysis(fixture_diagram(name))
-    c, snf = analysis.c, analysis.snf
-    vectors = snf.u_rows if where == "u" else snf.v_cols
-    k = data.draw(st.integers(0, len(vectors) - 1))
-    zeros = sorted(set(range(len(vectors))) - set(vectors[k]))
-    positions = sorted(vectors[k]) if at_nonzero or not zeros else zeros
-    t = data.draw(st.sampled_from(positions))
-    bad = tampered(snf, where, k, t, delta)
-    # C is invertible, so the change moves U C V; the oracle names where
-    product = bad.u @ c.dense() @ bad.v
-    first = next(i for i, (x, y) in enumerate(zip(product.entries, bad.d.entries)) if x != y)
-    i, j = divmod(first, product.cols)
-    with pytest.raises(LinalgError, match=rf"fails at \({i}, {j}\)"):
-        check_smith_form(c, bad)
-
-
-def test_sparse_certificate_survives_optimize_flag():
-    analysis = ColoringAnalysis(fixture_diagram("7_7"))
-    expected = []
-    for where, k in (("u", 2), ("v", 3)):
-        with pytest.raises(LinalgError, match=r"certificate fails at \(") as err:
-            check_smith_form(analysis.c, tampered(analysis.snf, where, k, 0, 1))
-        expected.append(str(err.value))
-    code = (
-        "from gkh.coloring import ColoringAnalysis\n"
-        "from gkh.fixtures import fixture_diagram\n"
-        "from gkh.linalg import *\n"
-        f"{inspect.getsource(tampered)}\n"
-        "analysis = ColoringAnalysis(fixture_diagram('7_7'))\n"
-        "for where, k in (('u', 2), ('v', 3)):\n"
-        "    try:\n"
-        "        check_smith_form(analysis.c, tampered(analysis.snf, where, k, 0, 1))\n"
-        "    except LinalgError as err:\n"
-        "        print(err)\n"
-    )
-    assert run_fresh(code, "-O").splitlines() == expected
+    with pytest.raises(LinalgError, match=r"fails at \(0, 1\): U A has 1, D V\^\(-1\) has 0"):
+        check_smith_form(a, SnfDecomposition(2, 2, (1, 1), ([], [0, 1], [], [0, 1])))
 
 
 def test_certificate_rejects_a_non_smith_diagonal():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    with pytest.raises(LinalgError):
-        check_smith_form(a, snf_from_dense(identity(2), a, identity(2)))
+    with pytest.raises(LinalgError, match="entry 0 = 2 does not start a divisor chain"):
+        check_smith_form(a, SnfDecomposition(2, 2, (2, 3), ([], [0, 1], [], [0, 1])))
 
 
 def run_fresh(code, *flags):
@@ -631,11 +583,9 @@ def test_checks_survive_optimize_flag():
     # under python -O a failing assert would vanish; the certificate must not
     code = (
         "from gkh.linalg import *\n"
-        "from oracles import identity, snf_from_dense\n"
         "a = IntMatrix.from_rows([[2, 0], [0, 3]])\n"
-        "i = identity(2)\n"
         "try:\n"
-        "    check_smith_form(a, snf_from_dense(i, a, i))\n"
+        "    check_smith_form(a, SnfDecomposition(2, 2, (2, 3), ([], [0, 1], [], [0, 1])))\n"
         "except LinalgError:\n"
         "    print('raised')\n"
     )
@@ -643,13 +593,13 @@ def test_checks_survive_optimize_flag():
 
 
 def tampered_v_analysis(name):
-    """A ColoringAnalysis whose V has 1 added to an entry of its non-unit column."""
+    """A ColoringAnalysis whose Smith form, uncertified, has column 0 of V
+    added to its non-unit column."""
     analysis = ColoringAnalysis(fixture_diagram(name))
     snf = analysis.snf
+    col_order = snf.record[3]
     i = snf.diagonal.index(analysis.modulus)
-    entries = list(snf.v.entries)
-    entries[i] += 1  # row 0, column i
-    analysis.snf = snf_from_dense(snf.u, snf.d, IntMatrix(snf.v.rows, snf.v.cols, tuple(entries)))
+    analysis.snf = appended(snf, "v", (col_order[i], 1, col_order[0]))
     return analysis
 
 
@@ -670,11 +620,7 @@ def test_tampered_v_fails_verify_on_the_witness_column(monkeypatch):
 def test_tampered_u_fails_the_exact_inverse_column_check():
     # the conway knot has n1 = 1, so every column of L mod n1 is 0 and each
     # is lifted exactly; a unit row of U changes L by n1 V[:, 0], not L mod n1
-    analysis = ColoringAnalysis(fixture_diagram("conway"))
-    snf = analysis.snf
-    entries = list(snf.u.entries)
-    entries[0] += 1
-    analysis.snf = snf_from_dense(IntMatrix(snf.u.rows, snf.u.cols, tuple(entries)), snf.d, snf.v)
+    analysis = tampered_u_analysis("conway")
     assert not any(map(any, analysis.extended_rows()))
     with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
         analysis.inverse_pseudos
@@ -690,15 +636,17 @@ def test_integral_column_not_divisible_by_n1_raises():
 
 
 def tampered_u_analysis(name):
-    """A ColoringAnalysis whose U has 1 added to its first entry."""
+    """A ColoringAnalysis whose Smith form, uncertified, has row 1 of U
+    added to row 0."""
     analysis = ColoringAnalysis(fixture_diagram(name))
-    analysis.snf = tampered(analysis.snf, "u", 0, 0, 1)
+    row_order = analysis.snf.record[1]
+    analysis.snf = appended(analysis.snf, "u", (row_order[0], 1, row_order[1]))
     return analysis
 
 
 def test_tampered_u_fails_the_exact_column_check_on_l():
-    # row 0 of U has d_0 = 1, so column 0 of L moves by 21 V[:, 0]: L mod
-    # 21 cannot see it, C times that column can
+    # row 0 of U has d_0 = 1, so column 0 of L moves by 21 U[1, 0] V[:, 0]:
+    # L mod 21 cannot see it, C times that column can
     analysis = tampered_u_analysis("7_7")
     assert analysis.snf.diagonal[0] == 1
     assert analysis.l_mod == ColoringAnalysis(fixture_diagram("7_7")).l_mod
@@ -711,7 +659,7 @@ def test_exact_column_check_on_l_survives_optimize_flag():
         "from gkh.coloring import ColoringAnalysis\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
-        f"{inspect.getsource(tampered)}\n"
+        f"{inspect.getsource(appended)}\n"
         f"{inspect.getsource(tampered_u_analysis)}\n"
         "try:\n"
         "    tampered_u_analysis('7_7').l\n"
@@ -726,7 +674,7 @@ def test_fox_check_on_l_mod_survives_optimize_flag():
         "from gkh.coloring import ColoringAnalysis\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
-        "from oracles import snf_from_dense\n"
+        f"{inspect.getsource(appended)}\n"
         f"{inspect.getsource(tampered_v_analysis)}\n"
         "try:\n"
         "    tampered_v_analysis('7_7').l_mod\n"
@@ -737,23 +685,29 @@ def test_fox_check_on_l_mod_survives_optimize_flag():
 
 
 def doubled_smith_form(a):
-    """2U C V = 2D still holds and 2D is a divisor chain, but 2U is not unimodular."""
+    """The library's record with the 2x2 step (p, q, 2, 0, 0, 1), s y - t x
+    = 2, appended to its row operations, p the row of the last diagonal
+    entry, and that entry doubled: U A V = D and the divisor chain still
+    hold, but the step doubles row p of U, which is not unimodular."""
     snf = smith_normal_form(a)
-
-    def doubled(m):
-        return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries))
-
-    return snf_from_dense(doubled(snf.u), doubled(snf.d), snf.v)
+    u_ops, row_order, v_ops, col_order = snf.record
+    k = len(snf.diagonal) - 1
+    step = (row_order[k], row_order[k - 1], 2, 0, 0, 1)
+    diagonal = snf.diagonal[:k] + (2 * snf.diagonal[k],)
+    return SnfDecomposition(snf.rows, snf.cols, diagonal, (u_ops + [step], row_order, v_ops, col_order))
 
 
 def test_non_unimodular_transform_fails_verify(monkeypatch):
     d = fixture_diagram("7_7")
     c = ColoringAnalysis(d).c
-    # U C V = D alone cannot see it; the product of the diagonal can
-    with pytest.raises(LinalgError, match=r"product 1344 != \|det A\| = 21: the transforms are not unimodular"):
+    # U C V = D alone cannot see it: row 5 of U doubled against d_5 = 42
+    snf = smith_normal_form(c)
+    u = IntMatrix(6, 6, snf.u.entries[:30] + tuple(2 * x for x in snf.u.row(5)))
+    assert u @ c.dense() @ snf.v == doubled_smith_form(c).d
+    with pytest.raises(LinalgError, match=rf"row operation {len(snf.record[0])}, \(\d, \d, 2, 0, 0, 1\), is not elementary on 6"):
         check_smith_form(c, doubled_smith_form(c))
     monkeypatch.setattr(gkh.coloring, "smith_normal_form", doubled_smith_form)
-    with pytest.raises(LinalgError, match="not unimodular"):
+    with pytest.raises(LinalgError, match="not elementary"):
         verify_gkh(d)
 
 
@@ -762,16 +716,15 @@ def test_unimodularity_check_survives_optimize_flag():
         "import gkh.coloring\n"
         "from gkh.fixtures import fixture_diagram\n"
         "from gkh.linalg import *\n"
-        "from oracles import snf_from_dense\n"
         "from gkh.verify import verify_gkh\n"
         f"{inspect.getsource(doubled_smith_form)}\n"
         "gkh.coloring.smith_normal_form = doubled_smith_form\n"
         "try:\n"
         "    verify_gkh(fixture_diagram('7_7'))\n"
-        "except LinalgError:\n"
-        "    print('raised')\n"
+        "except LinalgError as err:\n"
+        "    print(err)\n"
     )
-    assert run_fresh(code, "-O") == "raised"
+    assert "not elementary" in run_fresh(code, "-O")
 
 
 def tampered_report_analysis(pair, separator):

@@ -28,6 +28,8 @@ from oracles import (
     SingularMatrixError,
     bareiss_determinant,
     block_diag,
+    check_dense_smith_form,
+    dense_smith_factors,
     determinantal_divisors,
     full_scan_smith_normal_form,
     identity,
@@ -38,7 +40,6 @@ from oracles import (
     reduced_crossing_matrix,
     reduced_mod,
     scaled_inverse,
-    snf_from_dense,
     transpose,
     without_row_col,
 )
@@ -149,8 +150,18 @@ def test_snf_divisor_chain_sweep(rows, diagonal):
     assert abs(laplace_determinant(snf.v.row_list())) == 1
 
 
+def sparse_rows(m):
+    return tuple([{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)])
+
+
+def sparse_cols(m):
+    return tuple([{i: x for i, x in enumerate(m.col(j)) if x} for j in range(m.cols)])
+
+
 def assert_same_factors(a):
-    snf, expected = smith_normal_form(a), full_scan_smith_normal_form(a)
+    snf = smith_normal_form(a)
+    u, d, v = full_scan_smith_normal_form(a)
+    check_dense_smith_form(a, u, d, v)
     # each row and column of U and each column of V replayed alone from the
     # record of operations, before the record builds all of U's rows and
     # V's columns; then again, checked against the certificate's products
@@ -158,18 +169,18 @@ def assert_same_factors(a):
     cols = [snf.u_column(j) for j in range(a.rows)]
     v_cols = tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
     assert "u_rows" not in vars(snf) and "v_cols" not in vars(snf)
-    # all of them replayed together, in one pass, read in reverse order
+    # all of them replayed together, in one pass, read in reverse order,
+    # each index asked for twice
     together = smith_normal_form(a)
-    assert together.u_rows_at(range(a.rows - 1, -1, -1)) == list(rows[::-1])
-    assert together.v_cols_at(range(a.cols - 1, -1, -1)) == list(v_cols[::-1])
+    assert together.u_rows_at([*range(a.rows - 1, -1, -1)] * 2) == list(rows[::-1]) * 2
+    assert together.v_cols_at([*range(a.cols - 1, -1, -1)] * 2) == list(v_cols[::-1]) * 2
     check_smith_form(a, snf)
     assert rows == tuple([snf.u_rows_at([i])[0] for i in range(a.rows)])
     assert v_cols == tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
-    assert (snf.u, snf.d, snf.v) == (expected.u, expected.d, expected.v)
-    assert snf == expected
-    assert rows == snf.u_rows == expected.u_rows
-    assert v_cols == snf.v_cols == expected.v_cols
-    assert cols == [{i: x for i, x in enumerate(expected.u.col(j)) if x} for j in range(a.rows)]
+    assert (snf.u, snf.d, snf.v) == (u, d, v)
+    assert rows == snf.u_rows == sparse_rows(u)
+    assert v_cols == snf.v_cols == sparse_cols(v)
+    assert cols == list(sparse_cols(u))
 
 
 @settings(max_examples=300, deadline=None)
@@ -219,6 +230,43 @@ def test_fifty_crossing_factors_match_the_full_scan(d):
     assert_same_factors(reduced_crossing_matrix(c_prime, 0))
 
 
+def assert_dense_record_replays(a):
+    """The dense oracle's record, its swaps the 2x2 steps (a, b, 0, 1, 1, 0)
+    of determinant -1, replays to the U and V the oracle accumulated, read
+    whole, row by row and column by column, and passes the certificate,
+    whose undo takes each column swap's inverse. Returns the record."""
+    snf, u, v = dense_smith_factors(a)
+    check_dense_smith_form(a, u, snf.d, v)
+    assert (snf.u, snf.v) == (u, v)
+    check_smith_form(a, snf)
+    assert snf.u_rows_at(range(a.rows)) == list(sparse_rows(u))
+    assert snf.v_cols_at(range(a.cols)) == list(sparse_cols(v))
+    assert [snf.u_column(j) for j in range(a.rows)] == list(sparse_cols(u))
+    return snf.record
+
+
+def swaps(ops):
+    return [op for op in ops if op[2:] == (0, 1, 1, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(snf_inputs)
+@example(IntMatrix.from_rows([[0, 2, 0], [0, 0, 1], [3, 0, 0]]))  # a row and a column swap
+def test_dense_record_with_swaps_replays_to_its_accumulated_factors(a):
+    assert_dense_record_replays(a)
+
+
+def test_fixture_dense_records_certify_their_swaps():
+    row_swaps = column_swaps = 0
+    for name in fixture_names():
+        c_prime = crossing_matrix(fixture_diagram(name))
+        for a in [c_prime] + ([reduced_crossing_matrix(c_prime)] if c_prime.is_square else []):
+            u_ops, _, v_ops, _ = assert_dense_record_replays(a)
+            row_swaps += len(swaps(u_ops))
+            column_swaps += len(swaps(v_ops))
+    assert row_swaps and column_swaps
+
+
 @pytest.mark.parametrize("cols", [0, 1, 3])
 def test_snf_of_a_matrix_with_no_rows(cols):
     a = IntMatrix(0, cols, ())
@@ -232,38 +280,31 @@ def test_snf_of_a_matrix_with_no_rows(cols):
 def test_certificate_names_both_shapes_on_a_mismatch():
     a = IntMatrix(0, 3, ())
     # the shape the Smith form used to give a 0x3 matrix
-    bad = snf_from_dense(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()), identity(3))
+    bad = SnfDecomposition(0, 0, (), ([], [], [], [0, 1, 2]))
     with pytest.raises(LinalgError, match=r"A \(0x3\).*D is 0x0"):
         check_smith_form(a, bad)
     b = IntMatrix.from_rows([[1, 2], [3, 4]])
     snf = smith_normal_form(b)
+    u_ops, _, v_ops, col_order = snf.record
     with pytest.raises(LinalgError, match=r"A \(2x2\): U is 3x3"):
-        check_smith_form(b, snf_from_dense(identity(3), snf.d, snf.v))
+        check_smith_form(b, SnfDecomposition(2, 2, snf.diagonal, (u_ops, [0, 1, 2], v_ops, col_order)))
 
 
 def test_certificate_rejects_an_index_outside_the_matrix():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     snf = smith_normal_form(a)
+    u_ops, row_order, v_ops, col_order = snf.record
     for index in (2, -1):
-        u_rows = ({**snf.u_rows[0], index: 1},) + snf.u_rows[1:]
-        bad = SnfDecomposition(2, 2, u_rows, snf.diagonal, snf.v_cols)
-        with pytest.raises(LinalgError, match=r"row 0 of U has an index outside 0\.\.1"):
+        for op in ((0, 1, index), (index, 1, 0), (0, index, 1, 1, 0, 1)):
+            bad = SnfDecomposition(2, 2, snf.diagonal, (u_ops + [op], row_order, v_ops, col_order))
+            with pytest.raises(LinalgError, match=rf"row operation {len(u_ops)}, .*, is not elementary on 2"):
+                check_smith_form(a, bad)
+            bad = SnfDecomposition(2, 2, snf.diagonal, (u_ops, row_order, [op] + v_ops, col_order))
+            with pytest.raises(LinalgError, match=r"column operation 0, .*, is not elementary on 2"):
+                check_smith_form(a, bad)
+        bad = SnfDecomposition(2, 2, snf.diagonal, (u_ops, [row_order[0], index], v_ops, col_order))
+        with pytest.raises(LinalgError, match=r"row order is not a permutation of 0\.\.1"):
             check_smith_form(a, bad)
-        v_cols = snf.v_cols[:1] + ({**snf.v_cols[1], index: 1},)
-        bad = SnfDecomposition(2, 2, snf.u_rows, snf.diagonal, v_cols)
-        with pytest.raises(LinalgError, match=r"column 1 of V has an index outside 0\.\.1"):
-            check_smith_form(a, bad)
-
-
-def test_decompositions_compare_by_value_not_by_record():
-    a = IntMatrix.from_rows([[2, 0, 1], [0, 3, 0], [1, 1, 5]])
-    snf = smith_normal_form(a)
-    given_rows = SnfDecomposition(3, 3, snf.u_rows, snf.diagonal, snf.v_cols)
-    assert smith_normal_form(a) == given_rows == snf
-    assert given_rows.record is None
-    assert given_rows.u_rows_at(range(3)) == list(snf.u_rows)
-    assert smith_normal_form(a) != SnfDecomposition(3, 3, snf.u_rows, (1, 1, 1), snf.v_cols)
-    assert smith_normal_form(a) != snf.d
 
 
 def test_record_certificate_checks_shape_order_and_chain():
@@ -281,10 +322,10 @@ def test_record_certificate_checks_shape_order_and_chain():
         ((u_ops, row_order, v_ops + [(0, 1, -1)], col_order), r"column operation \d+, \(0, 1, -1\), is not elementary"),
     ):
         with pytest.raises(LinalgError, match=message):
-            check_smith_form(a, SnfDecomposition(2, 2, None, snf.diagonal, None, record))
+            check_smith_form(a, SnfDecomposition(2, 2, snf.diagonal, record))
     # 2 does not divide 3: the pivots as the loop found them, before the sweep
     with pytest.raises(LinalgError, match="entry 0 = 2 does not start a divisor chain"):
-        check_smith_form(a, SnfDecomposition(2, 2, None, (2, 3), None, ([], [0, 1], [], [0, 1])))
+        check_smith_form(a, SnfDecomposition(2, 2, (2, 3), ([], [0, 1], [], [0, 1])))
 
 
 @settings(max_examples=100)
