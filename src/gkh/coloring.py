@@ -304,16 +304,20 @@ class ColoringAnalysis:
     @cached_property
     def l(self) -> IntMatrix:
         n = self.c.cols
-        columns = [self._exact_column(j) for j in range(n)]
+        u_columns = [{} for _ in range(n)]  # U's columns, from one replay of its rows
+        for i, row in enumerate(self.snf.u_rows):
+            for j, x in row.items():
+                u_columns[j][i] = x
+        columns = [self._exact_column(j, u_columns[j]) for j in range(n)]
         return IntMatrix(n, n, tuple([col[k] for k in range(n) for col in columns]))
 
     def _on_arcs(self, values: list[int]) -> list[int]:
         """values, given on the arcs but the base arc, with 0 put in there."""
         return [*values[: self.base_arc], 0, *values[self.base_arc :]]
 
-    def _exact_column(self, j: int) -> list[int]:
+    def _exact_column(self, j: int, u_column: dict[int, int]) -> list[int]:
         """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i],
-        over the nonzeros of column j of U.
+        over the nonzeros of u_column, column j of U as {i: U[i, j]}.
 
         Extended by 0 on the base arc, its crossing defects are C' col;
         without the base row they must be C col = n1 e_j, or LinalgError
@@ -322,7 +326,7 @@ class ColoringAnalysis:
         n1 = self.modulus
         snf = self.snf
         lift = [0] * self.c.cols
-        for i, u in snf.u_column(j).items():
+        for i, u in u_column.items():
             f = n1 // snf.diagonal[i] * u
             for k, y in snf.v_cols[i].items():
                 lift[k] += f * y
@@ -497,7 +501,7 @@ class ColoringAnalysis:
             zero_class = [j for j in zero_class if u_row.get(j, 0) % x == 0]
         found = []
         for j in zero_class:
-            lift = self._exact_column(j)
+            lift = self._exact_column(j, self.snf.u_column(j))
             if any(x % n1 for x in lift):
                 raise LinalgError(f"e_{j} is 0 in coker C, but column {j} of L is not divisible by {n1}")
             colors = self._on_arcs([x // n1 for x in lift])

@@ -12,10 +12,14 @@ products the tests and the benchmark take. determinant, smith_normal_form
 and check_smith_form read either form as sparse rows. The Smith form is
 one sparse loop over rows and columns kept as dicts: it pivots on the
 smallest entry, +-1 first and the least Markowitz cost first among equals
-(Markowitz 1957), with each row's least key cached and recomputed only
-where an entry or a column count changed, takes Euclid steps where no
-unit is left, and puts the few non-unit pivots into a divisor chain by
-gcd/lcm steps at the end. Neither U nor V is accumulated: both are kept
+(Markowitz 1957), takes Euclid steps where no unit is left, and puts the
+few non-unit pivots into a divisor chain by gcd/lcm steps at the end.
+Each live row's least key sits on a heap, pushed only when it changes; a
+top that is no longer its row's key is popped when it surfaces (lazy
+deletion). After a pass only the rows whose entries changed are scanned
+again; a row that saw only some column counts change rescans just those
+columns, and the whole row only when its old least entry is among them.
+Neither U nor V is accumulated: both are kept
 as the record of the loop's row and column operations, from which the
 rows of U or columns of V a reader asks for, or one column of U, are
 replayed in one pass, and all of U or V only on demand. The reader
@@ -407,38 +411,52 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
 
     One sparse loop. Each pass pivots on the live entry x of least key
     (|x|, Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), row,
-    col), so the +-1 entries come first, the cheapest first. Each row's
-    least key is cached; after a pass only the rows whose entries changed
-    and the rows of the columns whose count changed are keyed again, so the
-    pivot is the least cached key, the same one a scan of every live entry
-    would find. Row operations reduce the pivot column by the nearest
-    multiples of x; once the column is clear, column operations reduce the
-    pivot row, which touches only row p. A remainder either step leaves is
-    at most |x| / 2, below every live entry, so the next pass pivots on it
-    (Euclid) and the loop ends. A pivot alone in its row and column
-    retires, its sign flipped by a row operation. The units then lead the
-    diagonal, and one sweep makes the other pivots a divisor chain: a pair
-    (a, b) with a not dividing b becomes (g, ab / g), where g = gcd(a, b) =
-    s a + t b, by the rows (s, t), (-b / g, a / g) and the columns v_a +
-    v_b, -(t b / g) v_a + (s a / g) v_b, both of determinant 1. Neither U
-    nor V is accumulated; each is recorded, one entry per operation: (i,
-    f, p) adds f times row (column) p to row (column) i, a sign flip is
-    (p, -2, p), and (a, b, s, t, x, y) puts s a + t b in a and x a + y b in
-    b.
+    col), so the +-1 entries come first, the cheapest first. The key holds
+    its row, so no two rows tie. Each live row's least key is kept in a
+    dict and on a heap, pushed only when it changes; a heap top that is not
+    the very key its row now keeps is stale (the row was keyed again or has
+    left) and is popped, so the first live top is the pivot a scan of every
+    live entry would find. After a pass a retiring pivot row leaves first,
+    and the rows whose entries changed are scanned again. The other rows'
+    entries are as they were, and only the pivot row's columns can change
+    count, so such a row's key can move only at its entries in a recounted
+    column: it takes the least of its old key and those entries' new keys,
+    unless its old key's column is among them, when it is scanned whole.
+
+    Row operations reduce the pivot column by the nearest multiples of x;
+    once the column is clear, column operations reduce the pivot row, which
+    touches only row p. A remainder either step leaves is at most |x| / 2,
+    below every live entry, so the next pass pivots on it (Euclid) and the
+    loop ends. A pivot alone in its row and column retires, its sign flipped
+    by a row operation. The units then lead the diagonal, and one sweep
+    makes the other pivots a divisor chain: a pair (a, b) with a not
+    dividing b becomes (g, ab / g), where g = gcd(a, b) = s a + t b, by the
+    rows (s, t), (-b / g, a / g) and the columns v_a + v_b, -(t b / g) v_a +
+    (s a / g) v_b, both of determinant 1. Neither U nor V is accumulated;
+    each is recorded, one entry per operation: (i, f, p) adds f times row
+    (column) p to row (column) i, a sign flip is (p, -2, p), and (a, b, s,
+    t, x, y) puts s a + t b in a and x a + y b in b.
 
     The result is not certified here: the caller checks it by
     check_smith_form, which replays the record.
     """
+    from heapq import heappop, heappush  # here, so that kh's start-up does not pay for it
+
     a = _sparse(a)
     rows, cols = a.rows, a.cols
     d_rows = [dict(r) for r in a.row_maps]
     in_col = _column_index(d_rows, cols)
     u_ops, v_ops = [], []  # the row and column operations, in order
-    keys = {}  # live row -> its least (|x|, cost, row, col)
-    _key_rows(keys, range(rows), d_rows, in_col)
+    keys = {}  # live row -> its least (|x|, cost, row, col), the very tuple on the heap
+    heap = []
+    _key_rows(keys, heap, heappush, range(rows), d_rows, in_col)
     pivots = []
     while keys:
-        _, _, p, q = min(keys.values())
+        key = heap[0]
+        while keys.get(key[2]) is not key:  # stale: its row was keyed again or left
+            heappop(heap)
+            key = heap[0]
+        _, _, p, q = key
         pivot_row = d_rows[p]
         x = pivot_row[q]
         counts = [(j, len(in_col[j])) for j in pivot_row]
@@ -447,7 +465,6 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
             f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
             u_ops.append((i, f, p))
-        changed.add(p)
         if len(in_col[q]) == 1:
             for j, y in list(pivot_row.items()):
                 if j != q:
@@ -459,16 +476,41 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
                     else:
                         del pivot_row[j]
                         in_col[j].discard(p)
-        for j, k in counts:  # only the pivot row's columns can change count
-            if len(in_col[j]) != k:
-                changed |= in_col[j]
-        _key_rows(keys, changed, d_rows, in_col)
         if len(pivot_row) == 1 and len(in_col[q]) == 1:
             if x < 0:
                 pivot_row[q] = -x
                 u_ops.append((p, -2, p))
             del keys[p]
             pivots.append((p, q))
+        else:
+            changed.add(p)
+        # only the pivot row's columns can change count; a row whose entries
+        # did not change keeps its key unless one of those counts moved
+        recounted = {}
+        for j, k in counts:
+            if len(in_col[j]) != k:
+                for i in in_col[j]:
+                    if i not in changed and i != p:
+                        recounted.setdefault(i, []).append(j)
+        for i, columns in recounted.items():
+            old = keys[i]
+            if old[3] in columns:  # the old least entry's cost moved: scan the row
+                changed.add(i)
+                continue
+            # the entries outside columns keep their keys, and old is their least
+            row = d_rows[i]
+            cost = len(row) - 1
+            least = old
+            for j in columns:
+                y = abs(row[j])
+                if y <= least[0]:
+                    candidate = (y, cost * (len(in_col[j]) - 1), i, j)
+                    if candidate < least:
+                        least = candidate
+            if least is not old:
+                keys[i] = least
+                heappush(heap, least)
+        _key_rows(keys, heap, heappush, changed, d_rows, in_col)
 
     units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
     chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
@@ -503,16 +545,35 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     )
 
 
-def _key_rows(keys: dict, changed, d_rows: list[dict], in_col: list[set]) -> None:
+def _key_rows(keys: dict, heap: list, push, changed, d_rows: list[dict], in_col: list[set]) -> None:
     """keys[i] = the least (|x|, Markowitz cost, i, j) of row i, for i in
-    changed; a row with no entries left drops out."""
+    changed, pushed on the heap by push (heapq.heappush) when it differs
+    from the key kept; a row with no entries left drops out of keys.
+
+    Within a row the cost is (len(row) - 1) (column count - 1), and
+    len(row) - 1 is the same for every entry, so the loop compares (|x|,
+    column count, j) and builds one tuple. A row of one entry has cost 0
+    whatever its column's count, and needs no comparison.
+    """
     for i in changed:
         row = d_rows[i]
-        if row:
-            cost = len(row) - 1
-            keys[i] = min((abs(x), cost * (len(in_col[j]) - 1), i, j) for j, x in row.items())
-        else:
+        if not row:
             keys.pop(i, None)
+            continue
+        least = None
+        for j, y in row.items():
+            if y < 0:
+                y = -y
+            if least is None or y < least:
+                least, count, col = y, len(in_col[j]), j
+            elif y == least:
+                k = len(in_col[j])
+                if k < count or (k == count and j < col):
+                    count, col = k, j
+        key = (least, (len(row) - 1) * (count - 1), i, col)
+        if key != keys.get(i):
+            keys[i] = key
+            push(heap, key)
 
 
 def _add_scaled(target: dict, f: int, source: dict, index=None, key=None) -> None:

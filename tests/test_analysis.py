@@ -630,7 +630,7 @@ def test_integral_column_not_divisible_by_n1_raises():
     # 8_19 (n1 = 3) has integral columns of C^(-1) at 2, 5 and 6; an exact
     # column that is not n1 times one of them is refused by name
     analysis = ColoringAnalysis(fixture_diagram("8_19"))
-    analysis._exact_column = lambda j: [1] * analysis.c.cols
+    analysis._exact_column = lambda j, u_column: [1] * analysis.c.cols
     with pytest.raises(LinalgError, match=r"e_2 is 0 in coker C, but column 2 of L is not divisible by 3"):
         analysis.inverse_pseudos
 

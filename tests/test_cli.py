@@ -92,7 +92,7 @@ def test_matrix_c_and_lmod_build_no_exact_column(capsys, monkeypatch):
     ]
     expected = [run(capsys, *argv) for argv in argvs]
 
-    def refuse(self, j):
+    def refuse(self, j, u_column):
         raise AssertionError(f"exact column {j} of L was built")
 
     monkeypatch.setattr(gkh.coloring.ColoringAnalysis, "_exact_column", refuse)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gkh.linalg
 from gkh.codec import BraidWord, parse_pd
 from gkh.coloring import crossing_matrix, link_determinant
-from gkh.diagram import braid_closure, from_pd, turks_head
+from gkh.diagram import braid_closure, from_pd, pretzel, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
     DeterminantBoundError,
@@ -228,6 +228,74 @@ def test_fifty_crossing_factors_match_the_full_scan(d):
     c_prime = crossing_matrix(d)
     assert_same_factors(reduced_crossing_matrix(c_prime))
     assert_same_factors(reduced_crossing_matrix(c_prime, 0))
+
+
+@st.composite
+def crossing_like_matrices(draw):
+    """10-60 rows of 2, -1, -1 on random arcs, as C' has (summed where an
+    arc repeats), some reduced at a base: a pivot there recounts columns
+    that other rows share, whose entries the pass leaves as they were."""
+    n = draw(st.integers(10, 60))
+    arcs = st.integers(0, n - 1)
+    rows = []
+    for over, left, right in draw(st.lists(st.tuples(arcs, arcs, arcs), min_size=n, max_size=n)):
+        row = [0] * n
+        row[over] += 2
+        row[left] -= 1
+        row[right] -= 1
+        rows.append(row)
+    c_prime = IntMatrix.from_rows(rows)
+    base = draw(st.none() | arcs)
+    return c_prime if base is None else reduced_crossing_matrix(c_prime, base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossing_like_matrices())
+def test_crossing_like_factors_match_the_full_scan(a):
+    assert_same_factors(a)
+
+
+def hopf_links(k):
+    """k disjoint Hopf links: 2k crossings, 2k arcs, 2k components."""
+    return from_pd(parse_pd("PD[" + ",".join(
+        f"X({4*i+1},{4*i+3},{4*i+2},{4*i+4}),X({4*i+3},{4*i+1},{4*i+4},{4*i+2})" for i in range(k)
+    ) + "]"))
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_disjoint_hopf_links_factors_match_the_full_scan(k):
+    # one 2x2 block (2, -2; -2, 2) per link: many rows tie on |x| and cost,
+    # so the pivots follow the row order the keys break the ties by
+    c_prime = crossing_matrix(hopf_links(k))
+    assert_same_factors(c_prime)
+    assert_same_factors(reduced_crossing_matrix(c_prime))
+    assert_same_factors(reduced_crossing_matrix(c_prime, 0))
+
+
+def unretired_pivots(ops):
+    """The rows (columns) that led a row (column) operation as its pivot
+    and were changed by a later one: a retired pivot is never changed
+    again, so each is a pivot that stayed live after its pass."""
+    sources, unretired = set(), set()
+    for op in ops:
+        if len(op) == 3 and op[0] != op[2]:
+            if op[0] in sources:
+                unretired.add(op[0])
+            sources.add(op[2])
+    return unretired
+
+
+@pytest.mark.parametrize("twists", [(2, 3, 5), (3, 5, 7), (5, 7, 9), (3, 5, 7, 9)])
+def test_pretzel_pivots_that_stay_live_match_the_full_scan(twists):
+    # after its unit pivots, a pretzel's C is left with a block of no unit,
+    # worked by Euclid steps: a pivot leaves a remainder in its column and
+    # stays live, to be keyed again
+    c = reduced_crossing_matrix(crossing_matrix(pretzel(*twists)))
+    u_ops, _, v_ops, _ = smith_normal_form(c).record
+    assert unretired_pivots(u_ops)
+    if twists == (3, 5, 7, 9):
+        assert unretired_pivots(v_ops)  # and here a remainder in its row too
+    assert_same_factors(c)
 
 
 def assert_dense_record_replays(a):
