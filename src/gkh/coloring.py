@@ -20,8 +20,9 @@ form, certified by replaying the record of its operations: one table of
 its s non-unit factors, each row of U and column of V in it checked
 against the certificate, gives the minimal set, the class of each e_j in
 coker C (0 exactly for the integral columns of C^(-1)) and column j of L
-mod n1, built by index when first read. An exact column of L is built
-only where one is asked for. Every column is checked at the crossings
+mod n1, built by index when first read. Exact columns of L are built only
+where asked for, all from one read of U's columns and one certified read
+of the columns of V these touch. Every column is checked at the crossings
 before it is read: mod n1 by the Fox relation, exactly by C col = n1
 e_j. The report stops reading at the first perfect column. The
 certified diagonal's product is |det C|, which verify_gkh reads off it;
@@ -260,7 +261,7 @@ class ColoringAnalysis:
     unimodular, so |det C| is the product of the diagonal; no row of U or
     column of V is built for it. Everything else is a lazy field derived
     from that one certified factorization: U's rows and columns and V's
-    columns are replayed from the record, and no dense U, D or V is built.
+    columns are read off the record, and no dense U, D or V is built.
     With D = diag(d_i): the group is the d_i > 1, and _factors, one table
     of them, gives the minimal distinguishing set, the class of each e_j
     in coker C, whether column j of C^(-1) is integral (the class is 0)
@@ -271,10 +272,11 @@ class ColoringAnalysis:
     one pair bitset per column up to the first perfect column when there
     is one, while perfect_columns, l_mod and extended_rows read every
     column.
-    Column j of L = n1 * C^(-1) = V diag(n1/d_i) U is built alone from
-    column j of U and the columns of V, and checked against C col = n1
-    e_j; l is every such column, and an integral column of C^(-1) is one
-    of them divided by n1.
+    The columns of L = n1 * C^(-1) = V diag(n1/d_i) U that a reader asks
+    for are built together by _exact_columns, from those columns of U and
+    the columns of V they touch, each checked against C col = n1 e_j: l
+    asks for every column, inverse_pseudos for the integral columns of
+    C^(-1), each then divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -304,37 +306,40 @@ class ColoringAnalysis:
     @cached_property
     def l(self) -> IntMatrix:
         n = self.c.cols
-        u_columns = [{} for _ in range(n)]  # U's columns, from one replay of its rows
-        for i, row in enumerate(self.snf.u_rows):
-            for j, x in row.items():
-                u_columns[j][i] = x
-        columns = [self._exact_column(j, u_columns[j]) for j in range(n)]
+        columns = self._exact_columns(range(n))
         return IntMatrix(n, n, tuple([col[k] for k in range(n) for col in columns]))
 
     def _on_arcs(self, values: list[int]) -> list[int]:
         """values, given on the arcs but the base arc, with 0 put in there."""
         return [*values[: self.base_arc], 0, *values[self.base_arc :]]
 
-    def _exact_column(self, j: int, u_column: dict[int, int]) -> list[int]:
-        """Column j of L, exactly: the sum of (n1 / d_i) U[i, j] V[:, i],
-        over the nonzeros of u_column, column j of U as {i: U[i, j]}.
+    def _exact_columns(self, indices) -> list[list[int]]:
+        """The columns of L at indices, exactly: column j is the sum of
+        (n1 / d_i) U[i, j] V[:, i] over the nonzeros of column j of U.
 
-        Extended by 0 on the base arc, its crossing defects are C' col;
-        without the base row they must be C col = n1 e_j, or LinalgError
-        names the column.
+        The columns of U come from one read of the record, and the columns
+        of V they touch from one certified read. Extended by 0 on the base
+        arc, column j's crossing defects are C' col; without the base row
+        they must be C col = n1 e_j, or LinalgError names the column.
         """
         n1 = self.modulus
         snf = self.snf
-        lift = [0] * self.c.cols
-        for i, u in u_column.items():
-            f = n1 // snf.diagonal[i] * u
-            for k, y in snf.v_cols[i].items():
-                lift[k] += f * y
-        image = list(_crossing_defects(self.diagram, self._on_arcs(lift)))
-        del image[self.base_arc]
-        if any(x != n1 * (i == j) for i, x in enumerate(image)):
-            raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
-        return lift
+        u_cols = snf.u_cols_at(indices)
+        touched = list(dict.fromkeys(i for u_col in u_cols for i in u_col))
+        v_cols = dict(zip(touched, snf.v_cols_at(touched)))
+        columns = []
+        for j, u_col in zip(indices, u_cols):
+            lift = [0] * self.c.cols
+            for i, u in u_col.items():
+                f = n1 // snf.diagonal[i] * u
+                for k, y in v_cols[i].items():
+                    lift[k] += f * y
+            image = list(_crossing_defects(self.diagram, self._on_arcs(lift)))
+            del image[self.base_arc]
+            if any(x != n1 * (i == j) for i, x in enumerate(image)):
+                raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
+            columns.append(lift)
+        return columns
 
     @cached_property
     def _factors(self) -> tuple[tuple[int, int, dict, list[int]], ...]:
@@ -500,8 +505,7 @@ class ColoringAnalysis:
         for x, _, u_row, _ in self._factors:
             zero_class = [j for j in zero_class if u_row.get(j, 0) % x == 0]
         found = []
-        for j in zero_class:
-            lift = self._exact_column(j, self.snf.u_column(j))
+        for j, lift in zip(zero_class, self._exact_columns(zero_class)):
             if any(x % n1 for x in lift):
                 raise LinalgError(f"e_{j} is 0 in coker C, but column {j} of L is not divisible by {n1}")
             colors = self._on_arcs([x // n1 for x in lift])

@@ -20,10 +20,10 @@ deletion). After a pass only the rows whose entries changed are scanned
 again; a row that saw only some column counts change rescans just those
 columns, and the whole row only when its old least entry is among them.
 Neither U nor V is accumulated: both are kept
-as the record of the loop's row and column operations, from which the
-rows of U or columns of V a reader asks for, or one column of U, are
-replayed in one pass, and all of U or V only on demand. The reader
-certifies the result: check_smith_form replays the record, checks that
+as the record of the loop's row and column operations, and three readers
+take the rows of U, the columns of U or the columns of V they are asked
+for off it, all in one pass, keeping none. The reader certifies the
+result: check_smith_form replays the record, checks that
 every operation is elementary and that the row operations on A's rows
 give the final matrix times the undone column operations, which makes U
 and V unimodular and |det A| the product of the diagonal; each row of U
@@ -300,35 +300,20 @@ class SnfDecomposition:
 
     U and V are kept only as the record of the loop's operations: the row
     operations on A and the order its rows end in, the column operations
-    and the order its columns end in. u_rows and v_cols, all of U's rows
-    and V's columns, are replayed from the record on first use, while
-    u_rows_at and v_cols_at replay only the rows of U and columns of V
-    they are asked for, and u_column(j) only column j of U, each in one
-    pass over the record. Once check_smith_form has certified the record,
+    and the order its columns end in. Three readers take vectors off it,
+    each reading every vector it is asked for in one pass over the record
+    and keeping none: u_rows_at and v_cols_at replay it backwards,
+    u_cols_at forwards. Once check_smith_form has certified the record,
     every row of U and column of V read is checked against the
-    certificate's products before it is returned. The dense u, d and v
-    are built on first use and kept.
+    certificate's products before it is returned; a column of U is checked
+    by what its reader builds from it. The dense u, d and v, for the tests
+    and the benchmark, are built from the readers on first use and kept.
     """
 
     def __init__(self, rows, cols, diagonal, record):
         self.rows, self.cols, self.diagonal = rows, cols, diagonal
         self.record = record  # (row operations, row order, column operations, column order)
         self.certified = None  # (A's rows, U A, V^(-1)), set by check_smith_form
-        self._vectors = {}  # (0, i) or (2, k) -> row i of U or column k of V, as read
-
-    @cached_property
-    def u_rows(self) -> tuple[dict, ...]:
-        """U's rows: the identity's, with the recorded row operations applied in order."""
-        ops, order, _, _ = self.record
-        vectors = _apply([{i: 1} for i in range(self.rows)], ops, "row")
-        return tuple([vectors[i] for i in order])
-
-    @cached_property
-    def v_cols(self) -> tuple[dict, ...]:
-        """V's columns: the identity's, with the recorded column operations applied in order."""
-        _, _, ops, order = self.record
-        vectors = _apply([{j: 1} for j in range(self.cols)], ops, "column")
-        return tuple([vectors[j] for j in order])
 
     def u_rows_at(self, indices) -> list[dict]:
         """The rows of U at indices: e_i^T E_m ... E_1 read as (E_1^T ...
@@ -342,57 +327,67 @@ class SnfDecomposition:
         V^(-1) v = e_k, which makes (D V^(-1)) v = d_k e_k."""
         return self._read(2, indices)
 
-    def _read(self, side: int, indices) -> list[dict]:
-        """Rows of U (side 0) or columns of V (side 2) at indices, each kept
-        once read; those not read before are replayed together, in one pass
-        over the record, held by position: at[j] is {vector: value}. Once
-        certified, each one's image, v A for a row of U or V^(-1) v for a
-        column of V, is checked against the certificate's products, or
-        LinalgError names the vector and the first index where they differ."""
-        new = list(dict.fromkeys(k for k in indices if (side, k) not in self._vectors))
+    def u_cols_at(self, indices) -> list[dict]:
+        """The columns of U at indices, U e_j as {row: value}: the row
+        operations applied to e_j in order."""
+        return self._replay(0, indices, forward=True)
+
+    def _replay(self, side: int, indices, forward: bool = False) -> list[dict]:
+        """Vectors at indices off the operations and order of record[side:
+        side + 2], replayed together in one pass, held by position: at[j]
+        is {vector: value}, each index placed once. Forwards, index j starts
+        at position j and the order reads the result; backwards, with the
+        operations transposed, it starts at position order[j]. An empty
+        read replays nothing."""
+        indices = list(indices)
+        new = list(dict.fromkeys(indices))
+        vectors = [{} for _ in new]
         if new:
             ops, order = self.record[side : side + 2]
             at = [None] * len(order)
             for t, k in enumerate(new):
-                at[order[k]] = {t: 1}
-            vectors = [{} for _ in new]
-            for j, entries in enumerate(_apply(at, ops, "column" if side else "row", transpose=True)):
-                for t, z in (entries or {}).items():
+                at[k if forward else order[k]] = {t: 1}
+            _apply(at, ops, "column" if side else "row", transpose=not forward)
+            for j, r in enumerate(order if forward else range(len(order))):
+                for t, z in (at[r] or {}).items():
                     vectors[t][j] = z
-            for k, vector in zip(new, vectors):
-                if self.certified:
-                    a_rows, ua, w = self.certified
-                    factors, want = (w, {order[k]: 1}) if side else (a_rows, ua[order[k]])
-                    image = {}
-                    get = image.get
-                    for t, x in vector.items():
-                        for j, y in factors[t].items():
-                            image[j] = get(j, 0) + x * y
-                    image = {j: z for j, z in image.items() if z}
-                    if image != want:
-                        j = min(j for j in image.keys() | want.keys() if image.get(j) != want.get(j))
-                        raise LinalgError(
-                            f"{'column' if side else 'row'} {k} of {'V' if side else 'U'}, read off "
-                            f"the record, is not the certified one: {'V^(-1) v' if side else 'v A'} "
-                            f"has {image.get(j, 0)} at {order.index(j) if side else j}, the "
-                            f"certificate {want.get(j, 0)}"
-                        )
-                self._vectors[side, k] = vector
-        return [self._vectors[side, k] for k in indices]
+        read = dict(zip(new, vectors))
+        return [read[k] for k in indices]
 
-    def u_column(self, j: int) -> dict:
-        """Column j of U, U e_j, as {row: value}: the recorded operations
-        applied to e_j in order."""
-        ops, order, _, _ = self.record
-        col = [None] * self.rows
-        col[j] = {0: 1}
-        _apply(col, ops, "row")
-        return {k: x[0] for k, r in enumerate(order) if (x := col[r])}
+    def _read(self, side: int, indices) -> list[dict]:
+        """Rows of U (side 0) or columns of V (side 2) at indices, replayed
+        backwards. Once certified, each one's image, v A for a row of U or
+        V^(-1) v for a column of V, is checked against the certificate's
+        products, or LinalgError names the vector and the first index where
+        they differ."""
+        indices = list(indices)
+        vectors = self._replay(side, indices)
+        if self.certified:
+            a_rows, ua, w = self.certified
+            order = self.record[side + 1]
+            for k, vector in dict(zip(indices, vectors)).items():
+                factors, want = (w, {order[k]: 1}) if side else (a_rows, ua[order[k]])
+                image = {}
+                get = image.get
+                for t, x in vector.items():
+                    for j, y in factors[t].items():
+                        image[j] = get(j, 0) + x * y
+                image = {j: z for j, z in image.items() if z}
+                if image != want:
+                    j = min(j for j in image.keys() | want.keys() if image.get(j) != want.get(j))
+                    raise LinalgError(
+                        f"{'column' if side else 'row'} {k} of {'V' if side else 'U'}, read off "
+                        f"the record, is not the certified one: {'V^(-1) v' if side else 'v A'} "
+                        f"has {image.get(j, 0)} at {order.index(j) if side else j}, the "
+                        f"certificate {want.get(j, 0)}"
+                    )
+        return vectors
 
     @cached_property
     def u(self) -> IntMatrix:
-        n = len(self.u_rows)
-        return IntMatrix(n, n, tuple(r.get(j, 0) for r in self.u_rows for j in range(n)))
+        n = self.rows
+        rows = self.u_rows_at(range(n))
+        return IntMatrix(n, n, tuple([r.get(j, 0) for r in rows for j in range(n)]))
 
     @cached_property
     def d(self) -> IntMatrix:
@@ -402,8 +397,9 @@ class SnfDecomposition:
 
     @cached_property
     def v(self) -> IntMatrix:
-        n = len(self.v_cols)
-        return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v_cols))
+        n = self.cols
+        cols = self.v_cols_at(range(n))
+        return IntMatrix(n, n, tuple([c.get(i, 0) for i in range(n) for c in cols]))
 
 
 def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
@@ -718,7 +714,6 @@ def check_smith_form(a: IntMatrix | SparseMatrix, snf: SnfDecomposition) -> None
                 f"D V^(-1) has {want.get(j, 0)}"
             )
     snf.certified = (a.row_maps, ua, w)
-    snf._vectors.clear()  # a vector read before now is checked again when read next
 
 
 def _check_chain(diag) -> None:

@@ -35,7 +35,7 @@ from gkh.coloring import (
     link_determinant,
 )
 from gkh.codec import BraidWord
-from gkh.diagram import braid_closure, pretzel, turks_head
+from gkh.diagram import braid_closure, connected_sum, pretzel, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
     IntMatrix,
@@ -146,7 +146,7 @@ def mixed_braids():
 def same_factors(a, b):
     """The Smith forms of a and b pick the same pivots: the same diagonal, U and V."""
     x, y = smith_normal_form(a), smith_normal_form(b)
-    return (x.diagonal, x.u_rows, x.v_cols) == (y.diagonal, y.u_rows, y.v_cols)
+    return (x.diagonal, x.u, x.v) == (y.diagonal, y.u, y.v)
 
 
 def assert_sparse_rows_match_the_dense_matrix(d):
@@ -247,38 +247,31 @@ def dense_views(monkeypatch):
     return built
 
 
+def reads_of_every(monkeypatch, reader, size):
+    """The sizes of the Smith forms whose every row of U (reader
+    "u_rows_at", size "rows") or column of V ("v_cols_at", "cols") is
+    read in one call, as they are read."""
+    built = []
+    original = getattr(SnfDecomposition, reader)
+
+    def read(self, indices):
+        indices = list(indices)
+        if set(indices) == set(range(getattr(self, size))):
+            built.append(getattr(self, size))
+        return original(self, indices)
+
+    monkeypatch.setattr(SnfDecomposition, reader, read)
+    return built
+
+
 @pytest.fixture
 def rows_of_u(monkeypatch):
-    """The sizes of the Smith forms whose U has all its rows built from
-    the record of row operations, as they are built."""
-    built = []
-    original = SnfDecomposition.u_rows.func
-
-    def build(self):
-        built.append(self.rows)
-        return original(self)
-
-    view = functools.cached_property(build)
-    view.__set_name__(SnfDecomposition, "u_rows")
-    monkeypatch.setattr(SnfDecomposition, "u_rows", view)
-    return built
+    return reads_of_every(monkeypatch, "u_rows_at", "rows")
 
 
 @pytest.fixture
 def cols_of_v(monkeypatch):
-    """The sizes of the Smith forms whose V has all its columns built from
-    the record of column operations, as they are built."""
-    built = []
-    original = SnfDecomposition.v_cols.func
-
-    def build(self):
-        built.append(self.cols)
-        return original(self)
-
-    view = functools.cached_property(build)
-    view.__set_name__(SnfDecomposition, "v_cols")
-    monkeypatch.setattr(SnfDecomposition, "v_cols", view)
-    return built
+    return reads_of_every(monkeypatch, "v_cols_at", "cols")
 
 
 def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_views, monkeypatch):
@@ -299,12 +292,53 @@ def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_
     coloring_group(turks_head(6))
     assert certificates == [49, 11] and rows_of_u == cols_of_v == []
     # 8_19 (s = 1) has 3 integral columns of C^(-1), conway (s = 0) 10: each
-    # is an exact column of L, read off the record of U and V's columns,
-    # replayed once
+    # is an exact column of L, built from one read of those columns of U and
+    # one read of the columns of V they touch, which on 8_19 are not all of
+    # V and on conway are
     assert verify_gkh(fixture_diagram("8_19")).s == 1
     assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
-    assert certificates == [49, 11, 7, 10] and rows_of_u == [] and cols_of_v == [7, 10]
+    assert certificates == [49, 11, 7, 10] and rows_of_u == [] and cols_of_v == [10]
     assert dense_views == []
+
+
+@pytest.fixture
+def forward_replays(monkeypatch):
+    """The lengths of the vector lists replayed forwards through a
+    record, neither transposed nor undone, outside the certificate's own
+    replay of A's rows, as they are replayed."""
+    replays, certifying = [], []
+    apply, certify = gkh.linalg._apply, gkh.coloring.check_smith_form
+
+    def counted(vectors, ops, what, transpose=False, undo=False):
+        if not (transpose or undo or certifying):
+            replays.append(len(vectors))
+        return apply(vectors, ops, what, transpose, undo)
+
+    def certified(a, snf):
+        certifying.append(snf)
+        try:
+            return certify(a, snf)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(gkh.linalg, "_apply", counted)
+    monkeypatch.setattr(gkh.coloring, "check_smith_form", certified)
+    return replays
+
+
+def test_exact_columns_replay_the_record_of_u_once(forward_replays):
+    # the sum of 4 Conway knots, 44 crossings, has n1 = 1: every class in
+    # coker C is 0, so all 43 columns of C^(-1) are integral, and their
+    # exact columns of L take U's 43 columns from one forward replay
+    analysis = ColoringAnalysis(functools.reduce(connected_sum, [fixture_diagram("conway")] * 4))
+    assert analysis.modulus == 1 and forward_replays == []
+    assert len(analysis.inverse_pseudos) == 43
+    assert forward_replays == [43]
+    # turks_head(25) has no integral column of C^(-1): an empty read of U's
+    # columns replays nothing
+    forward_replays.clear()
+    assert verify_gkh(turks_head(25)).inverse_pseudo_count == 0
+    assert forward_replays == []
 
 
 @st.composite
@@ -441,8 +475,9 @@ def test_a_read_that_differs_from_the_certified_products_is_refused(name):
 
 def test_readers_check_each_row_and_column_they_take(monkeypatch):
     # a replay that goes wrong after the certificate: _factors reads row 5
-    # of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V, and
-    # a column of V read alone is checked the same way
+    # of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V, the
+    # exact L reads the columns of V that U's columns touch, and a column of
+    # V read alone is checked the same way
     apply = gkh.linalg._apply
 
     def wrong(vectors, ops, what, transpose=False, undo=False):
@@ -459,6 +494,8 @@ def test_readers_check_each_row_and_column_they_take(monkeypatch):
         verify_gkh(fixture_diagram("7_7"))
     with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one"):
         enumerate_colorings(fixture_diagram("3_1"), 3)
+    with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one: V\^\(-1\) v has"):
+        ColoringAnalysis(fixture_diagram("7_7")).l
     with pytest.raises(LinalgError, match=r"column 5 of V, read off the record, is not the certified one: V\^\(-1\) v has"):
         ColoringAnalysis(fixture_diagram("7_7")).snf.v_cols_at([5])
 
@@ -630,7 +667,7 @@ def test_integral_column_not_divisible_by_n1_raises():
     # 8_19 (n1 = 3) has integral columns of C^(-1) at 2, 5 and 6; an exact
     # column that is not n1 times one of them is refused by name
     analysis = ColoringAnalysis(fixture_diagram("8_19"))
-    analysis._exact_column = lambda j, u_column: [1] * analysis.c.cols
+    analysis._exact_columns = lambda indices: [[1] * analysis.c.cols for _ in indices]
     with pytest.raises(LinalgError, match=r"e_2 is 0 in coker C, but column 2 of L is not divisible by 3"):
         analysis.inverse_pseudos
 

@@ -92,10 +92,10 @@ def test_matrix_c_and_lmod_build_no_exact_column(capsys, monkeypatch):
     ]
     expected = [run(capsys, *argv) for argv in argvs]
 
-    def refuse(self, j, u_column):
-        raise AssertionError(f"exact column {j} of L was built")
+    def refuse(self, indices):
+        raise AssertionError(f"exact columns {list(indices)} of L were built")
 
-    monkeypatch.setattr(gkh.coloring.ColoringAnalysis, "_exact_column", refuse)
+    monkeypatch.setattr(gkh.coloring.ColoringAnalysis, "_exact_columns", refuse)
     for argv, before in zip(argvs, expected):
         assert before[0] == 0
         assert run(capsys, *argv) == before, argv

@@ -163,24 +163,24 @@ def assert_same_factors(a):
     u, d, v = full_scan_smith_normal_form(a)
     check_dense_smith_form(a, u, d, v)
     # each row and column of U and each column of V replayed alone from the
-    # record of operations, before the record builds all of U's rows and
-    # V's columns; then again, checked against the certificate's products
-    rows = tuple([snf.u_rows_at([i])[0] for i in range(a.rows)])
-    cols = [snf.u_column(j) for j in range(a.rows)]
-    v_cols = tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
-    assert "u_rows" not in vars(snf) and "v_cols" not in vars(snf)
-    # all of them replayed together, in one pass, read in reverse order,
-    # each index asked for twice
-    together = smith_normal_form(a)
-    assert together.u_rows_at([*range(a.rows - 1, -1, -1)] * 2) == list(rows[::-1]) * 2
-    assert together.v_cols_at([*range(a.cols - 1, -1, -1)] * 2) == list(v_cols[::-1]) * 2
+    # record of operations
+    rows = [snf.u_rows_at([i])[0] for i in range(a.rows)]
+    cols = [snf.u_cols_at([j])[0] for j in range(a.rows)]
+    v_cols = [snf.v_cols_at([k])[0] for k in range(a.cols)]
+    # all of them replayed together, in one pass, and again read in reverse
+    # order, each index asked for twice
+    assert snf.u_rows_at(range(a.rows)) == rows
+    assert snf.u_cols_at(range(a.rows)) == cols
+    assert snf.v_cols_at(range(a.cols)) == v_cols
+    assert snf.u_rows_at([*range(a.rows - 1, -1, -1)] * 2) == rows[::-1] * 2
+    assert snf.u_cols_at([*range(a.rows - 1, -1, -1)] * 2) == cols[::-1] * 2
+    assert snf.v_cols_at([*range(a.cols - 1, -1, -1)] * 2) == v_cols[::-1] * 2
+    # then checked against the certificate's products
     check_smith_form(a, snf)
-    assert rows == tuple([snf.u_rows_at([i])[0] for i in range(a.rows)])
-    assert v_cols == tuple([snf.v_cols_at([k])[0] for k in range(a.cols)])
-    assert (snf.u, snf.d, snf.v) == (u, d, v)
-    assert rows == snf.u_rows == sparse_rows(u)
-    assert v_cols == snf.v_cols == sparse_cols(v)
+    assert snf.u_rows_at(range(a.rows)) == rows == list(sparse_rows(u))
+    assert snf.v_cols_at(range(a.cols)) == v_cols == list(sparse_cols(v))
     assert cols == list(sparse_cols(u))
+    assert (snf.u, snf.d, snf.v) == (u, d, v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,7 +309,7 @@ def assert_dense_record_replays(a):
     check_smith_form(a, snf)
     assert snf.u_rows_at(range(a.rows)) == list(sparse_rows(u))
     assert snf.v_cols_at(range(a.cols)) == list(sparse_cols(v))
-    assert [snf.u_column(j) for j in range(a.rows)] == list(sparse_cols(u))
+    assert snf.u_cols_at(range(a.rows)) == list(sparse_cols(u))
     return snf.record
 
 
