@@ -26,6 +26,7 @@ from .coloring import (
     ColoringAnalysis,
     ColoringError,
     EnumerationLimitError,
+    _base_arc,
     coloring_group,
     coloring_matrix,
     crossing_matrix,
@@ -148,6 +149,7 @@ def _cmd_group(args) -> int:
 def _cmd_matrix(args) -> int:
     _, d = _load_diagram(args)
     if args.which == "cprime":
+        _base_arc(d, args.base)  # C' keeps every arc, but a bad --base is still refused
         matrix = crossing_matrix(d)
     elif args.which == "l":
         matrix = coloring_matrix(d, args.base).l

@@ -16,7 +16,8 @@ crosses strand i under strand i+1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import record
 
 
 class CodecError(Exception):
@@ -37,7 +38,7 @@ class BraidError(CodecError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PdCode:
     """Validated PD code: a tuple of X(a, b, c, d) crossings."""
 
@@ -66,7 +67,7 @@ class PdCode:
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
+@record
 class BraidWord:
     """Validated braid word on a fixed number of strands."""
 

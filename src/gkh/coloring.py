@@ -33,12 +33,11 @@ and never factors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress, count, product
 from math import gcd, prod
-from typing import TYPE_CHECKING
 
+from ._record import record
 from .diagram import Diagram
 from .linalg import (
     IntMatrix,
@@ -49,9 +48,6 @@ from .linalg import (
     determinant,
     smith_normal_form,
 )
-
-if TYPE_CHECKING:
-    from .pseudo import PseudoColoring
 
 # search nodes (columns placed in a slot or scanned for the last one) the
 # exact minimum cover may spend: pretzel 3^15 (t = 10) needs 149 thousand,
@@ -100,7 +96,7 @@ class EnumerationLimitError(ColoringError):
         )
 
 
-@dataclass(frozen=True)
+@record
 class FoxColoring:
     """Arc colors in Z_modulus; modulus 1 means only the zero coloring."""
 
@@ -115,7 +111,7 @@ class FoxColoring:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ColoringGroup:
     """Reduced coloring group as invariant factors n1 >= ... >= ns >= 2."""
 
@@ -171,16 +167,23 @@ def _reduced(d: Diagram, base: int | None) -> tuple[SparseMatrix, int]:
     """C(D) and the base arc it drops, by default the last arc; the row of
     the same index goes with it, which matches moving the base to the end
     and dropping the final row and column."""
-    arcs = len(d.arcs)
-    if len(d.crossings) != arcs:
+    if len(d.crossings) != len(d.arcs):
         raise ZeroDeterminantError(
             "some component never passes under; the crossing matrix is not square"
         )
+    base = _base_arc(d, base)
+    return _crossing_rows(d, base), base
+
+
+def _base_arc(d: Diagram, base: int | None) -> int:
+    """The base arc: base, by default the last arc; ColoringError names a
+    base that is not an arc of d."""
+    arcs = len(d.arcs)
     if base is None:
         base = arcs - 1
     if not 0 <= base < arcs:
         raise ColoringError(f"base arc {base} out of range for {arcs} arcs")
-    return _crossing_rows(d, base), base
+    return base
 
 
 def link_determinant(d: Diagram) -> int:
@@ -192,7 +195,7 @@ def link_determinant(d: Diagram) -> int:
         return 0
 
 
-@dataclass(frozen=True)
+@record(omit_repr=("masks",))
 class DistinguishingReport:
     """Which arc pairs the columns of L mod n1 tell apart, and how few suffice.
 
@@ -219,7 +222,7 @@ class DistinguishingReport:
     base_arc: int
     modulus: int
     arc_count: int
-    masks: tuple[int, ...] = field(repr=False)
+    masks: tuple[int, ...]
     t: int | None
     t_columns: tuple[int, ...]
 
@@ -487,6 +490,8 @@ class ColoringAnalysis:
             failures.extend((i, j) for j in members)
         return tuple(failures)
 
+    # PseudoColoring is pseudo's, which imports this module: the annotation
+    # names it but is never evaluated
     @cached_property
     def inverse_pseudos(self) -> tuple[PseudoColoring, ...]:
         """Pseudo colorings read off the integral columns of C^(-1).

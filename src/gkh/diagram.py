@@ -21,9 +21,9 @@ no meaningful answer for crossing data that cannot be drawn so.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .codec import BraidWord, PdCode
 
 
@@ -31,7 +31,7 @@ class DiagramError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Crossing:
     over_in: int
     over_out: int
@@ -39,7 +39,7 @@ class Crossing:
     under_out: int
 
 
-@dataclass(frozen=True)
+@record
 class Arc:
     """A maximal strand run between two under-passages."""
 
@@ -48,7 +48,7 @@ class Arc:
     over_at: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Diagram:
     crossings: tuple[Crossing, ...]
     spans: tuple[tuple[int, int], ...]

@@ -7,10 +7,10 @@ table doubles as a regression suite for the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from functools import cache
-from importlib import resources
 
+from ._record import record
 from .codec import parse_braid, parse_pd
 from .diagram import Diagram, braid_closure, connected_sum, from_pd, pretzel, turks_head
 
@@ -19,7 +19,7 @@ class FixtureError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FixtureEntry:
     name: str
     input_text: str
@@ -58,7 +58,10 @@ def _build(text: str) -> Diagram:
 
 @cache
 def _table() -> dict[str, FixtureEntry]:
-    text = resources.files(__package__).joinpath("data/fixtures.txt").read_text()
+    # read through this module's own loader, which also reads from a zip:
+    # importlib.resources would bring pathlib and typing into every kh start
+    path = os.path.join(os.path.dirname(__file__), "data", "fixtures.txt")
+    text = __loader__.get_data(path).decode("utf-8")
     entries = {}
     for line in text.splitlines():
         line = line.strip()

@@ -38,9 +38,10 @@ exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, prod
+
+from ._record import record
 
 
 class LinalgError(Exception):
@@ -51,7 +52,7 @@ class DeterminantBoundError(LinalgError):
     """The determinant's Hadamard bound is past what the prime table reaches."""
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""
 
@@ -124,7 +125,7 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
+@record
 class SparseMatrix:
     """Integer matrix kept as one {col: value} dict per row, zeros left out.
 

@@ -11,8 +11,7 @@ defects C'(D) . colors are read off the crossings, never from a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .coloring import ColoringAnalysis, _crossing_defects
 from .diagram import Diagram
 
@@ -21,7 +20,7 @@ class PseudoError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PseudoColoring:
     """Integer arc colors whose defect is +1 at one crossing, epsilon at another."""
 
@@ -43,7 +42,7 @@ class PseudoColoring:
             raise PseudoError(f"defects {actual} do not match {expected}")
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     """What an integer arc assignment is: a Fox coloring over Z, a pseudo
     coloring, or neither."""

@@ -20,9 +20,9 @@ draws the seeded inputs of `kh fuzz`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import prod
 
+from ._record import record
 from .codec import BraidWord
 from .coloring import (
     ColoringAnalysis,
@@ -45,7 +45,7 @@ class GenerationError(VerifyError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Hypotheses:
     """What the theorems assume; prime means the diagrammatic cut test."""
 
@@ -60,7 +60,7 @@ class Hypotheses:
         return self.alternating and self.reduced and self.prime and self.determinant != 0
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     name: str | None
     hypotheses: Hypotheses
@@ -168,7 +168,7 @@ def verify_gkh(d: Diagram, name: str | None = None, base: int | None = None) -> 
     )
 
 
-@dataclass(frozen=True)
+@record
 class ConnectedSumReport:
     """Checks specific to composite diagrams built as iterated sums."""
 

@@ -7,7 +7,6 @@ are the independent answers they are compared with here.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib
 import inspect
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 import gkh
 import gkh.verify
+from gkh import _record
 from gkh.coloring import (
     ColoringAnalysis,
     ColoringError,
@@ -777,7 +777,7 @@ def tampered_report_analysis(pair, separator):
             masks = [m & ~bit for m in honest.masks]
             if separator is not None:
                 masks[separator] |= bit
-            return dataclasses.replace(honest, masks=tuple(masks))
+            return _record.replace(honest, masks=tuple(masks))
 
     return Tampered
 
@@ -798,7 +798,7 @@ def test_tampered_report_fails_the_minimal_set_certificate(monkeypatch, name, pa
 
 def test_minimal_set_certificate_survives_optimize_flag():
     code = (
-        "import dataclasses\n"
+        "from gkh import _record\n"
         "from itertools import combinations\n"
         "import gkh.verify\n"
         "from gkh.coloring import ColoringAnalysis\n"

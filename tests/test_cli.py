@@ -207,6 +207,32 @@ def test_verify_all_fixtures_refuses_a_diagram_or_base(capsys, extra):
     assert "usage" in err and f"--all-fixtures takes no {extra[0]}" in err
 
 
+BASE_COMMANDS = [["matrix", "--which", w] for w in ("cprime", "c", "l", "lmod")] + [
+    ["distinguish"],
+    ["verify"],
+    ["pseudo"],
+]
+
+
+def test_base_commands_are_every_command_taking_a_base():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taking = {
+        name for name, p in sub.choices.items() if any("--base" in a.option_strings for a in p._actions)
+    }
+    assert taking == {argv[0] for argv in BASE_COMMANDS}
+
+
+@pytest.mark.parametrize("command", BASE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "arc-count"])
+def test_a_base_that_is_no_arc_is_refused(capsys, command, past_end):
+    # C' keeps every arc, so matrix --which cprime never uses the base, but
+    # it refuses a bad one like every other command
+    arcs = len(fixture_diagram("3_1").arcs)
+    base = arcs if past_end else -1
+    code, out, err = run(capsys, *command, "--name", "3_1", "--base", str(base))
+    assert (code, out, err) == (2, "", f"kh: base arc {base} out of range for {arcs} arcs\n")
+
+
 def test_verify_all_fixtures_stable(capsys):
     first = run(capsys, "verify", "--all-fixtures", "--json")
     second = run(capsys, "verify", "--all-fixtures", "--json")

@@ -10,7 +10,6 @@ first witness.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import combinations
 
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 import gkh.coloring
 import gkh.verify
+from gkh import _record
 from gkh.cli import main
 from gkh.codec import BraidWord, parse_pd, serialize_pd
 from gkh.coloring import (
@@ -65,7 +65,7 @@ def test_failures_are_kept_and_a_replaced_report_finds_its_own():
     assert report.failures is report.failures
     assert report.failures == ((0, 3), (0, 4), (0, 7), (1, 5), (2, 6), (3, 4), (3, 7), (4, 7))
     # pair (0, 1) is bit 0: cleared in every mask, no column separates it
-    replaced = dataclasses.replace(report, masks=tuple([m & ~1 for m in report.masks]))
+    replaced = _record.replace(report, masks=tuple([m & ~1 for m in report.masks]))
     assert replaced.failures == ((0, 1),) + report.failures
     assert not replaced.injective
 

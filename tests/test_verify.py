@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 import tracemalloc
 from math import prod
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkh.coloring
+from gkh import _record
 from gkh.codec import BraidWord, parse_pd, serialize_pd
 from gkh.coloring import (
     ColoringAnalysis,
@@ -312,9 +312,9 @@ def test_report_matches_the_dense_smith_form_at_every_base(index, monkeypatch):
     monkeypatch.setattr(gkh.coloring, "smith_normal_form", dense_smith_normal_form)
     dense = [verify_gkh(d, base=b) for b in bases]
     for base, (report, expected) in enumerate(zip(sparse, dense)):
-        for field in dataclasses.fields(report):
-            if field.name != "distinguishing":
-                assert getattr(report, field.name) == getattr(expected, field.name), (base, field.name)
+        for name in _record.fields(report):
+            if name != "distinguishing":
+                assert getattr(report, name) == getattr(expected, name), (base, name)
         assert len(report.distinguishing) == len(expected.distinguishing) == report.s
 
 
