@@ -48,18 +48,19 @@ class PdCode:
         if not self.crossings:
             raise PdInvariantError("a PD code needs at least one crossing")
         labels = [x for quad in self.crossings for x in quad]
-        n = len(self.crossings)
-        expected = set(range(1, 2 * n + 1))
-        if set(labels) != expected:
-            bad = sorted(set(labels) ^ expected)
-            raise PdInvariantError(
-                f"edge labels must be exactly 1..{2 * n}, mismatch at {bad}"
-            )
-        seen: dict[int, int] = {}
+        m = 2 * len(self.crossings)
+        counts = [0] * (m + 1)  # uses of each label in 1..m; slot 0 is unused
+        outside = []
         for x in labels:
-            seen[x] = seen.get(x, 0) + 1
-        wrong = sorted(x for x, c in seen.items() if c != 2)
-        if wrong:
+            if 0 < x <= m:
+                counts[x] += 1
+            else:
+                outside.append(x)
+        if outside or counts.count(0) > 1:
+            bad = sorted({*outside, *(x for x in range(1, m + 1) if not counts[x])})
+            raise PdInvariantError(f"edge labels must be exactly 1..{m}, mismatch at {bad}")
+        if counts.count(2) != m:
+            wrong = [x for x in range(1, m + 1) if counts[x] != 2]
             raise PdInvariantError(f"edge labels used other than twice: {wrong}")
 
     @property

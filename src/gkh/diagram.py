@@ -7,6 +7,12 @@ ordered by their smallest label; crossings are numbered by first visit of
 the same traversal. Every constructor returns this canonical form, so equal
 diagrams compare equal.
 
+Every table a Diagram reads is a list indexed by edge label, built once by
+the check in Diagram.__post_init__, and rests on that invariant: labels
+1..2n run contiguously along each span (start, end), so the edge after e is
+e + 1, or start after end. An arc is then a label range ending at an
+under-passage, wrapping at its span's end.
+
 Arcs are the maximal strand runs between consecutive under-passages. In an
 alternating diagram every arc passes over exactly one crossing and arcs are
 indexed by that crossing; otherwise arcs are ordered by smallest edge label.
@@ -20,8 +26,8 @@ no meaningful answer for crossing data that cannot be drawn so.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
+from itertools import compress
 
 from ._record import record
 from .codec import BraidWord, PdCode
@@ -65,14 +71,31 @@ class Diagram:
             expected = end + 1
         if expected != 2 * n + 1:
             raise DiagramError("component spans do not cover the edges")
+        # per label e: the edge after it, the crossing it enters and 1 when
+        # it enters as the under strand; slot 0 is unused
+        following = list(range(1, 2 * n + 2))
+        for start, end in self.spans:
+            following[end] = start
+        enters = [-1] * (2 * n + 1)
+        under = bytearray(2 * n + 1)
+        try:
+            for i, c in enumerate(self.crossings):
+                e, f = c.over_in, c.under_in
+                if e < 1 or f < 1 or following[e] != c.over_out or following[f] != c.under_out:
+                    break
+                enters[e] = enters[f] = i
+                under[f] = 1
+            else:
+                if enters.count(-1) == 1:  # every label enters one crossing
+                    vars(self).update(_next=following, _enters=enters, _under=under)
+                    return
+        except (IndexError, TypeError):  # a label outside 1..2n or not an integer
+            pass
         ins = sorted(e for c in self.crossings for e in (c.over_in, c.under_in))
         outs = sorted(e for c in self.crossings for e in (c.over_out, c.under_out))
         if ins != list(range(1, 2 * n + 1)) or outs != list(range(1, 2 * n + 1)):
             raise DiagramError("each edge must enter one crossing and leave one")
-        succ = self._succ
-        for start, end in self.spans:
-            if succ[end] != start or any(succ[e] != e + 1 for e in range(start, end)):
-                raise DiagramError("edge labels do not follow the strands")
+        raise DiagramError("edge labels do not follow the strands")
 
     @property
     def crossing_count(self) -> int:
@@ -90,90 +113,57 @@ class Diagram:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    @cached_property
-    def _succ(self) -> dict[int, int]:
-        m = {}
-        for c in self.crossings:
-            m[c.over_in] = c.over_out
-            m[c.under_in] = c.under_out
-        return m
-
     def succ(self, e: int) -> int:
         """The next edge along the strand."""
-        return self._succ[e]
-
-    @cached_property
-    def _head_of(self) -> dict[int, tuple[int, str]]:
-        m = {}
-        for i, c in enumerate(self.crossings):
-            m[c.over_in] = (i, "over")
-            m[c.under_in] = (i, "under")
-        return m
-
-    @cached_property
-    def _tail_of(self) -> dict[int, tuple[int, str]]:
-        m = {}
-        for i, c in enumerate(self.crossings):
-            m[c.over_out] = (i, "over")
-            m[c.under_out] = (i, "under")
-        return m
+        return self._next[e]
 
     @cached_property
     def is_alternating(self) -> bool:
+        """No strand passes under twice in a row, the wrap from a span's end
+        to its start included. There are n under- and n over-passages, and a
+        cycle with no two unders in a row has at least as many overs, so
+        every span then alternates, and none is a lone passage."""
+        under = self._under
         for start, end in self.spans:
-            flags = [self._head_of[e][1] for e in range(start, end + 1)]
-            if len(flags) == 1:
+            if under[start] and under[end] or under.find(b"\x01\x01", start, end + 1) >= 0:
                 return False
-            for a, b in zip(flags, flags[1:] + flags[:1]):
-                if a == b:
-                    return False
         return True
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
-        runs = []
+        if self.is_alternating:
+            # each arc is one over-passage and the under-passage after it
+            return tuple(
+                [Arc(i, (c.over_in, c.over_out), (i,)) for i, c in enumerate(self.crossings)]
+            )
+        enters, under = self._enters, self._under
+        labels = tuple(range(2 * len(self.crossings) + 1))
+        arcs = []
         for start, end in self.spans:
-            cuts = [e for e in range(start, end + 1) if self._head_of[e][1] == "under"]
+            cuts = list(compress(labels[start : end + 1], under[start : end + 1]))
             if not cuts:
                 # a component passing over everything stays one closed arc
-                runs.append(tuple(range(start, end + 1)))
+                over = tuple(sorted(enters[start : end + 1]))
+                arcs.append(Arc(len(arcs), labels[start : end + 1], over))
                 continue
-            for i, cut in enumerate(cuts):
-                run = []
-                e = self.succ(cuts[i - 1])
-                while True:
-                    run.append(e)
-                    if e == cut:
-                        break
-                    e = self.succ(e)
-                runs.append(tuple(run))
-        over_at = {
-            run: tuple(
-                sorted(self._head_of[e][0] for e in run if self._head_of[e][1] == "over")
-            )
-            for run in runs
-        }
-        if self.is_alternating:
-            # alternation puts exactly one over-passage on every arc
-            runs.sort(key=lambda r: over_at[r])
-            for i, run in enumerate(runs):
-                if over_at[run] != (i,):
-                    raise DiagramError(
-                        f"alternating arc {i} (edges {list(run)}) passes over crossings "
-                        f"{list(over_at[run])}, not exactly crossing {i}"
-                    )
-            if len(runs) != len(self.crossings):
-                raise DiagramError(
-                    f"alternating diagram has {len(runs)} arcs for {len(self.crossings)} crossings"
-                )
-        else:
-            runs.sort(key=min)
-        # from a list, not a generator: see linalg.IntMatrix.from_rows
-        return tuple([Arc(i, run, over_at[run]) for i, run in enumerate(runs)])
+            # the run through the span's start first, then the ranges
+            # between cuts, so that each span's arcs come by smallest label;
+            # every label of a run passes over but the cut that closes it
+            a, b = cuts[-1], cuts[0]
+            run = labels[a + 1 : end + 1] + labels[start : b + 1]
+            over = enters[a + 1 : end + 1] + enters[start:b]
+            arcs.append(Arc(len(arcs), run, tuple(sorted(over))))
+            for a, b in zip(cuts, cuts[1:]):
+                arcs.append(Arc(len(arcs), labels[a + 1 : b + 1], tuple(sorted(enters[a + 1 : b]))))
+        return tuple(arcs)
 
     @cached_property
-    def _arc_of(self) -> dict[int, int]:
-        return {e: a.index for a in self.arcs for e in a.edges}
+    def _arc_of(self) -> list[int]:
+        arc_of = [0] * (2 * len(self.crossings) + 1)
+        for a in self.arcs:
+            for e in a.edges:
+                arc_of[e] = a.index
+        return arc_of
 
     def arc_of(self, e: int) -> int:
         """Index of the arc containing edge e."""
@@ -199,15 +189,19 @@ class Diagram:
     def _multigraph(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per crossing, the (neighbour crossing, edge id) of every edge end.
 
-        Edge id k is edge label k + 1. Parallel edges stay distinct and a
-        loop (kink) appears twice in its crossing's list.
+        Edge id k is edge label k + 1, which leaves the crossing its
+        predecessor enters. Parallel edges stay distinct and a loop (kink)
+        appears twice in its crossing's list.
         """
+        enters = self._enters
         adj: list[list[tuple[int, int]]] = [[] for _ in self.crossings]
-        for k in range(self.edge_count):
-            u = self._tail_of[k + 1][0]
-            v = self._head_of[k + 1][0]
-            adj[u].append((v, k))
-            adj[v].append((u, k))
+        for start, end in self.spans:
+            u = enters[end]
+            for e in range(start, end + 1):
+                v = enters[e]
+                adj[u].append((v, e - 1))
+                adj[v].append((u, e - 1))
+                u = v
         return tuple([tuple(ends) for ends in adj])
 
     @cached_property
@@ -320,85 +314,70 @@ def _cut_search(adj) -> tuple[bool, bool]:
     return reduced, prime
 
 
-def _orient(passages) -> list[int]:
-    """Assign a direction to every passage (x, y, dir or None).
+def _orient(ends: list[int], fixed: int) -> list[int]:
+    """The direction of every passage (ends[2p], ends[2p + 1]): 0 when the
+    strand enters passage p at ends[2p], 1 when at ends[2p + 1].
 
-    Direction 0 means the strand enters at x and leaves at y, 1 the
-    reverse. Each edge id must occur exactly twice over all passages and
-    must enter one passage and leave the other; fixed directions propagate
-    and remaining free components are seeded deterministically.
+    The labels are 1..m, each at exactly two ends, and the first `fixed`
+    passages run forward. Each strand is walked once, in the direction of
+    the first passage on it not yet walked, which runs forward: fixed
+    passages before free ones, so a strand without a fixed passage starts
+    at its lowest. A walk that enters a fixed passage backwards raises.
     """
-    occ: dict[object, list[tuple[int, int]]] = {}
-    for p, (x, y, _) in enumerate(passages):
-        occ.setdefault(x, []).append((p, 0))
-        occ.setdefault(y, []).append((p, 1))
-    for e, uses in occ.items():
-        if len(uses) != 2:
-            raise DiagramError(f"edge {e!r} is used {len(uses)} times, expected 2")
-    dirs: list[int | None] = [d for (_, _, d) in passages]
-    queue = deque(p for p, d in enumerate(dirs) if d is not None)
-    while True:
-        if not queue:
-            seed = next((p for p, d in enumerate(dirs) if d is None), None)
-            if seed is None:
+    # the two ends carrying label e sit at uses[2e - 2] and uses[2e - 1]
+    uses = sorted(range(len(ends)), key=ends.__getitem__)
+    dirs = [-1] * (len(ends) // 2)
+    for p in range(len(dirs)):
+        if dirs[p] >= 0:
+            continue
+        dirs[p] = 0
+        s = start = 2 * p  # the end the strand enters by
+        while True:
+            x = s ^ 1  # the end it leaves by
+            i = 2 * ends[x] - 2
+            t = uses[i]
+            if t == x:
+                t = uses[i + 1]
+            if t == start:  # strands are cycles of passages
                 break
-            dirs[seed] = 0
-            queue.append(seed)
-        p = queue.popleft()
-        x, y, _ = passages[p]
-        for slot, e in ((0, x), (1, y)):
-            uses = occ[e]
-            q, sq = uses[1] if uses[0] == (p, slot) else uses[0]
-            # the edge enters exactly one of its two passages
-            entering_here = dirs[p] == slot
-            want = sq if not entering_here else 1 - sq
-            if dirs[q] is None:
-                dirs[q] = want
-                queue.append(q)
-            elif dirs[q] != want:
-                raise DiagramError(f"strands do not close up at edge {e!r}")
+            if t & 1 and t < 2 * fixed:
+                raise DiagramError(f"strands do not close up at edge {ends[x]!r}")
+            dirs[t >> 1] = t & 1
+            s = t
     return dirs
 
 
-def _assemble(quads, junction_pairs=()) -> Diagram:
+def _canonical(quads, size: int, junction_pairs=()) -> Diagram:
     """Canonicalize (over_in, over_out, under_in, under_out) quadruples.
 
-    Edge ids may be anything sortable; they are relabeled 1..2n along the
-    strands, each component starting at its smallest id, and crossings are
-    renumbered by first visit.
+    Labels are integers below size, each entering one crossing and leaving
+    one; they are relabeled 1..2n along the strands, each component starting
+    at its smallest label, and crossings are renumbered by first visit.
     """
-    heads: dict[object, int] = {}
-    tails: dict[object, int] = {}
-    cont: dict[object, object] = {}
+    enters = [-1] * size
+    after = [0] * size
     for i, (oi, oo, ui, uo) in enumerate(quads):
-        for e in (oi, ui):
-            if e in heads:
-                raise DiagramError(f"edge {e!r} enters two crossings")
-            heads[e] = i
-        for e in (oo, uo):
-            if e in tails:
-                raise DiagramError(f"edge {e!r} leaves two crossings")
-            tails[e] = i
-        cont[oi] = oo
-        cont[ui] = uo
-    if set(heads) != set(tails):
-        raise DiagramError("strands do not close up")
-    label: dict[object, int] = {}
-    number: dict[int, int] = {}
+        enters[oi] = enters[ui] = i
+        after[oi] = oo
+        after[ui] = uo
+    label = [0] * size
+    number = [-1] * len(quads)
     spans = []
+    visited = 0
     nxt = 1
-    for start in sorted(heads):
-        if start in label:
+    for start in range(size):
+        if enters[start] < 0 or label[start]:
             continue
         first = nxt
         e = start
         while True:
             label[e] = nxt
             nxt += 1
-            q = heads[e]
-            if q not in number:
-                number[q] = len(number)
-            e = cont[e]
+            q = enters[e]
+            if number[q] < 0:
+                number[q] = visited
+                visited += 1
+            e = after[e]
             if e == start:
                 break
         spans.append((first, nxt - 1))
@@ -411,18 +390,19 @@ def _assemble(quads, junction_pairs=()) -> Diagram:
 
 def from_pd(code: PdCode) -> Diagram:
     """Build a diagram from a PD code, solving the over-strand directions."""
-    passages = []
-    for a, b, c, d in code.crossings:
-        passages.append((a, c, 0))
-        passages.append((b, d, None))
-    dirs = _orient(passages)
-    quads = []
-    for i, (a, b, c, d) in enumerate(code.crossings):
-        if dirs[2 * i + 1] == 0:
-            quads.append((b, d, a, c))
-        else:
-            quads.append((d, b, a, c))
-    return _assemble(quads)
+    pd = code.crossings
+    n = len(pd)
+    flat = [x for quad in pd for x in quad]
+    # passage i < n is crossing i's under strand a -> c, fixed by the code;
+    # passage n + i its over strand b - d
+    ends = flat[:]
+    ends[0 : 2 * n : 2], ends[1 : 2 * n : 2] = flat[0::4], flat[2::4]
+    ends[2 * n :: 2], ends[2 * n + 1 :: 2] = flat[1::4], flat[3::4]
+    dirs = _orient(ends, n)
+    quads = [
+        (d, b, a, c) if flip else (b, d, a, c) for (a, b, c, d), flip in zip(pd, dirs[n:])
+    ]
+    return _canonical(quads, 2 * n + 1)
 
 
 def braid_closure(word: BraidWord) -> Diagram:
@@ -448,57 +428,58 @@ def braid_closure(word: BraidWord) -> Diagram:
         else:
             quads.append((ri, lo, li, ro))
         cur[p - 1], cur[p] = lo, ro
-    repl = {cur[j]: top[j] for j in range(k)}
-    quads = [tuple([repl.get(e, e) for e in quad]) for quad in quads]
-    return _assemble(quads)
+    # the edges leaving the bottom of the braid are its top edges
+    close = list(range(nxt))
+    for j in range(k):
+        close[cur[j]] = top[j]
+    quads = [(oi, close[oo], ui, close[uo]) for oi, oo, ui, uo in quads]
+    return _canonical(quads, nxt)
 
 
 def pretzel(*twists: int) -> Diagram:
     """Pretzel link: vertical twist columns joined cyclically at top and bottom.
 
     A positive column twists its left strand over its right; negative the
-    reverse. Strand orientations are chosen by constraint propagation.
+    reverse. Strand orientations are chosen by walking the strands.
     """
     if not twists:
         raise DiagramError("a pretzel needs at least one twist column")
     if any(t == 0 for t in twists):
         raise DiagramError("twist counts must be nonzero")
-    k = len(twists)
-    # a right end at height 0 or |t_i| meets the next column's left end at
-    # height 0 or |t_{i+1}|; each end meets exactly one other, so the pair's
-    # smaller label names the joined point
-    joined: dict[tuple, tuple] = {}
+    # column i has points at heights 0..|t_i| on its left and right; its
+    # right ends at heights 0 and |t_i| are the next column's left ends,
+    # the last column's are column 0's. Labels are given in the order of
+    # (column, side, height), a joined point taking its smaller name, so
+    # that the canonical labels depend on nothing else.
+    ends, positive = [], []
+    nxt = 1
     for i, t in enumerate(twists):
-        nx = (i + 1) % k
-        for a, b in (((i, "R", 0), (nx, "L", 0)), ((i, "R", abs(t)), (nx, "L", abs(twists[nx])))):
-            joined[a] = joined[b] = min(a, b)
-
-    def point(*end):
-        return joined.get(end, end)
-
-    passages = []
-    for i, t in enumerate(twists):
-        for j in range(abs(t)):
-            a = point(i, "L", j)
-            b = point(i, "R", j)
-            c = point(i, "L", j + 1)
-            d = point(i, "R", j + 1)
+        height = abs(t)
+        if i == 0:
+            left = first_left = list(range(nxt, nxt + height + 1))
+            nxt += height + 1
+        else:
+            left = [right[0], *range(nxt, nxt + height - 1), right[-1]]
+            nxt += height - 1
+        if i < len(twists) - 1:
+            right = list(range(nxt, nxt + height + 1))
+            nxt += height + 1
+        else:
+            right = [first_left[0], *range(nxt, nxt + height - 1), first_left[-1]]
+            nxt += height - 1
+        for j in range(height):
             # the strand entering top-left leaves bottom-right and vice versa
-            passages.append((a, d, None))
-            passages.append((b, c, None))
-    dirs = _orient(passages)
+            ends += (left[j], right[j + 1], right[j], left[j + 1])
+        positive += [t > 0] * height
+    dirs = _orient(ends, 0)
+    for p in compress(range(len(dirs)), dirs):  # entered at the second end
+        ends[2 * p], ends[2 * p + 1] = ends[2 * p + 1], ends[2 * p]
+    # each crossing's ends now run (in, out) along its left strand, then its right
     quads = []
-    idx = 0
-    for i, t in enumerate(twists):
-        for j in range(abs(t)):
-            first, second = passages[idx], passages[idx + 1]
-            over, over_dir = (first, dirs[idx]) if t > 0 else (second, dirs[idx + 1])
-            under, under_dir = (second, dirs[idx + 1]) if t > 0 else (first, dirs[idx])
-            oi, oo = (over[0], over[1]) if over_dir == 0 else (over[1], over[0])
-            ui, uo = (under[0], under[1]) if under_dir == 0 else (under[1], under[0])
-            quads.append((oi, oo, ui, uo))
-            idx += 2
-    return _assemble(quads)
+    for i, left_over in enumerate(positive):
+        first, second = ends[4 * i : 4 * i + 2], ends[4 * i + 2 : 4 * i + 4]
+        quads.append((*first, *second) if left_over else (*second, *first))
+    return _canonical(quads, nxt)
 
 
 def turks_head(n: int) -> Diagram:
@@ -536,26 +517,19 @@ def _connected_sum_at(d1: Diagram, e1: int, d2: Diagram, e2: int) -> Diagram:
     off = d1.edge_count
     f = off + d2.edge_count + 1
     g = off + d2.edge_count + 2
-
-    def conv(c: Crossing, in_map, out_map) -> tuple:
-        return (
-            in_map(c.over_in),
-            out_map(c.over_out),
-            in_map(c.under_in),
-            out_map(c.under_out),
-        )
-
+    # d2's labels move up by off; the cut edges' heads become g and f, their
+    # tails f and g
+    ins1, outs1 = list(range(f)), list(range(f))
+    ins2, outs2 = list(range(off, f)), list(range(off, f))
+    ins1[e1], outs1[e1], ins2[e2], outs2[e2] = g, f, f, g
     quads = [
-        conv(c, lambda e: g if e == e1 else e, lambda e: f if e == e1 else e)
-        for c in d1.crossings
-    ]
-    quads += [
-        conv(c, lambda e: f if e == e2 else e + off, lambda e: g if e == e2 else e + off)
-        for c in d2.crossings
+        (ins[c.over_in], outs[c.over_out], ins[c.under_in], outs[c.under_out])
+        for d, ins, outs in ((d1, ins1, outs1), (d2, ins2, outs2))
+        for c in d.crossings
     ]
     pairs = [(a, b) for a, b in d1.junction_edge_pairs if e1 not in (a, b)]
     pairs += [
         (a + off, b + off) for a, b in d2.junction_edge_pairs if e2 not in (a, b)
     ]
     pairs.append((f, g))
-    return _assemble(quads, pairs)
+    return _canonical(quads, g + 1, pairs)

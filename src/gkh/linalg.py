@@ -32,13 +32,14 @@ certificate's products. The determinant that kh det and link_determinant
 print is computed apart from the Smith form, and the tests keep it as an
 oracle for the diagonal: sparse elimination on the same dict rows modulo
 Proth primes from a checked-in table, each proven on first use,
-fewest-rows column first, joined by the Chinese remainder theorem until
-the primes' product passes twice the Hadamard bound, which makes it
+fewest-rows column first, joined by the Chinese remainder theorem; the
+fewest primes whose product passes twice the Hadamard bound make it
 exact.
 """
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import chain
 from math import gcd, prod
 
 from ._record import record
@@ -142,9 +143,13 @@ class SparseMatrix:
             raise LinalgError("matrix dimensions must be nonnegative")
         if len(self.row_maps) != self.rows:
             raise LinalgError(f"expected {self.rows} rows, got {len(self.row_maps)}")
-        for i, row in enumerate(self.row_maps):
-            if not all(0 <= j < self.cols and x for j, x in row.items()):
-                raise LinalgError(f"row {i} has a zero or an index outside 0..{self.cols - 1}")
+        # min, max and all over every row at once; a row is sought only to be named
+        keys = set(chain.from_iterable(self.row_maps))
+        values = chain.from_iterable(map(dict.values, self.row_maps))
+        if keys and (min(keys) < 0 or max(keys) >= self.cols) or not all(values):
+            bad = (not all(0 <= j < self.cols and x for j, x in r.items()) for r in self.row_maps)
+            i = next(i for i, b in enumerate(bad) if b)
+            raise LinalgError(f"row {i} has a zero or an index outside 0..{self.cols - 1}")
 
     @property
     def is_square(self) -> bool:
@@ -173,26 +178,26 @@ def determinant(a: IntMatrix | SparseMatrix) -> int:
     norms, so once the primes' product M satisfies M^2 > 4 prod |row|^2,
     det A is the residue mod M taken in (-M/2, M/2): the result is exact,
     not probabilistic (Abbott, Bronstein & Mulders 1999). The primes are
-    _PROTH's, smallest first; a bound past them all raises
-    DeterminantBoundError before the first elimination. A zero row makes
-    the bound 0 and the answer 0 before any prime is used.
+    the fewest _PROTH entries that pass the bound (see _moduli); a bound
+    past them all raises DeterminantBoundError before the first
+    elimination. A zero row makes the bound 0 and the answer 0 before any
+    prime is used.
     """
     if not a.is_square:
         raise LinalgError("determinant needs a square matrix")
     rows = _sparse(a).row_maps
     bound = 4 * prod(sum(x * x for x in r.values()) for r in rows)
-    reach, capacity = _reach(_PROTH)
+    values, reach, capacity = _table(_PROTH)
     if capacity <= bound:
         raise DeterminantBoundError(
             f"the determinant's bound needs a modulus of {(bound.bit_length() + 1) // 2} "
             f"bits, past the {reach.bit_length()} bits of the prime table's product"
         )
-    residue, modulus, i = 0, 1, 0
-    while modulus * modulus <= bound:
+    residue, modulus = 0, 1
+    for i in _moduli(values, bound):
         p = _prime(i)
         residue += modulus * ((_det_mod(rows, p) - residue) * pow(modulus, -1, p) % p)
         modulus *= p
-        i += 1
     return residue - modulus if 2 * residue > modulus else residue
 
 
@@ -206,30 +211,48 @@ _PROTH = ((2061, 68), (2133, 148), (2101, 308), (2571, 628)) + tuple((k, 1268) f
     36541, 37767, 38767, 41371, 41913, 42513, 43297, 44257, 44485, 44625, 44731, 45531, 48063,
     48127, 48595, 48625, 48997, 49483, 50037, 50085, 50955, 51297, 51405,
 ))
-_PRIMES: list[int] = []  # the entries of _PROTH proven so far, by _prime
+_PRIMES: list[int] = []  # entry i of _PROTH once _prime has proven it, else 0
 
 
 @cache
-def _reach(table) -> tuple[int, int]:
-    """The product M of the table's k 2^m + 1, read off (k, m) without
-    proving any entry, and M^2: a bound at or past M^2 needs more primes
-    than the table has."""
-    reach = prod((k << m) + 1 for k, m in table)
-    return reach, reach * reach
+def _table(table) -> tuple[tuple[int, ...], int, int]:
+    """The table's k 2^m + 1, read off (k, m) without proving any entry,
+    their product M and M^2, which no bound may reach."""
+    values = tuple([(k << m) + 1 for k, m in table])
+    reach = prod(values)
+    return values, reach, reach * reach
+
+
+def _moduli(values, bound: int) -> list[int]:
+    """Indices of the fewest ascending values whose product M has M^2 > bound:
+    the largest but one and the smallest that completes them, since an
+    elimination costs about as much at 80 bits as at 1280."""
+    last = len(values)
+    product = 1
+    while product * product <= bound:
+        last -= 1
+        product *= values[last]
+    if last == len(values):
+        return []
+    rest = product // values[last]
+    first = next(i for i in range(last + 1) if (rest * values[i]) ** 2 > bound)
+    return [first, *range(last + 1, len(values))]
 
 
 def _prime(i: int) -> int:
     """Entry i of _PROTH, proven on first use by Proth's theorem (1878): N = k 2^m + 1,
     k odd and k < 2^m, is prime if a^((N-1)/2) = -1 mod N for some a. A prime gives
     +-1 for every a (Euler), so the first small prime a not giving 1 must give -1."""
-    while len(_PRIMES) <= i:
-        k, m = _PROTH[len(_PRIMES)]
-        n = (k << m) + 1
-        x = next((x for a in (3, 5, 7, 11, 13, 17, 19, 23) if (x := pow(a, n >> 1, n)) != 1), 1)
-        if not (k % 2 and k < 1 << m and x == n - 1):
-            raise LinalgError(f"Proth entry {len(_PRIMES)} (k = {k}, m = {m}) is not proven prime")
-        _PRIMES.append(n)
-    return _PRIMES[i]
+    if i < len(_PRIMES) and _PRIMES[i]:
+        return _PRIMES[i]
+    k, m = _PROTH[i]
+    n = (k << m) + 1
+    x = next((x for a in (3, 5, 7, 11, 13, 17, 19, 23) if (x := pow(a, n >> 1, n)) != 1), 1)
+    if not (k % 2 and k < 1 << m and x == n - 1):
+        raise LinalgError(f"Proth entry {i} (k = {k}, m = {m}) is not proven prime")
+    _PRIMES.extend([0] * (i + 1 - len(_PRIMES)))
+    _PRIMES[i] = n
+    return n
 
 
 def _det_mod(rows, p: int) -> int:

@@ -102,14 +102,12 @@ def pseudo_from_inverse_columns(
 
 def _passages(d: Diagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
     """Per component, the crossings met along the strand with an under flag."""
-    out = []
-    for start, end in d.spans:
-        walk = []
-        for e in range(start, end + 1):
-            crossing, slot = d._head_of[e]
-            walk.append((crossing, slot == "under"))
-        out.append(tuple(walk))
-    return tuple(out)
+    return tuple(
+        [
+            tuple(zip(d._enters[start : end + 1], map(bool, d._under[start : end + 1])))
+            for start, end in d.spans
+        ]
+    )
 
 
 def tunnel_pseudo(d: Diagram) -> PseudoColoring:

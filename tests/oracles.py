@@ -8,14 +8,17 @@ dense smallest-pivot Smith form, the sparse Smith form's pivots found by
 scanning every live row, faces traced around a PD code, a PD reader
 that steps one character at a time, or plain enumeration: every
 assignment of colors, every arc pair compared on every column, every
-column subset tried in order. It also keeps the few helpers that only
-the tests call: a matrix-vector product, a Fox-coloring check that
-validates its input, and the coloring count from the Smith form of C'.
+column subset tried in order, a diagram's canonical form and its arcs
+read through dicts keyed by edge label. It also keeps the few helpers
+that only the tests call: a matrix-vector product, a Fox-coloring check
+that validates its input, and the coloring count from the Smith form of
+C'.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,6 +33,7 @@ from gkh.coloring import (
     _require_modulus,
     crossing_matrix,
 )
+from gkh.diagram import Arc, Crossing, Diagram, DiagramError
 from gkh.linalg import (
     IntMatrix,
     LinalgError,
@@ -682,3 +686,250 @@ def scanner_parse_pd(text: str) -> PdCode:
     if sc.pos != len(sc.text):
         raise PdSyntaxError("trailing input", sc.pos)
     return PdCode(tuple(quads))
+
+
+# The canonical form through dicts keyed by edge label: the reference for
+# gkh.diagram's label-indexed tables and strand walk.
+
+
+def orient(passages) -> list[int]:
+    """Assign a direction to every passage (x, y, dir or None) by a
+    breadth-first search from the fixed ones.
+
+    Direction 0 means the strand enters at x and leaves at y, 1 the
+    reverse. Each edge id must occur exactly twice over all passages and
+    must enter one passage and leave the other; fixed directions propagate
+    and remaining free components are seeded deterministically.
+    """
+    occ: dict[object, list[tuple[int, int]]] = {}
+    for p, (x, y, _) in enumerate(passages):
+        occ.setdefault(x, []).append((p, 0))
+        occ.setdefault(y, []).append((p, 1))
+    for e, uses in occ.items():
+        if len(uses) != 2:
+            raise DiagramError(f"edge {e!r} is used {len(uses)} times, expected 2")
+    dirs: list[int | None] = [d for (_, _, d) in passages]
+    queue = deque(p for p, d in enumerate(dirs) if d is not None)
+    while True:
+        if not queue:
+            seed = next((p for p, d in enumerate(dirs) if d is None), None)
+            if seed is None:
+                break
+            dirs[seed] = 0
+            queue.append(seed)
+        p = queue.popleft()
+        x, y, _ = passages[p]
+        for slot, e in ((0, x), (1, y)):
+            uses = occ[e]
+            q, sq = uses[1] if uses[0] == (p, slot) else uses[0]
+            # the edge enters exactly one of its two passages
+            want = sq if dirs[p] != slot else 1 - sq
+            if dirs[q] is None:
+                dirs[q] = want
+                queue.append(q)
+            elif dirs[q] != want:
+                raise DiagramError(f"strands do not close up at edge {e!r}")
+    return dirs
+
+
+def assemble(quads, junction_pairs=()) -> Diagram:
+    """Canonicalize (over_in, over_out, under_in, under_out) quadruples whose
+    edge ids may be anything sortable: relabeled 1..2n along the strands,
+    each component starting at its smallest id, crossings renumbered by
+    first visit."""
+    heads: dict[object, int] = {}
+    tails: dict[object, int] = {}
+    cont: dict[object, object] = {}
+    for i, (oi, oo, ui, uo) in enumerate(quads):
+        for e in (oi, ui):
+            if e in heads:
+                raise DiagramError(f"edge {e!r} enters two crossings")
+            heads[e] = i
+        for e in (oo, uo):
+            if e in tails:
+                raise DiagramError(f"edge {e!r} leaves two crossings")
+            tails[e] = i
+        cont[oi] = oo
+        cont[ui] = uo
+    if set(heads) != set(tails):
+        raise DiagramError("strands do not close up")
+    label: dict[object, int] = {}
+    number: dict[int, int] = {}
+    spans = []
+    nxt = 1
+    for start in sorted(heads):
+        if start in label:
+            continue
+        first = nxt
+        e = start
+        while True:
+            label[e] = nxt
+            nxt += 1
+            number.setdefault(heads[e], len(number))
+            e = cont[e]
+            if e == start:
+                break
+        spans.append((first, nxt - 1))
+    crossings: list[Crossing | None] = [None] * len(quads)
+    for i, (oi, oo, ui, uo) in enumerate(quads):
+        crossings[number[i]] = Crossing(label[oi], label[oo], label[ui], label[uo])
+    pairs = tuple((label[f], label[g]) for f, g in junction_pairs)
+    return Diagram(tuple(crossings), tuple(spans), pairs)
+
+
+def from_pd(code: PdCode) -> Diagram:
+    passages = []
+    for a, b, c, d in code.crossings:
+        passages.append((a, c, 0))
+        passages.append((b, d, None))
+    dirs = orient(passages)
+    quads = [
+        (b, d, a, c) if dirs[2 * i + 1] == 0 else (d, b, a, c)
+        for i, (a, b, c, d) in enumerate(code.crossings)
+    ]
+    return assemble(quads)
+
+
+def braid_closure(word) -> Diagram:
+    k = word.strands
+    cur = list(range(1, k + 1))
+    nxt = k + 1
+    quads = []
+    for letter in word.letters:
+        p = abs(letter)
+        li, ri = cur[p - 1], cur[p]
+        lo, ro = nxt, nxt + 1
+        nxt += 2
+        quads.append((li, ro, ri, lo) if letter > 0 else (ri, lo, li, ro))
+        cur[p - 1], cur[p] = lo, ro
+    repl = {cur[j]: j + 1 for j in range(k)}
+    return assemble([tuple(repl.get(e, e) for e in quad) for quad in quads])
+
+
+def pretzel(*twists: int) -> Diagram:
+    """Points named (column, side, height), a joined pair by its smaller name."""
+    k = len(twists)
+    joined: dict[tuple, tuple] = {}
+    for i, t in enumerate(twists):
+        nx = (i + 1) % k
+        for a, b in (((i, "R", 0), (nx, "L", 0)), ((i, "R", abs(t)), (nx, "L", abs(twists[nx])))):
+            joined[a] = joined[b] = min(a, b)
+
+    def point(*end):
+        return joined.get(end, end)
+
+    passages = []
+    for i, t in enumerate(twists):
+        for j in range(abs(t)):
+            passages.append((point(i, "L", j), point(i, "R", j + 1), None))
+            passages.append((point(i, "R", j), point(i, "L", j + 1), None))
+    dirs = orient(passages)
+    ends = [(x, y) if d == 0 else (y, x) for (x, y, _), d in zip(passages, dirs)]
+    quads = []
+    for i, t in enumerate(t for t in twists for _ in range(abs(t))):
+        left, right = ends[2 * i], ends[2 * i + 1]
+        over, under = (left, right) if t > 0 else (right, left)
+        quads.append((*over, *under))
+    return assemble(quads)
+
+
+def connected_sum(d1: Diagram, d2: Diagram) -> Diagram:
+    """The splice of gkh.diagram.connected_sum, its arcs read by arcs()."""
+    arcs1, arcs2 = arcs(d1), arcs(d2)
+    join1 = {a for f, g in d1.junction_edge_pairs for a in (arc_of(arcs1, f), arc_of(arcs1, g))}
+    join2 = {a for f, g in d2.junction_edge_pairs for a in (arc_of(arcs2, f), arc_of(arcs2, g))}
+    e1 = next((a for a in reversed(arcs1) if a.index not in join1), arcs1[-1]).edges[-1]
+    e2 = next((a for a in arcs2 if a.index not in join2), arcs2[0]).edges[-1]
+    off = d1.edge_count
+    f, g = off + d2.edge_count + 1, off + d2.edge_count + 2
+    quads = [
+        (g if c.over_in == e1 else c.over_in, f if c.over_out == e1 else c.over_out,
+         g if c.under_in == e1 else c.under_in, f if c.under_out == e1 else c.under_out)
+        for c in d1.crossings
+    ]
+    quads += [
+        (f if c.over_in == e2 else c.over_in + off, g if c.over_out == e2 else c.over_out + off,
+         f if c.under_in == e2 else c.under_in + off, g if c.under_out == e2 else c.under_out + off)
+        for c in d2.crossings
+    ]
+    pairs = [p for p in d1.junction_edge_pairs if e1 not in p]
+    pairs += [(a + off, b + off) for a, b in d2.junction_edge_pairs if e2 not in (a, b)]
+    return assemble(quads, pairs + [(f, g)])
+
+
+def strand_maps(d: Diagram):
+    """succ, and the (crossing, "over" or "under") each edge enters and leaves."""
+    succ, head_of, tail_of = {}, {}, {}
+    for i, c in enumerate(d.crossings):
+        succ[c.over_in] = c.over_out
+        succ[c.under_in] = c.under_out
+        head_of[c.over_in], head_of[c.under_in] = (i, "over"), (i, "under")
+        tail_of[c.over_out], tail_of[c.under_out] = (i, "over"), (i, "under")
+    return succ, head_of, tail_of
+
+
+def is_alternating(d: Diagram) -> bool:
+    _, head_of, _ = strand_maps(d)
+    for start, end in d.spans:
+        flags = [head_of[e][1] for e in range(start, end + 1)]
+        if len(flags) == 1 or any(a == b for a, b in zip(flags, flags[1:] + flags[:1])):
+            return False
+    return True
+
+
+def arcs(d: Diagram) -> tuple[Arc, ...]:
+    """The runs between under-passages walked edge by edge; sorted by their
+    over-crossing when alternating (each must have exactly one), else by
+    smallest edge."""
+    succ, head_of, _ = strand_maps(d)
+    runs = []
+    for start, end in d.spans:
+        cuts = [e for e in range(start, end + 1) if head_of[e][1] == "under"]
+        if not cuts:
+            runs.append(tuple(range(start, end + 1)))
+            continue
+        for i, cut in enumerate(cuts):
+            run = [succ[cuts[i - 1]]]
+            while run[-1] != cut:
+                run.append(succ[run[-1]])
+            runs.append(tuple(run))
+    over_at = {
+        run: tuple(sorted(head_of[e][0] for e in run if head_of[e][1] == "over")) for run in runs
+    }
+    if is_alternating(d):
+        runs.sort(key=over_at.get)
+        if [over_at[run] for run in runs] != [(i,) for i in range(len(d.crossings))]:
+            raise DiagramError("an alternating arc passes over other than one crossing")
+    else:
+        runs.sort(key=min)
+    return tuple(Arc(i, run, over_at[run]) for i, run in enumerate(runs))
+
+
+def arc_of(arc_list, e: int) -> int:
+    return next(a.index for a in arc_list if e in a.edges)
+
+
+def crossing_arcs(d: Diagram) -> tuple[tuple[int, int, int], ...]:
+    index = {e: a.index for a in arcs(d) for e in a.edges}
+    return tuple((index[c.over_in], index[c.under_in], index[c.under_out]) for c in d.crossings)
+
+
+def multigraph(d: Diagram):
+    """Per crossing, the (neighbour crossing, edge id) of every edge end, edge id k
+    being label k + 1, listed by edge id."""
+    _, head_of, tail_of = strand_maps(d)
+    adj = [[] for _ in d.crossings]
+    for k in range(d.edge_count):
+        u, v = tail_of[k + 1][0], head_of[k + 1][0]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    return tuple(tuple(ends) for ends in adj)
+
+
+def passages(d: Diagram):
+    """Per component, the (crossing, passes under) of each edge's head."""
+    _, head_of, _ = strand_maps(d)
+    return tuple(
+        tuple((head_of[e][0], head_of[e][1] == "under") for e in range(start, end + 1))
+        for start, end in d.spans
+    )

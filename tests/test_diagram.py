@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -20,6 +21,8 @@ from gkh.diagram import (
     turks_head,
 )
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
+from gkh.pseudo import _passages
+import oracles
 from oracles import pd_euler_characteristic
 
 
@@ -172,8 +175,12 @@ def test_mirror_is_involution_and_preserves_predicates():
 
 
 def test_inconsistent_pd_rejected():
-    with pytest.raises(DiagramError):
-        from_pd(PdCode(((1, 2, 3, 4), (1, 2, 3, 4))))
+    # both under strands run 1 -> 3, and the trefoil with the labels of its
+    # second crossing's under strand swapped runs one strand both ways
+    for code in (((1, 2, 3, 4), (1, 2, 3, 4)), ((1, 5, 2, 4), (4, 1, 3, 6), (5, 3, 6, 2))):
+        for build in (from_pd, oracles.from_pd):
+            with pytest.raises(DiagramError, match="strands do not close up"):
+                build(PdCode(code))
 
 
 PD_FIXTURES = [n for n in fixture_names() if fixture(n).input_text.startswith("pd:")]
@@ -425,3 +432,95 @@ def test_prime_deterministic_cases():
         assert d.is_reduced == per_crossing_reduced_oracle(d)
         assert d.mirrored().is_prime_diagram == d.is_prime_diagram
         assert d.mirrored().is_reduced == d.is_reduced
+
+
+twist_lists = st.lists(
+    st.integers(min_value=1, max_value=5).flatmap(lambda t: st.sampled_from([t, -t])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def source_diagrams(draw):
+    """Mixed-sign braid closures on 2-5 strands (several components among
+    them), pretzels, connected sums, split closures and fixtures."""
+    kind = draw(st.sampled_from(("braid", "pretzel", "sum", "split", "fixture")))
+    if kind == "braid":
+        return braid_closure(draw(closable_braids(5, 1, 16)))
+    if kind == "pretzel":
+        return pretzel(*draw(twist_lists))
+    if kind == "sum":
+        d = braid_closure(draw(closable_braids(5, 1, 12)))
+        d = connected_sum(d, pretzel(*draw(twist_lists)))
+        return connected_sum(d, braid_closure(draw(closable_braids(4, 1, 8))))
+    if kind == "split":
+        return split_closure(draw(closable_braids(4, 1, 8)), draw(closable_braids(4, 1, 8)))
+    return fixture_diagram(draw(st.sampled_from(fixture_names())))
+
+
+def assert_tables_match_the_oracle(d):
+    """Every field read off the label tables equals the dict oracle's."""
+    succ, _, _ = oracles.strand_maps(d)
+    assert [d.succ(e) for e in range(1, d.edge_count + 1)] == [succ[e] for e in sorted(succ)]
+    assert d.is_alternating == oracles.is_alternating(d)
+    assert d.arcs == oracles.arcs(d)
+    assert d.crossing_arcs == oracles.crossing_arcs(d)
+    assert d.joining_arcs == tuple(
+        sorted({oracles.arc_of(d.arcs, e) for pair in d.junction_edge_pairs for e in pair})
+    )
+    assert d._multigraph == oracles.multigraph(d)
+    assert (d.is_reduced, d.is_prime_diagram) == _cut_search(oracles.multigraph(d))
+    assert _passages(d) == oracles.passages(d)
+
+
+def shuffled_code(d, rnd):
+    quads = list(d.to_pd().crossings)
+    rnd.shuffle(quads)
+    return PdCode(tuple(quads))
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_diagrams(), st.randoms(use_true_random=False))
+def test_from_pd_and_its_tables_match_the_dict_oracle(d, rnd):
+    code = shuffled_code(d, rnd)
+    got = from_pd(code)
+    assert got == oracles.from_pd(code)
+    for x in (got, d, d.mirrored()):
+        assert_tables_match_the_oracle(x)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_matches_the_dict_oracle(name):
+    d = fixture_diagram(name)
+    code = shuffled_code(d, random.Random(name))
+    assert from_pd(code) == oracles.from_pd(code)
+    assert_tables_match_the_oracle(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closable_braids(5, 1, 16), closable_braids(4, 1, 8), twist_lists)
+def test_constructors_match_the_dict_oracle(w1, w2, twists):
+    d1, d2, p = braid_closure(w1), braid_closure(w2), pretzel(*twists)
+    assert d1 == oracles.braid_closure(w1) and d2 == oracles.braid_closure(w2)
+    assert p == oracles.pretzel(*twists)
+    for a, b in ((d1, d2), (d1, p), (p, d1), (connected_sum(d1, p), d2)):
+        assert connected_sum(a, b) == oracles.connected_sum(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_diagrams(), st.randoms(use_true_random=False))
+def test_swapped_labels_fail_on_both_sides_or_agree(d, rnd):
+    # two labels swapped keep every label used twice; when the strands can
+    # no longer close, both the strand walk and the dict oracle refuse
+    flat = [x for quad in shuffled_code(d, rnd).crossings for x in quad]
+    i, j = rnd.sample(range(len(flat)), 2)
+    flat[i], flat[j] = flat[j], flat[i]
+    code = PdCode(tuple(zip(*[iter(flat)] * 4)))
+    try:
+        want = oracles.from_pd(code)
+    except DiagramError:
+        with pytest.raises(DiagramError, match="strands do not close up at edge"):
+            from_pd(code)
+    else:
+        assert from_pd(code) == want

@@ -512,8 +512,8 @@ def test_determinant_of_a_dense_matrix_with_200_bit_entries():
     m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 200), 1 << 200) for _ in range(64)))
     assert determinant(m) == bareiss_determinant(m)
     # twice the Hadamard bound, about 2^1607, is past the 1200-bit product of
-    # the 80- to 640-bit primes, so the CRT joins 5 residues, the last modulo
-    # the first 1280-bit prime
+    # the 80- to 640-bit primes; the fewest primes that pass it are two, the
+    # 640-bit one and a 1280-bit one
     bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
     assert prod(gkh.linalg._prime(k) for k in range(4)) ** 2 <= bound
     assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 > bound
@@ -540,8 +540,10 @@ def test_a_tampered_proth_entry_is_refused(monkeypatch, entry):
     monkeypatch.setattr(gkh.linalg, "_PROTH", (entry,) + gkh.linalg._PROTH[1:])
     monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
     k, m = entry
+    # det [[5]] has the bound 4 * 5^2 = 100 < 11^2, so entry 0 alone passes
+    # it and is the one entry used, and proven
     with pytest.raises(LinalgError, match=f"entry 0 \\(k = {k}, m = {m}\\)"):
-        determinant(IntMatrix.from_rows([[7]]))
+        determinant(IntMatrix.from_rows([[5]]))
 
 
 @pytest.mark.parametrize("primes", [1, 2, 5])
@@ -564,8 +566,9 @@ def test_determinant_runs_into_the_1280_bit_block():
     rng = random.Random(7)
     m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 400), 1 << 400) for _ in range(64)))
     assert determinant(m) == bareiss_determinant(m)
-    # twice the Hadamard bound, about 2^3207, needs the 80- to 640-bit primes
-    # and two of the 1280-bit block
+    # twice the Hadamard bound, about 2^3207, is past the 80- to 640-bit
+    # primes and one of the 1280-bit block; the fewest that pass it are three
+    # of that block
     bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
     assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 <= bound
     assert prod(gkh.linalg._prime(k) for k in range(6)) ** 2 > bound
@@ -573,7 +576,8 @@ def test_determinant_runs_into_the_1280_bit_block():
 
 def test_determinant_of_split_diagrams_is_zero():
     # a zero determinant is settled only when the primes pass the bound:
-    # 1000 disjoint Hopf links, 2000 crossings, take two of the 1280-bit block
+    # 1000 disjoint Hopf links, 2000 crossings, take the 640-bit prime and two
+    # of the 1280-bit block
     def hopf_links(n):
         return from_pd(
             parse_pd(
@@ -607,14 +611,44 @@ def test_a_bound_past_the_prime_table_is_refused(monkeypatch):
     assert calls == [] and gkh.linalg._PRIMES == proven
 
 
+@pytest.mark.parametrize(
+    "rows, bad",
+    [(({0: 1}, {3: 1}), 1), (({-1: 2}, {0: 1}), 0), (({0: 1}, {1: 2, 2: 0}), 1), (({}, {2: 1}), None)],
+)
+def test_sparse_rows_are_checked(rows, bad):
+    if bad is None:
+        assert SparseMatrix(2, 3, rows).dense().row_list() == [[0, 0, 0], [0, 0, 1]]
+    else:
+        with pytest.raises(LinalgError, match=f"row {bad} has a zero or an index outside 0..2"):
+            SparseMatrix(2, 3, rows)
+
+
 def test_determinant_of_turks_head_300_is_the_lucas_value():
     # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2;
-    # 599 rows need the 80- to 640-bit primes
+    # 599 rows need one prime, of 1280 bits
     lucas = [2, 1]
     while len(lucas) <= 600:
         lucas.append(lucas[-1] + lucas[-2])
     c = reduced_crossing_matrix(crossing_matrix(turks_head(300)))
     assert abs(determinant(c)) == lucas[600] - 2
+
+
+def test_determinant_takes_the_fewest_primes(monkeypatch):
+    # turks_head(500)'s 999 rows need a modulus of 1292 bits: the largest
+    # 1280-bit prime and the 80-bit one, two eliminations where the 80- to
+    # 640-bit primes and a 1280-bit one took five
+    calls = []
+    det_mod = gkh.linalg._det_mod
+    monkeypatch.setattr(gkh.linalg, "_det_mod", lambda rows, p: calls.append(p) or det_mod(rows, p))
+    lucas = [2, 1]
+    while len(lucas) <= 1000:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert link_determinant(turks_head(500)) == lucas[1000] - 2
+    assert [p.bit_length() for p in calls] == [80, 1284]
+    # a bound one prime passes takes the smallest such prime alone
+    calls.clear()
+    assert link_determinant(fixture_diagram("10_123")) == 121
+    assert [p.bit_length() for p in calls] == [80]
 
 
 @settings(max_examples=200)
