@@ -11,30 +11,30 @@ the certificate; the dense IntMatrix is for what is printed and for the
 products the tests and the benchmark take. determinant, smith_normal_form
 and check_smith_form read either form as sparse rows. The Smith form is
 one sparse loop over rows and columns kept as dicts: it pivots on the
-smallest entry, +-1 first and the least Markowitz cost first among equals
-(Markowitz 1957), takes Euclid steps where no unit is left, and puts the
-few non-unit pivots into a divisor chain by gcd/lcm steps at the end.
-Each live row's least key sits on a heap, pushed only when it changes; a
-top that is no longer its row's key is popped when it surfaces (lazy
-deletion). After a pass only the rows whose entries changed are scanned
-again; a row that saw only some column counts change rescans just those
-columns, and the whole row only when its old least entry is among them.
-Neither U nor V is accumulated: both are kept
-as the record of the loop's row and column operations, and three readers
-take the rows of U, the columns of U or the columns of V they are asked
-for off it, all in one pass, keeping none. The reader certifies the
-result: check_smith_form replays the record, checks that
-every operation is elementary and that the row operations on A's rows
-give the final matrix times the undone column operations, which makes U
-and V unimodular and |det A| the product of the diagonal; each row of U
-and column of V read off the record is then checked against that
-certificate's products. The determinant that kh det and link_determinant
-print is computed apart from the Smith form, and the tests keep it as an
-oracle for the diagonal: sparse elimination on the same dict rows modulo
-Proth primes from a checked-in table, each proven on first use,
-fewest-rows column first, joined by the Chinese remainder theorem; the
-fewest primes whose product passes twice the Hadamard bound make it
-exact.
+smallest entry, +-1 first and a short row in a short column first among
+equals, takes Euclid steps where no unit is left, and puts the few
+non-unit pivots into a divisor chain by gcd/lcm steps at the end. Each
+live row's key sits on a heap, pushed only when it changes; a top that is
+no longer its row's key is popped when it surfaces (lazy deletion). The
+key is local to its row, with the column count taken when it is made, so
+after a pass only the rows the pass changed are keyed again; a Markowitz
+cost (Markowitz 1957) moves with every column count, and would have every
+row sharing a column with the pivot row keyed again as well. Neither U
+nor V is accumulated: both are kept as the record of the loop's row and
+column operations, and three readers take the rows of U, the columns of
+U or the columns of V they are asked for off it, all in one pass,
+keeping none. The reader certifies the result: check_smith_form replays
+the record, checks that every operation is elementary and that the row
+operations on A's rows give the final matrix times the undone column
+operations, which makes U and V unimodular and |det A| the product of
+the diagonal; each row of U and column of V read off the record is then
+checked against that certificate's products. The determinant that kh
+det and link_determinant print is computed apart from the Smith form, and
+the tests keep it as an oracle for the diagonal: sparse elimination on
+the same dict rows modulo Proth primes from a checked-in table, each
+proven on first use, fewest-rows column first, joined by the Chinese
+remainder theorem; the fewest primes whose product passes twice the
+Hadamard bound make it exact.
 """
 from __future__ import annotations
 
@@ -429,27 +429,28 @@ class SnfDecomposition:
 def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     """Smith normal form with transforms, nonnegative diagonal, zeros trailing.
 
-    One sparse loop. Each pass pivots on the live entry x of least key
-    (|x|, Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), row,
-    col), so the +-1 entries come first, the cheapest first. The key holds
-    its row, so no two rows tie. Each live row's least key is kept in a
-    dict and on a heap, pushed only when it changes; a heap top that is not
-    the very key its row now keeps is stale (the row was keyed again or has
-    left) and is popped, so the first live top is the pivot a scan of every
-    live entry would find. After a pass a retiring pivot row leaves first,
-    and the rows whose entries changed are scanned again. The other rows'
-    entries are as they were, and only the pivot row's columns can change
-    count, so such a row's key can move only at its entries in a recounted
-    column: it takes the least of its old key and those entries' new keys,
-    unless its old key's column is among them, when it is scanned whole.
+    One sparse loop. Each live row i keeps the key (m, r, c, i): m its
+    least |x|, r its number of entries and c the fewest entries among the
+    columns of its entries of absolute value m, counted when the key is
+    made. A key is made when the loop starts and again whenever a pass
+    changes its row, as a target of the row operations or as a pivot row
+    that stays live; a pass re-keys no other row, so c may be stale, but m
+    and r never are. Each pass pivots on the row of least key, at its entry
+    of absolute value m whose column has the fewest entries now, the lowest
+    column first among equals: the least |x| of all, so the +-1 entries
+    come first, and among equals a short row in a short column. The keys
+    are packed into one int each, kept in a dict and on a heap, pushed only
+    when they change; a heap top that is not the key its row now keeps is
+    stale (the row was keyed again or has left) and is popped.
 
     Row operations reduce the pivot column by the nearest multiples of x;
     once the column is clear, column operations reduce the pivot row, which
     touches only row p. A remainder either step leaves is at most |x| / 2,
     below every live entry, so the next pass pivots on it (Euclid) and the
     loop ends. A pivot alone in its row and column retires, its sign flipped
-    by a row operation. The units then lead the diagonal, and one sweep
-    makes the other pivots a divisor chain: a pair (a, b) with a not
+    by a row operation; a +-1 pivot clears its column and row by f = -y x
+    and retires in the same pass. The units then lead the diagonal, and one
+    sweep makes the other pivots a divisor chain: a pair (a, b) with a not
     dividing b becomes (g, ab / g), where g = gcd(a, b) = s a + t b, by the
     rows (s, t), (-b / g, a / g) and the columns v_a + v_b, -(t b / g) v_a +
     (s a / g) v_b, both of determinant 1. Neither U nor V is accumulated;
@@ -467,70 +468,87 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
     d_rows = [dict(r) for r in a.row_maps]
     in_col = _column_index(d_rows, cols)
     u_ops, v_ops = [], []  # the row and column operations, in order
-    keys = {}  # live row -> its least (|x|, cost, row, col), the very tuple on the heap
+    # a key is m << m_at | r << r_at | c << c_at | i, each field in bits enough for it
+    c_at = (rows - 1).bit_length()
+    r_at = c_at + rows.bit_length()
+    m_at = r_at + cols.bit_length()
+    row_of = (1 << c_at) - 1
+    keys = {}  # live row -> its key, the very value on the heap
     heap = []
-    _key_rows(keys, heap, heappush, range(rows), d_rows, in_col)
+
+    def key_rows(changed):
+        for i in changed:
+            row = d_rows[i]
+            if not row:
+                keys.pop(i, None)
+                continue
+            m = 0
+            for j, y in row.items():
+                if y < 0:
+                    y = -y
+                if y < m or not m:
+                    m, c = y, len(in_col[j])
+                elif y == m and len(in_col[j]) < c:
+                    c = len(in_col[j])
+            key = m << m_at | len(row) << r_at | c << c_at | i
+            if key != keys.get(i):
+                keys[i] = key
+                heappush(heap, key)
+
+    key_rows(range(rows))
     pivots = []
     while keys:
         key = heap[0]
-        while keys.get(key[2]) is not key:  # stale: its row was keyed again or left
+        while keys.get(key & row_of) != key:  # stale: its row was keyed again or left
             heappop(heap)
             key = heap[0]
-        _, _, p, q = key
+        p = key & row_of
+        m = key >> m_at
         pivot_row = d_rows[p]
+        q, count = 0, rows + 1  # the column of least (count, index) holding a least entry
+        for j, y in pivot_row.items():
+            if y == m or y == -m:
+                k = len(in_col[j])
+                if k < count or k == count and j < q:
+                    q, count = j, k
         x = pivot_row[q]
-        counts = [(j, len(in_col[j])) for j in pivot_row]
         changed = in_col[q] - {p}
         for i in changed:
-            f = -((2 * d_rows[i][q] + x) // (2 * x))  # nearest quotient
+            y = d_rows[i][q]
+            f = -y * x if m == 1 else -((2 * y + x) // (2 * x))  # nearest quotient
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
             u_ops.append((i, f, p))
-        if len(in_col[q]) == 1:
-            for j, y in list(pivot_row.items()):
+        if m == 1:  # a unit clears its column and its row, and retires
+            for j, y in pivot_row.items():
                 if j != q:
-                    f = -((2 * y + x) // (2 * x))
-                    v_ops.append((j, f, q))
-                    y += f * x
-                    if y:
-                        pivot_row[j] = y
-                    else:
-                        del pivot_row[j]
-                        in_col[j].discard(p)
-        if len(pivot_row) == 1 and len(in_col[q]) == 1:
+                    v_ops.append((j, -y * x, q))
+                    in_col[j].discard(p)
+            d_rows[p] = {q: 1}
             if x < 0:
-                pivot_row[q] = -x
                 u_ops.append((p, -2, p))
             del keys[p]
             pivots.append((p, q))
         else:
-            changed.add(p)
-        # only the pivot row's columns can change count; a row whose entries
-        # did not change keeps its key unless one of those counts moved
-        recounted = {}
-        for j, k in counts:
-            if len(in_col[j]) != k:
-                for i in in_col[j]:
-                    if i not in changed and i != p:
-                        recounted.setdefault(i, []).append(j)
-        for i, columns in recounted.items():
-            old = keys[i]
-            if old[3] in columns:  # the old least entry's cost moved: scan the row
-                changed.add(i)
-                continue
-            # the entries outside columns keep their keys, and old is their least
-            row = d_rows[i]
-            cost = len(row) - 1
-            least = old
-            for j in columns:
-                y = abs(row[j])
-                if y <= least[0]:
-                    candidate = (y, cost * (len(in_col[j]) - 1), i, j)
-                    if candidate < least:
-                        least = candidate
-            if least is not old:
-                keys[i] = least
-                heappush(heap, least)
-        _key_rows(keys, heap, heappush, changed, d_rows, in_col)
+            if len(in_col[q]) == 1:
+                for j, y in list(pivot_row.items()):
+                    if j != q:
+                        f = -((2 * y + x) // (2 * x))
+                        v_ops.append((j, f, q))
+                        y += f * x
+                        if y:
+                            pivot_row[j] = y
+                        else:
+                            del pivot_row[j]
+                            in_col[j].discard(p)
+            if len(pivot_row) == 1 and len(in_col[q]) == 1:
+                if x < 0:
+                    pivot_row[q] = -x
+                    u_ops.append((p, -2, p))
+                del keys[p]
+                pivots.append((p, q))
+            else:
+                changed.add(p)
+        key_rows(changed)
 
     units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
     chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
@@ -563,37 +581,6 @@ def smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
         tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
         (u_ops, row_order, v_ops, col_order),
     )
-
-
-def _key_rows(keys: dict, heap: list, push, changed, d_rows: list[dict], in_col: list[set]) -> None:
-    """keys[i] = the least (|x|, Markowitz cost, i, j) of row i, for i in
-    changed, pushed on the heap by push (heapq.heappush) when it differs
-    from the key kept; a row with no entries left drops out of keys.
-
-    Within a row the cost is (len(row) - 1) (column count - 1), and
-    len(row) - 1 is the same for every entry, so the loop compares (|x|,
-    column count, j) and builds one tuple. A row of one entry has cost 0
-    whatever its column's count, and needs no comparison.
-    """
-    for i in changed:
-        row = d_rows[i]
-        if not row:
-            keys.pop(i, None)
-            continue
-        least = None
-        for j, y in row.items():
-            if y < 0:
-                y = -y
-            if least is None or y < least:
-                least, count, col = y, len(in_col[j]), j
-            elif y == least:
-                k = len(in_col[j])
-                if k < count or (k == count and j < col):
-                    count, col = k, j
-        key = (least, (len(row) - 1) * (count - 1), i, col)
-        if key != keys.get(i):
-            keys[i] = key
-            push(heap, key)
 
 
 def _add_scaled(target: dict, f: int, source: dict, index=None, key=None) -> None:

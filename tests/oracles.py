@@ -5,7 +5,8 @@ library derives from its one Smith form per (diagram, base arc) by
 another route: Gauss-Jordan over the rationals, dense Bareiss
 elimination, block matrices, the left kernel of C'(D), gcds of minors, the
 dense smallest-pivot Smith form, the sparse Smith form's pivots found by
-scanning every live row, faces traced around a PD code, a PD reader
+scanning every row's key, the sparse Smith form under the Markowitz pivot
+rule it had before, faces traced around a PD code, a PD reader
 that steps one character at a time, or plain enumeration: every
 assignment of colors, every arc pair compared on every column, every
 column subset tried in order, a diagram's canonical form and its arcs
@@ -38,6 +39,7 @@ from gkh.linalg import (
     IntMatrix,
     LinalgError,
     SnfDecomposition,
+    SparseMatrix,
     _add_scaled,
     _column_index,
     _combine,
@@ -370,59 +372,64 @@ def dense_smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
 
 def full_scan_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """The library's sparse Smith form loop as it was before its pivot keys
-    were cached: every pass scans every entry of every live row for the
-    least key (|x|, Markowitz cost, row, col), and U, D and V, accumulated
-    as it goes, are written out densely at the end, uncertified. The
-    library must pick the same pivots, so its U, D and V must equal these
-    exactly."""
+    """The library's sparse Smith form loop with its keys kept in a plain
+    dict: each row's key (least |x|, entries, fewest entries among the
+    columns of its least entries, row) is made at the start and again when
+    a pass changes the row, and every pass finds the least one by a scan of
+    them all, with no heap, then pivots in that row at the least entry of
+    the fewest-entry column, lowest first. No pivot takes a shortcut for
+    +-1. U, D and V, accumulated as it goes, are written out densely at the
+    end, uncertified. The library must pick the same pivots, so its U, D
+    and V must equal these exactly."""
     rows, cols = a.rows, a.cols
     d_rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(rows)]
     in_col = _column_index(d_rows, cols)
     u_rows = [{i: 1} for i in range(rows)]
     v_cols = [{j: 1} for j in range(cols)]
-    live = list(range(rows))
+    keys = {}
+
+    def key_rows(changed):
+        for i in changed:
+            row = d_rows[i]
+            if row:
+                m = min(abs(x) for x in row.values())
+                c = min(len(in_col[j]) for j, x in row.items() if abs(x) == m)
+                keys[i] = (m, len(row), c, i)
+            else:
+                keys.pop(i, None)
+
+    key_rows(range(rows))
     pivots = []
-    while True:
-        best = None
-        for i in live:
-            row_cost = len(d_rows[i]) - 1
-            for j, x in d_rows[i].items():
-                x = abs(x)
-                if best is None or x <= best[0]:
-                    key = (x, row_cost * (len(in_col[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[:2] == (1, 0):
-                break  # a unit of cost 0: no later row can beat it
-        if best is None:
-            break
-        _, _, p, q = best
+    while keys:
+        m, _, _, p = min(keys.values())
         pivot_row, pivot_u = d_rows[p], u_rows[p]
+        q = min((len(in_col[j]), j) for j, x in pivot_row.items() if abs(x) == m)[1]
         x = pivot_row[q]
-        for i in in_col[q] - {p}:
+        changed = in_col[q] - {p}
+        for i in changed:
             f = -((2 * d_rows[i][q] + x) // (2 * x))
             _add_scaled(d_rows[i], f, pivot_row, in_col, i)
             _add_scaled(u_rows[i], f, pivot_u)
-        if len(in_col[q]) > 1:
-            continue
-        for j, y in list(pivot_row.items()):
-            if j != q:
-                f = -((2 * y + x) // (2 * x))
-                _add_scaled(v_cols[j], f, v_cols[q])
-                y += f * x
-                if y:
-                    pivot_row[j] = y
-                else:
-                    del pivot_row[j]
-                    in_col[j].discard(p)
-        if len(pivot_row) > 1:
-            continue
-        if x < 0:
-            pivot_row[q] = -x
-            u_rows[p] = {j: -y for j, y in pivot_u.items()}
-        live.remove(p)
-        pivots.append((p, q))
+        if len(in_col[q]) == 1:
+            for j, y in list(pivot_row.items()):
+                if j != q:
+                    f = -((2 * y + x) // (2 * x))
+                    _add_scaled(v_cols[j], f, v_cols[q])
+                    y += f * x
+                    if y:
+                        pivot_row[j] = y
+                    else:
+                        del pivot_row[j]
+                        in_col[j].discard(p)
+        if len(pivot_row) == 1 and len(in_col[q]) == 1:
+            if x < 0:
+                pivot_row[q] = -x
+                u_rows[p] = {j: -y for j, y in pivot_u.items()}
+            del keys[p]
+            pivots.append((p, q))
+        else:
+            changed.add(p)
+        key_rows(changed)
 
     units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
     chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
@@ -440,8 +447,9 @@ def full_scan_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, Int
                 v_cols[qb] = _combine(-t * (y // g), va, s * (x // g), vb)
     pivots = units + chain
 
+    pivot_rows = {p for p, _ in pivots}
     pivot_cols = {q for _, q in pivots}
-    row_order = [p for p, _ in pivots] + live
+    row_order = [p for p, _ in pivots] + [i for i in range(rows) if i not in pivot_rows]
     col_order = [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols]
     v = [0] * (cols * cols)
     for k, j in enumerate(col_order):
@@ -451,6 +459,104 @@ def full_scan_smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, Int
         IntMatrix(rows, rows, tuple(u_rows[i].get(j, 0) for i in row_order for j in range(rows))),
         IntMatrix(rows, cols, tuple(d_rows[i].get(j, 0) for i in row_order for j in col_order)),
         IntMatrix(cols, cols, tuple(v)),
+    )
+
+
+def markowitz_smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition:
+    """The library's sparse Smith form loop with the pivot rule it had
+    before its keys were made row-local, recorded in the library's format,
+    uncertified: each pass pivots on the live entry of least (|x|,
+    Markowitz cost (row entries - 1) * (column entries - 1), row, col),
+    kept as each row's least key on a heap, and after each pass also
+    re-keys the rows that saw one of their columns change count. Its U and
+    V are another valid choice than the library's; the diagonal and all
+    that does not depend on that choice must come out the same."""
+    from heapq import heappop, heappush
+
+    rows, cols = a.rows, a.cols
+    d_rows = [dict(r) for r in (a if isinstance(a, SparseMatrix) else a.sparse()).row_maps]
+    in_col = _column_index(d_rows, cols)
+    u_ops, v_ops = [], []
+    keys = {}  # live row -> its least (|x|, cost, row, col), the very tuple on the heap
+    heap = []
+
+    def key_rows(changed):
+        for i in changed:
+            row = d_rows[i]
+            if not row:
+                keys.pop(i, None)
+                continue
+            cost = len(row) - 1
+            key = min((abs(y), cost * (len(in_col[j]) - 1), i, j) for j, y in row.items())
+            if key != keys.get(i):
+                keys[i] = key
+                heappush(heap, key)
+
+    key_rows(range(rows))
+    pivots = []
+    while keys:
+        key = heap[0]
+        while keys.get(key[2]) is not key:  # stale: its row was keyed again or left
+            heappop(heap)
+            key = heap[0]
+        _, _, p, q = key
+        pivot_row = d_rows[p]
+        x = pivot_row[q]
+        counts = [(j, len(in_col[j])) for j in pivot_row]
+        changed = in_col[q] - {p}
+        for i in changed:
+            f = -((2 * d_rows[i][q] + x) // (2 * x))
+            _add_scaled(d_rows[i], f, pivot_row, in_col, i)
+            u_ops.append((i, f, p))
+        if len(in_col[q]) == 1:
+            for j, y in list(pivot_row.items()):
+                if j != q:
+                    f = -((2 * y + x) // (2 * x))
+                    v_ops.append((j, f, q))
+                    y += f * x
+                    if y:
+                        pivot_row[j] = y
+                    else:
+                        del pivot_row[j]
+                        in_col[j].discard(p)
+        if len(pivot_row) == 1 and len(in_col[q]) == 1:
+            if x < 0:
+                pivot_row[q] = -x
+                u_ops.append((p, -2, p))
+            del keys[p]
+            pivots.append((p, q))
+        else:
+            changed.add(p)
+        # only the pivot row's columns can change count; a row that shares
+        # one whose count moved may have a new least key
+        for j, k in counts:
+            if len(in_col[j]) != k:
+                changed |= in_col[j] - {p}
+        key_rows(changed)
+
+    units = [(p, q) for p, q in pivots if d_rows[p][q] == 1]
+    chain = [(p, q) for p, q in pivots if d_rows[p][q] != 1]
+    for k, (pa, qa) in enumerate(chain):
+        for pb, qb in chain[k + 1 :]:
+            x, y = d_rows[pa][qa], d_rows[pb][qb]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                d_rows[pa][qa], d_rows[pb][qb] = g, x // g * y
+                u_ops.append((pa, pb, s, t, -(y // g), x // g))
+                v_ops.append((qa, qb, 1, 1, -t * (y // g), s * (x // g)))
+    pivots = units + chain
+    pivot_rows = {p for p, _ in pivots}
+    pivot_cols = {q for _, q in pivots}
+    return SnfDecomposition(
+        rows,
+        cols,
+        tuple([d_rows[p][q] for p, q in pivots]) + (0,) * (min(rows, cols) - len(pivots)),
+        (
+            u_ops,
+            [p for p, _ in pivots] + [i for i in range(rows) if i not in pivot_rows],
+            v_ops,
+            [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols],
+        ),
     )
 
 

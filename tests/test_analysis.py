@@ -51,6 +51,7 @@ from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import (
     bareiss_determinant,
     dense_crossing_matrix,
+    markowitz_smith_normal_form,
     rational_inverse,
     reduced_crossing_matrix,
     reduced_mod,
@@ -184,6 +185,53 @@ def test_random_mixed_sign_sparse_rows_match_the_dense_matrix(braid):
     strands, letters = braid
     assume({abs(x) for x in letters} == set(range(1, strands)))  # no bare circle
     assert_sparse_rows_match_the_dense_matrix(braid_closure(BraidWord(strands, tuple(letters))))
+
+
+def rule_independent(d):
+    """At every base arc, all that ColoringAnalysis gives and no choice of U
+    and V changes, and the Fox 2-, 3- and 5-colorings."""
+    facts = [enumerate_colorings(d, k) for k in (2, 3, 5)]
+    for base in range(len(d.arcs)):
+        try:  # a C that is not square is refused before its Smith form
+            analysis = ColoringAnalysis(d, base)
+            facts.append(analysis.snf.diagonal)
+            report = analysis.report
+        except ZeroDeterminantError:
+            continue
+        facts += [
+            analysis.l,
+            analysis.l_mod,
+            report.failures,
+            report.t,
+            report.t_columns,
+            report.masks,
+            analysis.minimal_set_failures,
+            analysis.inverse_pseudos,
+            analysis.perfect_columns,
+        ]
+    return facts
+
+
+def assert_same_as_the_markowitz_rule(d):
+    # U, V and the minimal set may differ, each certified; nothing else may
+    ours = rule_independent(d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gkh.coloring, "smith_normal_form", markowitz_smith_normal_form)
+        theirs = rule_independent(d)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_answers_match_the_markowitz_rule_at_every_base(name):
+    assert_same_as_the_markowitz_rule(fixture_diagram(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids())
+def test_random_mixed_sign_answers_match_the_markowitz_rule_at_every_base(braid):
+    strands, letters = braid
+    assume({abs(x) for x in letters} == set(range(1, strands)))  # no bare circle
+    assert_same_as_the_markowitz_rule(braid_closure(BraidWord(strands, tuple(letters))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -656,10 +704,14 @@ def test_tampered_v_fails_verify_on_the_witness_column(monkeypatch):
 
 def test_tampered_u_fails_the_exact_inverse_column_check():
     # the conway knot has n1 = 1, so every column of L mod n1 is 0 and each
-    # is lifted exactly; a unit row of U changes L by n1 V[:, 0], not L mod n1
+    # is lifted exactly; row 1 of U added to row 0, a unit row, changes
+    # column j of L by U[1, j] n1 V[:, 0], not L mod n1, so the exact check
+    # fails first at the first j with U[1, j] != 0 in the untampered record
+    u_row = ColoringAnalysis(fixture_diagram("conway")).snf.u_rows_at([1])[0]
+    j = min(j for j, x in u_row.items() if x)
     analysis = tampered_u_analysis("conway")
     assert not any(map(any, analysis.extended_rows()))
-    with pytest.raises(LinalgError, match=r"C times column 0 of L is not 1 e_0"):
+    with pytest.raises(LinalgError, match=rf"C times column {j} of L is not 1 e_{j}$"):
         analysis.inverse_pseudos
 
 

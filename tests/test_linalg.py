@@ -34,6 +34,7 @@ from oracles import (
     full_scan_smith_normal_form,
     identity,
     laplace_determinant,
+    markowitz_smith_normal_form,
     mul_vector,
     permuted,
     rational_inverse,
@@ -189,8 +190,8 @@ def assert_same_factors(a):
 @example(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
 @example(IntMatrix.from_rows([[4, 0, 0], [0, 6, 10]]))  # Euclid, then the sweep
 def test_cached_pivot_keys_pick_the_full_scan_pivots(a):
-    # the cached least key of each row must be the one a scan of every
-    # live entry finds, so U, D and V come out identical
+    # the least key on the heap must be the one a scan of every row's key
+    # finds, so U, D and V come out identical
     assert_same_factors(a)
 
 
@@ -255,6 +256,16 @@ def test_crossing_like_factors_match_the_full_scan(a):
     assert_same_factors(a)
 
 
+@settings(max_examples=150, deadline=None)
+@given(crossing_like_matrices())
+def test_crossing_like_diagonals_match_the_markowitz_rule(a):
+    # the pivot rule picks U and V, never the diagonal; the Markowitz loop's
+    # record must pass the same certificate
+    snf = markowitz_smith_normal_form(a)
+    check_smith_form(a, snf)
+    assert snf.diagonal == smith_normal_form(a).diagonal
+
+
 def hopf_links(k):
     """k disjoint Hopf links: 2k crossings, 2k arcs, 2k components."""
     return from_pd(parse_pd("PD[" + ",".join(
@@ -264,8 +275,9 @@ def hopf_links(k):
 
 @pytest.mark.parametrize("k", range(1, 41))
 def test_disjoint_hopf_links_factors_match_the_full_scan(k):
-    # one 2x2 block (2, -2; -2, 2) per link: many rows tie on |x| and cost,
-    # so the pivots follow the row order the keys break the ties by
+    # one 2x2 block (2, -2; -2, 2) per link: many rows tie on |x|, entries
+    # and column counts, so the pivots follow the row order the keys break
+    # the ties by
     c_prime = crossing_matrix(hopf_links(k))
     assert_same_factors(c_prime)
     assert_same_factors(reduced_crossing_matrix(c_prime))
@@ -285,7 +297,9 @@ def unretired_pivots(ops):
     return unretired
 
 
-@pytest.mark.parametrize("twists", [(2, 3, 5), (3, 5, 7), (5, 7, 9), (3, 5, 7, 9)])
+@pytest.mark.parametrize(
+    "twists", [(2, 3, 5), (3, 5, 7), (5, 7, 9), (3, 5, 7, 9), (3, 5, 9, 11)]
+)
 def test_pretzel_pivots_that_stay_live_match_the_full_scan(twists):
     # after its unit pivots, a pretzel's C is left with a block of no unit,
     # worked by Euclid steps: a pivot leaves a remainder in its column and
@@ -293,7 +307,7 @@ def test_pretzel_pivots_that_stay_live_match_the_full_scan(twists):
     c = reduced_crossing_matrix(crossing_matrix(pretzel(*twists)))
     u_ops, _, v_ops, _ = smith_normal_form(c).record
     assert unretired_pivots(u_ops)
-    if twists == (3, 5, 7, 9):
+    if twists == (3, 5, 9, 11):
         assert unretired_pivots(v_ops)  # and here a remainder in its row too
     assert_same_factors(c)
 
