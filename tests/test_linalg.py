@@ -234,8 +234,9 @@ def test_fifty_crossing_factors_match_the_full_scan(d):
 @st.composite
 def crossing_like_matrices(draw):
     """10-60 rows of 2, -1, -1 on random arcs, as C' has (summed where an
-    arc repeats), some reduced at a base: a pivot there recounts columns
-    that other rows share, whose entries the pass leaves as they were."""
+    arc repeats), some reduced at a base: a pivot there changes the counts
+    of columns that other rows share, whose keys the pass leaves as they
+    were."""
     n = draw(st.integers(10, 60))
     arcs = st.integers(0, n - 1)
     rows = []
