@@ -21,8 +21,9 @@ its s non-unit factors, each row of U and column of V in it checked
 against the certificate, gives the minimal set, the class of each e_j in
 coker C (0 exactly for the integral columns of C^(-1)) and column j of L
 mod n1, built by index when first read. Exact columns of L are built only
-where asked for, all from one read of U's columns and one certified read
-of the columns of V these touch. Every column is checked at the crossings
+where asked for, all from one read of U's columns, scaled and placed by
+V's column order, and one transposed replay of V's column operations on
+them, which reads no column of V. Every column is checked at the crossings
 before it is read: mod n1 by the Fox relation, exactly by C col = n1
 e_j. The report stops reading at the first perfect column. The
 certified diagonal's product is |det C|, which verify_gkh reads off it;
@@ -44,6 +45,7 @@ from .linalg import (
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
+    _apply,
     check_smith_form,
     determinant,
     smith_normal_form,
@@ -269,7 +271,8 @@ class ColoringAnalysis:
     of them, gives the minimal distinguishing set, the class of each e_j
     in coker C, whether column j of C^(-1) is integral (the class is 0)
     and column j of L mod n1; the rows of U and columns of V it takes are
-    replayed together and checked against the certificate's products. Those
+    replayed together, on dense lists, and checked against the
+    certificate's products. Those
     columns, one Fox n1-coloring of every arc each, are built and checked
     in index order on first read and kept in one list; the report keeps
     one pair bitset per column up to the first perfect column when there
@@ -277,9 +280,10 @@ class ColoringAnalysis:
     column.
     The columns of L = n1 * C^(-1) = V diag(n1/d_i) U that a reader asks
     for are built together by _exact_columns, from those columns of U and
-    the columns of V they touch, each checked against C col = n1 e_j: l
-    asks for every column, inverse_pseudos for the integral columns of
-    C^(-1), each then divided by n1.
+    the record of V's column operations, replayed transposed on the rows
+    of L[:, J] without reading a column of V, each column checked against
+    C col = n1 e_j: l asks for every column, inverse_pseudos for the
+    integral columns of C^(-1), each then divided by n1.
     """
 
     def __init__(self, d: Diagram, base: int | None = None):
@@ -317,31 +321,41 @@ class ColoringAnalysis:
         return [*values[: self.base_arc], 0, *values[self.base_arc :]]
 
     def _exact_columns(self, indices) -> list[list[int]]:
-        """The columns of L at indices, exactly: column j is the sum of
-        (n1 / d_i) U[i, j] V[:, i] over the nonzeros of column j of U.
+        """The columns of L at indices, exactly: L[:, J] = V_0 Q diag(n1 /
+        d_i) U[:, J], with V = V_0 Q, Q placing entry i at col_order[i].
 
-        The columns of U come from one read of the record, and the columns
-        of V they touch from one certified read. Extended by 0 on the base
-        arc, column j's crossing defects are C' col; without the base row
-        they must be C col = n1 e_j, or LinalgError names the column.
+        The columns of U come from one read of the record, and (n1 / d_i)
+        U[i, J] is placed at row col_order[i] of one matrix held by rows;
+        the column operations, transposed and last first, make its rows
+        the rows of L[:, J], and no column of V is read. An empty J
+        replays nothing. Extended by 0 on the base arc, column j's crossing
+        defects are C' col; without the base row they must be C col = n1
+        e_j, or LinalgError names the column.
         """
         n1 = self.modulus
+        indices = list(indices)
+        if not indices:
+            return []
         snf = self.snf
-        u_cols = snf.u_cols_at(indices)
-        touched = list(dict.fromkeys(i for u_col in u_cols for i in u_col))
-        v_cols = dict(zip(touched, snf.v_cols_at(touched)))
-        columns = []
-        for j, u_col in zip(indices, u_cols):
-            lift = [0] * self.c.cols
+        n = self.c.cols
+        _, _, v_ops, col_order = snf.record
+        rows = [None] * n
+        for t, u_col in enumerate(snf.u_cols_at(indices)):
             for i, u in u_col.items():
-                f = n1 // snf.diagonal[i] * u
-                for k, y in v_cols[i].items():
-                    lift[k] += f * y
+                row = rows[col_order[i]]
+                if row is None:
+                    row = rows[col_order[i]] = {}
+                row[t] = n1 // snf.diagonal[i] * u
+        _apply(rows, v_ops, "column", transpose=True)
+        columns = [[0] * n for _ in indices]
+        for k, row in enumerate(rows):
+            for t, x in (row or {}).items():
+                columns[t][k] = x
+        for j, lift in zip(indices, columns):
             image = list(_crossing_defects(self.diagram, self._on_arcs(lift)))
             del image[self.base_arc]
             if any(x != n1 * (i == j) for i, x in enumerate(image)):
                 raise LinalgError(f"C times column {j} of L is not {n1} e_{j}")
-            columns.append(lift)
         return columns
 
     @cached_property
@@ -410,7 +424,7 @@ class ColoringAnalysis:
     def extended_rows(self) -> tuple[tuple[int, ...], ...]:
         """One row of L mod n1 per arc, the base arc contributing zeros."""
         columns = [self._column(j) for j in range(self.c.cols)]
-        return tuple([tuple([col[k] for col in columns]) for k in range(self.arc_count)])
+        return tuple(zip(*columns)) if columns else ((),) * self.arc_count
 
     @cached_property
     def perfect_columns(self) -> tuple[int, ...]:
@@ -479,7 +493,8 @@ class ColoringAnalysis:
         Arcs with equal color tuples form one group; the pairs inside the
         groups, in (i, j) order, are the failures.
         """
-        keys = [tuple([f.colors[i] for f in self.minimal_set]) for i in range(self.arc_count)]
+        colors = [f.colors for f in self.minimal_set]
+        keys = list(zip(*colors)) if colors else [()] * self.arc_count
         groups = {}
         for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)

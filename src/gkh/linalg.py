@@ -23,7 +23,10 @@ row sharing a column with the pivot row keyed again as well. Neither U
 nor V is accumulated: both are kept as the record of the loop's row and
 column operations, and three readers take the rows of U, the columns of
 U or the columns of V they are asked for off it, all in one pass,
-keeping none. The reader certifies the result: check_smith_form replays
+keeping none. A row of U or column of V, one or two of them on the
+verdict path, is read on a dense list of ints that takes the transposed
+operations, last first; the columns of U, many at once, as sparse dicts
+held by position. The reader certifies the result: check_smith_form replays
 the record, checks that every operation is elementary and that the row
 operations on A's rows give the final matrix times the undone column
 operations, which makes U and V unimodular and |det A| the product of
@@ -326,12 +329,14 @@ class SnfDecomposition:
     operations on A and the order its rows end in, the column operations
     and the order its columns end in. Three readers take vectors off it,
     each reading every vector it is asked for in one pass over the record
-    and keeping none: u_rows_at and v_cols_at replay it backwards,
-    u_cols_at forwards. Once check_smith_form has certified the record,
-    every row of U and column of V read is checked against the
-    certificate's products before it is returned; a column of U is checked
-    by what its reader builds from it. The dense u, d and v, for the tests
-    and the benchmark, are built from the readers on first use and kept.
+    and keeping none: u_rows_at and v_cols_at replay it backwards, one
+    dense int list per vector, and u_cols_at forwards, on sparse dicts held
+    by position. Once check_smith_form has certified the record, every row
+    of U and column of V read is checked against the certificate's products
+    on a dense list before it is returned; a column of U is checked by what
+    its reader builds from it. The readers return {index: value} dicts. The
+    dense u, d and v, for the tests and the benchmark, are built from the
+    readers on first use and kept.
     """
 
     def __init__(self, rows, cols, diagonal, record):
@@ -353,59 +358,68 @@ class SnfDecomposition:
 
     def u_cols_at(self, indices) -> list[dict]:
         """The columns of U at indices, U e_j as {row: value}: the row
-        operations applied to e_j in order."""
-        return self._replay(0, indices, forward=True)
-
-    def _replay(self, side: int, indices, forward: bool = False) -> list[dict]:
-        """Vectors at indices off the operations and order of record[side:
-        side + 2], replayed together in one pass, held by position: at[j]
-        is {vector: value}, each index placed once. Forwards, index j starts
-        at position j and the order reads the result; backwards, with the
-        operations transposed, it starts at position order[j]. An empty
-        read replays nothing."""
+        operations applied to e_j in order, all of them in one pass, held
+        by position: at[j] is {vector: value}, each index placed once, and
+        the row order reads the result. An empty read replays nothing."""
         indices = list(indices)
         new = list(dict.fromkeys(indices))
         vectors = [{} for _ in new]
         if new:
-            ops, order = self.record[side : side + 2]
+            ops, order = self.record[:2]
             at = [None] * len(order)
             for t, k in enumerate(new):
-                at[k if forward else order[k]] = {t: 1}
-            _apply(at, ops, "column" if side else "row", transpose=not forward)
-            for j, r in enumerate(order if forward else range(len(order))):
+                at[k] = {t: 1}
+            _apply(at, ops, "row")
+            for j, r in enumerate(order):
                 for t, z in (at[r] or {}).items():
                     vectors[t][j] = z
         read = dict(zip(new, vectors))
         return [read[k] for k in indices]
 
     def _read(self, side: int, indices) -> list[dict]:
-        """Rows of U (side 0) or columns of V (side 2) at indices, replayed
-        backwards. Once certified, each one's image, v A for a row of U or
-        V^(-1) v for a column of V, is checked against the certificate's
-        products, or LinalgError names the vector and the first index where
-        they differ."""
+        """Rows of U (side 0) or columns of V (side 2) at indices, as
+        {index: value}: each index read once, on a dense list that starts
+        as e_order[k] and takes the record's transposed operations, last
+        first (_transpose_dense). An empty read replays nothing. Once
+        certified, each one's image, v A for a row of U or V^(-1) v for a
+        column of V, is summed on a dense list and checked against the
+        certificate's products, or LinalgError names the vector and the
+        first index where they differ."""
         indices = list(indices)
-        vectors = self._replay(side, indices)
+        new = list(dict.fromkeys(indices))
+        if not new:
+            return []
+        ops, order = self.record[side : side + 2]
+        n = len(order)
+        vectors = []
+        for k in new:
+            vector = [0] * n
+            vector[order[k]] = 1
+            vectors.append(vector)
+        _transpose_dense(vectors, ops, "column" if side else "row")
         if self.certified:
             a_rows, ua, w = self.certified
-            order = self.record[side + 1]
-            for k, vector in dict(zip(indices, vectors)).items():
+            width = self.cols  # of v A and of V^(-1) v alike
+            for k, vector in zip(new, vectors):
                 factors, want = (w, {order[k]: 1}) if side else (a_rows, ua[order[k]])
-                image = {}
-                get = image.get
-                for t, x in vector.items():
-                    for j, y in factors[t].items():
-                        image[j] = get(j, 0) + x * y
-                image = {j: z for j, z in image.items() if z}
-                if image != want:
-                    j = min(j for j in image.keys() | want.keys() if image.get(j) != want.get(j))
+                image = [0] * width
+                for x, factor in zip(vector, factors):
+                    if x:
+                        for j, y in factor.items():
+                            image[j] += x * y
+                wanted = [0] * width
+                for j, z in want.items():
+                    wanted[j] = z
+                if image != wanted:
+                    j = next(j for j, (z, y) in enumerate(zip(image, wanted)) if z != y)
                     raise LinalgError(
                         f"{'column' if side else 'row'} {k} of {'V' if side else 'U'}, read off "
                         f"the record, is not the certified one: {'V^(-1) v' if side else 'v A'} "
-                        f"has {image.get(j, 0)} at {order.index(j) if side else j}, the "
-                        f"certificate {want.get(j, 0)}"
+                        f"has {image[j]} at {order.index(j) if side else j}, the "
+                        f"certificate {wanted[j]}"
                     )
-        return vectors
+        read = {k: {j: x for j, x in enumerate(vector) if x} for k, vector in zip(new, vectors)}
+        return [read[k] for k in indices]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -668,6 +682,33 @@ def _apply(vectors: list, ops, what: str, transpose: bool = False, undo: bool = 
             if va or vb:
                 va, vb = va or {}, vb or {}
                 vectors[a], vectors[b] = _combine(s, va, t, vb), _combine(x, va, y, vb)
+    return vectors
+
+
+def _transpose_dense(vectors: list[list[int]], ops, what: str) -> list:
+    """vectors, each a dense list of ints, changed in place by each op's
+    transpose, last first, as _apply(vectors, ops, what, transpose=True)
+    changes the rows of a matrix held by position: taken as columns of X,
+    they become M^T X. (i, f, p) adds f r[i] to r[p], and (a, b, s, t, x,
+    y) maps (r[a], r[b]) to (s r[a] + x r[b], t r[a] + y r[b]). Each op is
+    checked as _apply checks it, on the vectors' length, under the same
+    message."""
+    n = len(vectors[0])
+    for k in range(len(ops) - 1, -1, -1):
+        op = ops[k]
+        if len(op) == 3:
+            i, f, p = op
+            if not (0 <= i < n and 0 <= p < n and (i != p or f == -2)):
+                raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
+            for r in vectors:
+                r[p] += f * r[i]
+        else:
+            a, b, s, t, x, y = op
+            if not (0 <= a < n and 0 <= b < n and a != b and s * y - t * x in (1, -1)):
+                raise LinalgError(f"Smith form {what} operation {k}, {op}, is not elementary on {n}")
+            for r in vectors:
+                ra, rb = r[a], r[b]
+                r[a], r[b] = s * ra + x * rb, t * ra + y * rb
     return vectors
 
 

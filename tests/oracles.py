@@ -6,8 +6,9 @@ another route: Gauss-Jordan over the rationals, dense Bareiss
 elimination, block matrices, the left kernel of C'(D), gcds of minors, the
 dense smallest-pivot Smith form, the sparse Smith form's pivots found by
 scanning every row's key, the sparse Smith form under the Markowitz pivot
-rule it had before, faces traced around a PD code, a PD reader
-that steps one character at a time, or plain enumeration: every
+rule it had before, the rows of U and columns of V read off the record
+on sparse vectors held by position, faces traced around a PD code, a PD
+reader that steps one character at a time, or plain enumeration: every
 assignment of colors, every arc pair compared on every column, every
 column subset tried in order, a diagram's canonical form and its arcs
 read through dicts keyed by edge label. It also keeps the few helpers
@@ -41,6 +42,7 @@ from gkh.linalg import (
     SnfDecomposition,
     SparseMatrix,
     _add_scaled,
+    _apply,
     _column_index,
     _combine,
     _xgcd,
@@ -558,6 +560,29 @@ def markowitz_smith_normal_form(a: IntMatrix | SparseMatrix) -> SnfDecomposition
             [q for _, q in pivots] + [j for j in range(cols) if j not in pivot_cols],
         ),
     )
+
+
+def backward_read(snf: SnfDecomposition, side: int, indices) -> list[dict]:
+    """Rows of U (side 0) or columns of V (side 2) of snf at indices, as
+    {index: value}, read as the library read them before its dense lists:
+    all of them in one pass, held by position, at[j] being {vector: value},
+    index k placed once at position order[k] and the record's operations
+    replayed on them transposed, last first, by linalg._apply. Nothing is
+    checked against a certificate."""
+    indices = list(indices)
+    new = list(dict.fromkeys(indices))
+    vectors = [{} for _ in new]
+    if new:
+        ops, order = snf.record[side : side + 2]
+        at = [None] * len(order)
+        for t, k in enumerate(new):
+            at[order[k]] = {t: 1}
+        _apply(at, ops, "column" if side else "row", transpose=True)
+        for j, entries in enumerate(at):
+            for t, z in (entries or {}).items():
+                vectors[t][j] = z
+    read = dict(zip(new, vectors))
+    return [read[k] for k in indices]
 
 
 def reduced_mod(a: IntMatrix, k: int) -> IntMatrix:

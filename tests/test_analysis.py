@@ -49,6 +49,7 @@ from gkh.linalg import (
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
 from gkh.verify import random_alternating_diagram, verify_gkh
 from oracles import (
+    backward_read,
     bareiss_determinant,
     dense_crossing_matrix,
     markowitz_smith_normal_form,
@@ -341,25 +342,25 @@ def test_verify_reads_u_only_where_d_has_a_non_unit(rows_of_u, cols_of_v, dense_
     assert certificates == [49, 11] and rows_of_u == cols_of_v == []
     # 8_19 (s = 1) has 3 integral columns of C^(-1), conway (s = 0) 10: each
     # is an exact column of L, built from one read of those columns of U and
-    # one read of the columns of V they touch, which on 8_19 are not all of
-    # V and on conway are
+    # one transposed replay of V's record, which reads no column of V
     assert verify_gkh(fixture_diagram("8_19")).s == 1
     assert verify_gkh(fixture_diagram("conway")).inverse_pseudo_count == 10
-    assert certificates == [49, 11, 7, 10] and rows_of_u == [] and cols_of_v == [10]
+    assert certificates == [49, 11, 7, 10] and rows_of_u == cols_of_v == []
     assert dense_views == []
 
 
 @pytest.fixture
-def forward_replays(monkeypatch):
-    """The lengths of the vector lists replayed forwards through a
-    record, neither transposed nor undone, outside the certificate's own
-    replay of A's rows, as they are replayed."""
-    replays, certifying = [], []
+def replays(monkeypatch):
+    """(what, transposed, vectors) for each list of sparse vectors replayed
+    through a record outside the certificate's own replays, forwards or
+    transposed, as they are replayed: the reads of U's columns in linalg,
+    and the exact L's replay of the column operations in coloring."""
+    found, certifying = [], []
     apply, certify = gkh.linalg._apply, gkh.coloring.check_smith_form
 
     def counted(vectors, ops, what, transpose=False, undo=False):
-        if not (transpose or undo or certifying):
-            replays.append(len(vectors))
+        if not (undo or certifying):
+            found.append((what, transpose, len(vectors)))
         return apply(vectors, ops, what, transpose, undo)
 
     def certified(a, snf):
@@ -370,23 +371,62 @@ def forward_replays(monkeypatch):
             certifying.pop()
 
     monkeypatch.setattr(gkh.linalg, "_apply", counted)
+    monkeypatch.setattr(gkh.coloring, "_apply", counted)
     monkeypatch.setattr(gkh.coloring, "check_smith_form", certified)
-    return replays
+    return found
 
 
-def test_exact_columns_replay_the_record_of_u_once(forward_replays):
+def test_exact_columns_replay_the_record_of_u_once(replays):
     # the sum of 4 Conway knots, 44 crossings, has n1 = 1: every class in
     # coker C is 0, so all 43 columns of C^(-1) are integral, and their
-    # exact columns of L take U's 43 columns from one forward replay
+    # exact columns of L take U's 43 columns from one forward replay and
+    # their 43 rows from one transposed replay of V's record
     analysis = ColoringAnalysis(functools.reduce(connected_sum, [fixture_diagram("conway")] * 4))
-    assert analysis.modulus == 1 and forward_replays == []
+    assert analysis.modulus == 1 and replays == []
     assert len(analysis.inverse_pseudos) == 43
-    assert forward_replays == [43]
-    # turks_head(25) has no integral column of C^(-1): an empty read of U's
-    # columns replays nothing
-    forward_replays.clear()
+    assert replays == [("row", False, 43), ("column", True, 43)]
+    # turks_head(25) has no integral column of C^(-1): no exact column is
+    # built, and neither side of the record is replayed for one
+    replays.clear()
     assert verify_gkh(turks_head(25)).inverse_pseudo_count == 0
-    assert forward_replays == []
+    assert replays == []
+
+
+@st.composite
+def closures(draw):
+    """A random braid closure on 2-4 strands, alternating or not."""
+    word = draw(closable_braids(4, 1, 12))
+    if draw(st.booleans()):  # odd generators positive, even negative: alternating
+        word = BraidWord(word.strands, tuple([x if x % 2 else -x for x in map(abs, word.letters)]))
+    return braid_closure(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures(), st.data())
+def test_dense_reads_and_exact_columns_match_their_oracles(d, data):
+    # the dense readers give the by-position backward reader's rows of U
+    # and columns of V of C'(D), which need not be square, certified or
+    # not, for any index list: empty, with repeats or all of them
+    c = _crossing_rows(d)
+    for certified in (False, True):
+        snf = smith_normal_form(c)
+        if certified:
+            check_smith_form(c, snf)
+        for side, at in ((0, snf.u_rows_at), (2, snf.v_cols_at)):
+            size = c.rows if side == 0 else c.cols
+            picks = data.draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=2 * size))
+            for indices in ([], picks, range(size), [*range(size)] * 2):
+                assert at(indices) == backward_read(snf, side, indices)
+    # the exact columns of L, built without reading V, are the columns of
+    # V diag(n1 / d) U from the dense views
+    assume(link_determinant(d) != 0)
+    analysis = ColoringAnalysis(d)
+    snf, n1, n = analysis.snf, analysis.modulus, analysis.c.cols
+    diag = snf.diagonal
+    scale = IntMatrix(n, n, tuple([n1 // diag[i] if i == j else 0 for i in range(n) for j in range(n)]))
+    l = snf.v @ scale @ snf.u
+    picks = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))
+    assert analysis._exact_columns(picks) == [list(l.col(j)) for j in picks]
 
 
 @st.composite
@@ -522,30 +562,43 @@ def test_a_read_that_differs_from_the_certified_products_is_refused(name):
 
 
 def test_readers_check_each_row_and_column_they_take(monkeypatch):
-    # a replay that goes wrong after the certificate: _factors reads row 5
-    # of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V, the
-    # exact L reads the columns of V that U's columns touch, and a column of
-    # V read alone is checked the same way
-    apply = gkh.linalg._apply
+    # a dense read that goes wrong after the certificate: _factors reads row
+    # 5 of U of 7_7 (d_5 = 21) first, the coloring box reads columns of V,
+    # and a column of V read alone is checked the same way; the exact L
+    # reads no column of V, so the wrong reads leave it as it was
+    honest = ColoringAnalysis(fixture_diagram("7_7")).l
+    dense = gkh.linalg._transpose_dense
 
-    def wrong(vectors, ops, what, transpose=False, undo=False):
-        vectors = apply(vectors, ops, what, transpose, undo)
-        if transpose:  # a read, held by position: add 1 at position 0 of each vector read
-            read = {t for entries in vectors if entries for t in entries}
-            first = vectors[0] = dict(vectors[0] or {})
-            for t in read:
-                first[t] = first.get(t, 0) + 1
+    def wrong(vectors, ops, what):
+        vectors = dense(vectors, ops, what)
+        for vector in vectors:  # add 1 at position 0 of each vector read
+            vector[0] += 1
         return vectors
 
-    monkeypatch.setattr(gkh.linalg, "_apply", wrong)
+    monkeypatch.setattr(gkh.linalg, "_transpose_dense", wrong)
     with pytest.raises(LinalgError, match="row 5 of U, read off the record, is not the certified one: v A has"):
         verify_gkh(fixture_diagram("7_7"))
     with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one"):
         enumerate_colorings(fixture_diagram("3_1"), 3)
-    with pytest.raises(LinalgError, match=r"column \d+ of V, read off the record, is not the certified one: V\^\(-1\) v has"):
-        ColoringAnalysis(fixture_diagram("7_7")).l
     with pytest.raises(LinalgError, match=r"column 5 of V, read off the record, is not the certified one: V\^\(-1\) v has"):
         ColoringAnalysis(fixture_diagram("7_7")).snf.v_cols_at([5])
+    assert ColoringAnalysis(fixture_diagram("7_7")).l == honest
+    # the exact L's transposed replay of the column operations gone wrong:
+    # its rows are the rows of L[:, J], and C col = n1 e_j refuses the column
+    apply = gkh.linalg._apply
+
+    def wrong_rows(vectors, ops, what, transpose=False, undo=False):
+        vectors = apply(vectors, ops, what, transpose, undo)
+        if transpose:  # held by position: add 1 at row 0 of each column built
+            built = {t for entries in vectors if entries for t in entries}
+            first = vectors[0] = dict(vectors[0] or {})
+            for t in built:
+                first[t] = first.get(t, 0) + 1
+        return vectors
+
+    monkeypatch.setattr(gkh.coloring, "_apply", wrong_rows)
+    with pytest.raises(LinalgError, match=r"^C times column \d+ of L is not 21 e_\d+$"):
+        ColoringAnalysis(fixture_diagram("7_7")).l
 
 
 def test_record_certificate_survives_optimize_flag():
