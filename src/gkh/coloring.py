@@ -51,11 +51,13 @@ from .linalg import (
     smith_normal_form,
 )
 
-# search nodes (columns placed in a slot or scanned for the last one) the
-# exact minimum cover may spend: pretzel 3^15 (t = 10) needs 149 thousand,
-# its mirror 294 thousand, 3^16 466 thousand and 3^18 5.6 million, the
-# benchmark's pretzels at most 5 thousand; spending it all takes about 10 s
-# on a 2-core Xeon (pretzel 3^20)
+# search nodes (columns tried in a slot or scanned for the last one, and
+# steps of the disjoint-separator bound) the exact minimum cover may spend:
+# pretzel 3^15 (t = 10) needs 10 thousand, its mirror 17 thousand, 3^16 21
+# thousand, 3^18 86 thousand and 3^20 232 thousand (3^15-3^18 took 149, 294,
+# 466 thousand and 5.6 million without the bound, and 3^20 ran out), the
+# benchmark's pretzels at most 2 thousand; 3^30 (t = 20) is the first
+# pretzel 3^k to spend it all, in 7-9 s on a 2-core Xeon
 COVER_BUDGET = 16_000_000
 
 # bin() digits to the bytes 0 and 1
@@ -216,8 +218,12 @@ class DistinguishingReport:
     column's, since swapping it for that column gives a cover no larger
     and lexicographically smaller, and fills the last slot only from the
     columns that separate the lowest uncovered pair, since a column
-    completing the cover must separate it; neither changes t or the first
-    witness. failures and separators are read off the masks on first use.
+    completing the cover must separate it. It skips a column when more
+    pairs are left than slots after it whose sets of separating columns
+    are pairwise disjoint, since each needs a column of its own. None of
+    these changes t or the first witness. A column of L mod n1 that is 0
+    on every arc gets the empty bitset at once. failures and separators
+    are read off the masks on first use.
     ColoringAnalysis.perfect_columns lists every perfect column.
     """
 
@@ -446,6 +452,11 @@ class ColoringAnalysis:
         t, t_columns = None, ()
         for col in range(self.c.cols):
             values = self._column(col)
+            if values is self._zero_column:
+                # every arc colored 0 separates no pair; C has a column
+                # only when there are two or more arcs, so it is not perfect
+                masks.append(0)
+                continue
             arcs_of = {}
             for i, v in enumerate(values):
                 arcs_of[v] = arcs_of.get(v, 0) | 1 << i
@@ -628,14 +639,21 @@ def _minimum_cover(masks, pair_count):
     size in lexicographic order, so the first cover found is the answer.
     With suffix[c] the union of masks[c:], a prefix whose union acc has
     acc | suffix[c] != full can be completed by no later column, and the
-    branch ends there. The last slot scans only the columns at or after
-    the cursor that separate the lowest pair acc leaves uncovered, since a
-    column completing the cover must separate it; each pair's column list
-    is built the first time it is asked for. The search runs on an
-    explicit stack and counts every column it places or scans against
-    COVER_BUDGET; past it, CoverBudgetError carries the size being searched
-    and the size of a greedy cover. The caller guarantees that all columns
-    together cover every pair.
+    branch ends there. A column that would leave r >= 1 slots after it
+    first passes a packing bound on the pairs it leaves uncovered: take
+    the lowest, clear every pair that a column separating it also
+    separates (its reach), and repeat. The pairs taken this way have
+    pairwise disjoint sets of separating columns, so if pairs are left
+    after r steps, r + 1 of them need r + 1 columns and the column is
+    skipped. The bound only prunes, so the order, t and the witness stay.
+    The last slot scans only the columns at or after the cursor that
+    separate the lowest pair acc leaves uncovered, since a column
+    completing the cover must separate it. Each pair's column list and
+    reach are built the first time either is asked for. The search runs
+    on an explicit stack and counts every column it tries or scans and
+    every bound step against COVER_BUDGET; past it, CoverBudgetError
+    carries the size being searched and the size of a greedy cover. The
+    caller guarantees that all columns together cover every pair.
     """
     full = (1 << pair_count) - 1
     if full == 0:
@@ -650,7 +668,7 @@ def _minimum_cover(masks, pair_count):
     suffix = [0] * (n + 1)
     for c in range(n - 1, -1, -1):
         suffix[c] = suffix[c + 1] | masks[c]
-    separating = {}  # pair -> the columns that separate it, in order
+    separating = {}  # pair -> (the columns that separate it, in order, full ^ their union)
     nodes = 0
     for size in range(1, n + 1):
         chosen = []  # the columns in slots 0 .. depth-1
@@ -663,9 +681,10 @@ def _minimum_cover(masks, pair_count):
             acc = unions[depth]
             if depth == size - 1:
                 p = (~acc & (acc + 1)).bit_length() - 1
-                cols = separating.get(p)
-                if cols is None:
-                    cols = separating[p] = [col for col in range(n) if masks[col] >> p & 1]
+                entry = separating.get(p)
+                if entry is None:
+                    entry = separating[p] = _separating(masks, p, full)
+                cols = entry[0]
                 start = bisect_left(cols, c)
                 nodes += len(cols) - start
                 for col in cols[start:]:
@@ -673,8 +692,23 @@ def _minimum_cover(masks, pair_count):
                         return size, tuple([kept[k] for k in (*chosen, col)])
             elif c <= n - size + depth and acc | suffix[c] == full:
                 nodes += 1
-                chosen.append(c)
-                unions.append(acc | masks[c])
+                union = acc | masks[c]
+                # the packing bound: one pair taken and its reach cleared per
+                # slot after this one; a pair still left shares no separating
+                # column with any pair taken
+                left = full ^ union
+                slots = size - 1 - depth
+                while left and slots:
+                    p = (left & -left).bit_length() - 1
+                    entry = separating.get(p)
+                    if entry is None:
+                        entry = separating[p] = _separating(masks, p, full)
+                    left &= entry[1]
+                    slots -= 1
+                    nodes += 1
+                if not left:
+                    chosen.append(c)
+                    unions.append(union)
                 c += 1
                 continue
             if not chosen:
@@ -682,6 +716,16 @@ def _minimum_cover(masks, pair_count):
             c = chosen.pop() + 1
             unions.pop()
     return None, ()
+
+
+def _separating(masks, p, full) -> tuple[list[int], int]:
+    """The columns whose masks have bit p, in order, and the pairs none of
+    them covers."""
+    cols = [col for col, mask in enumerate(masks) if mask >> p & 1]
+    reach = 0
+    for col in cols:
+        reach |= masks[col]
+    return cols, full ^ reach
 
 
 def _greedy_cover(masks, full) -> list[int]:

@@ -10,7 +10,8 @@ rule it had before, the rows of U and columns of V read off the record
 on sparse vectors held by position, faces traced around a PD code, a PD
 reader that steps one character at a time, or plain enumeration: every
 assignment of colors, every arc pair compared on every column, every
-column subset tried in order, a diagram's canonical form and its arcs
+column subset tried in order, the minimum cover searched without its
+disjoint-separator bound, a diagram's canonical form and its arcs
 read through dicts keyed by edge label. It also keeps the few helpers
 that only the tests call: a matrix-vector product, a Fox-coloring check
 that validates its input, and the coloring count from the Smith form of
@@ -20,6 +21,7 @@ C'.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -735,6 +737,56 @@ def minimum_cover(masks, pair_count):
                 acc |= masks[c]
             if acc == full:
                 return size, combo
+    return None, ()
+
+
+def pruned_minimum_cover(masks, pair_count):
+    """Smallest column set covering all pairs, by the lexicographic search
+    gkh.coloring._minimum_cover ran before its disjoint-separator bound.
+
+    Columns whose mask lies inside an earlier column's are dropped; for
+    sizes 1, 2, ... a depth-first search walks the column sets in order,
+    ends a branch when acc | suffix[c] != full, and fills the last slot
+    only from the columns that separate the lowest uncovered pair. No
+    budget: the caller keeps the inputs small.
+    """
+    full = (1 << pair_count) - 1
+    if full == 0:
+        return 0, ()
+    kept = []
+    for c, mask in enumerate(masks):
+        if all(mask | masks[k] != masks[k] for k in kept):
+            kept.append(c)
+    masks = [masks[c] for c in kept]
+    n = len(masks)
+    suffix = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        suffix[c] = suffix[c + 1] | masks[c]
+    separating = {}
+    for size in range(1, n + 1):
+        chosen = []
+        unions = [0]
+        c = 0
+        while True:
+            depth = len(chosen)
+            acc = unions[depth]
+            if depth == size - 1:
+                p = (~acc & (acc + 1)).bit_length() - 1
+                cols = separating.get(p)
+                if cols is None:
+                    cols = separating[p] = [col for col in range(n) if masks[col] >> p & 1]
+                for col in cols[bisect_left(cols, c):]:
+                    if acc | masks[col] == full:
+                        return size, tuple([kept[k] for k in (*chosen, col)])
+            elif c <= n - size + depth and acc | suffix[c] == full:
+                chosen.append(c)
+                unions.append(acc | masks[c])
+                c += 1
+                continue
+            if not chosen:
+                break
+            c = chosen.pop() + 1
+            unions.pop()
     return None, ()
 
 

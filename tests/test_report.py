@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gkh.coloring
@@ -31,7 +31,7 @@ from gkh.coloring import (
 from gkh.diagram import braid_closure, connected_sum, from_pd, pretzel, turks_head
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
 from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import minimum_cover, pair_separators
+from oracles import minimum_cover, pair_separators, pruned_minimum_cover
 
 NONZERO_FIXTURES = [n for n in fixture_names() if fixture(n).determinant != 0]
 PRETZELS = [(3,) * 8, (3,) * 9, (3,) * 10, (3,) * 9 + (5,)]
@@ -191,6 +191,15 @@ def test_cover_search_builds_a_mask_for_every_column(monkeypatch):
     assert seen == [analysis.c.cols]
 
 
+def test_zero_columns_get_the_empty_mask():
+    # conway has n1 = 1: every column of L mod n1 is the shared zero column
+    analysis = ColoringAnalysis(fixture_diagram("conway"))
+    report = analysis.report
+    assert all(analysis._column(j) is analysis._zero_column for j in range(analysis.c.cols))
+    assert report.masks == (0,) * analysis.c.cols
+    assert len(report.failures) == 55 and (report.t, report.t_columns) == (None, ())
+
+
 def test_no_arc_pairs_need_no_columns():
     # a one-crossing kink has one arc, so C is 0 x 0 and there is nothing to separate
     analysis = ColoringAnalysis(from_pd(parse_pd("X[1,2,2,1]")))
@@ -251,6 +260,40 @@ def test_minimum_cover_with_dominated_columns_matches_exhaustive_search(masks):
     assert _minimum_cover(masks, 10) == minimum_cover(masks, 10)
 
 
+@st.composite
+def partition_masks(draw):
+    """Pair masks of random colorings of 2-14 arcs, 2-5 colors each, up to
+    24 of them, every pair separated by one at least."""
+    arcs = draw(st.integers(2, 14))
+    masks = []
+    for _ in range(draw(st.integers(1, 24))):
+        colors = draw(st.lists(st.integers(0, draw(st.integers(1, 4))), min_size=arcs, max_size=arcs))
+        masks.append(sum(1 << p for p, (i, j) in enumerate(combinations(range(arcs), 2)) if colors[i] != colors[j]))
+    pair_count = arcs * (arcs - 1) // 2
+    union = 0
+    for mask in masks:
+        union |= mask
+    assume(union == (1 << pair_count) - 1)
+    return masks, pair_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_masks())
+def test_minimum_cover_on_partitions_matches_the_unbounded_search(case):
+    # the disjoint-separator bound only prunes, so t and the first witness stay
+    masks, pair_count = case
+    assert _minimum_cover(masks, pair_count) == pruned_minimum_cover(masks, pair_count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([3, 5, 7]), min_size=3, max_size=10), st.sampled_from([1, -1]))
+def test_pretzel_cover_matches_the_unbounded_search(twists, sign):
+    report = distinguishing_report(pretzel(*[sign * x for x in twists]))
+    arcs = report.arc_count
+    expected = pruned_minimum_cover(list(report.masks), arcs * (arcs - 1) // 2)
+    assert (report.t, report.t_columns) == expected
+
+
 @pytest.mark.parametrize(
     "k, t, columns",
     [
@@ -260,12 +303,17 @@ def test_minimum_cover_with_dominated_columns_matches_exhaustive_search(masks):
         (14, 9, (0, 7, 10, 16, 19, 25, 28, 34, 37)),
         (15, 10, (0, 1, 7, 10, 16, 19, 25, 28, 34, 37)),
         (16, 10, (4, 7, 13, 16, 22, 25, 31, 34, 40, 43)),
+        (18, 12, (0, 4, 10, 13, 19, 22, 28, 31, 37, 40, 46, 49)),
+        (20, 13, (0, 7, 10, 16, 19, 25, 28, 34, 37, 43, 46, 52, 55)),
     ],
 )
 def test_large_pretzel_cover_is_frozen(k, t, columns):
     # 3^11-3^13 from the exhaustive search, which takes about 21 s on 3^13;
     # 3^14-3^16 from the pruned search that dropped no column and scanned
-    # every column for the last slot, which takes about 4.6 s on 3^16
+    # every column for the last slot, which takes about 4.6 s on 3^16;
+    # 3^18 and 3^20 from the search without the disjoint-separator bound
+    # and without a budget, 1.5-2.6 s and 7.4-8.2 s, where the bounded
+    # search takes about 0.03 s and 0.08 s
     report = distinguishing_report(pretzel(*[3] * k))
     assert (report.t, report.t_columns) == (t, columns)
 
@@ -275,38 +323,50 @@ def test_large_pretzel_cover_is_frozen(k, t, columns):
     [
         (13, 8, (4, 7, 13, 16, 22, 25, 31, 34)),
         (15, 10, (1, 3, 10, 13, 19, 22, 28, 31, 37, 40)),
+        (18, 12, (0, 1, 7, 10, 16, 19, 25, 28, 34, 37, 43, 46)),
+        (20, 13, (0, 4, 7, 13, 16, 22, 25, 31, 34, 40, 43, 49, 52)),
     ],
 )
 def test_large_mirror_pretzel_cover_is_frozen(k, t, columns):
-    # from the pruned search that dropped no column and scanned every column
-    # for the last slot, about 2.5 s on the mirror of 3^15
+    # 3^13 and 3^15 from the pruned search that dropped no column and
+    # scanned every column for the last slot, about 2.5 s on the mirror of
+    # 3^15; 3^18 and 3^20 from the search without the disjoint-separator
+    # bound and without a budget, 1.0-1.6 s and 6.5-6.6 s, where the
+    # bounded search takes about 0.03 s and 0.08 s
     report = distinguishing_report(pretzel(*[-3] * k))
     assert (report.t, report.t_columns) == (t, columns)
 
 
+# on pretzel 3^10 (t = 6) sizes 1-4 spend 39 nodes, size 5 spends 64 more
+# and size 6 finds the witness at node 860, counting each bound step; a
+# budget of 50 runs out while the search is at size 5
+BELOW_T_BUDGET = 50
+
+
 def test_cover_budget_raises_with_bounds(monkeypatch):
-    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", 50)
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", BELOW_T_BUDGET)
     with pytest.raises(CoverBudgetError) as info:
         distinguishing_report(pretzel(*[3] * 10))
     err = info.value
     # t = 6, so the search is still below it; greedy can only overshoot
     assert 1 <= err.lower <= 6 <= err.upper
+    assert err.lower == 5
     assert f"between {err.lower} and {err.upper}" in str(err)
 
 
 @pytest.mark.parametrize("command", ["distinguish", "verify"])
 def test_cover_budget_exits_two(monkeypatch, capsys, command):
-    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", 50)
+    monkeypatch.setattr(gkh.coloring, "COVER_BUDGET", BELOW_T_BUDGET)
     pd = serialize_pd(pretzel(*[3] * 10).to_pd())
     assert main([command, "--pd", pd]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("kh: minimum cover search passed 50 nodes")
+    assert err.startswith(f"kh: minimum cover search passed {BELOW_T_BUDGET} nodes")
 
 
-# on pretzel 3^10 (t = 6) sizes 1-5 spend 738 nodes and size 6 finds the
-# witness at node 2935, so this budget runs out while the search is at size
-# 6, where the greedy cover is too
-EXACT_T_BUDGET = 1_500
+# sizes 1-5 spend 103 nodes on pretzel 3^10 and size 6 finds the witness at
+# node 860 (738 and 2935 without the disjoint-separator bound), so this
+# budget runs out while the search is at size 6, where the greedy cover is too
+EXACT_T_BUDGET = 400
 
 
 def test_cover_budget_states_exact_t(monkeypatch):
