@@ -35,7 +35,6 @@ from .coloring import (
 )
 from .diagram import Diagram, DiagramError, braid_closure, from_pd
 from .fixtures import FixtureError, fixture, fixture_diagram, fixture_names
-from .linalg import DeterminantBoundError
 from .pseudo import PseudoError, pseudo_from_inverse_columns, tunnel_pseudo
 from .verify import (
     VerifyError,
@@ -51,7 +50,6 @@ EXIT_BROKEN_PIPE = 141
 INPUT_ERRORS = (
     CodecError,
     ColoringError,
-    DeterminantBoundError,
     DiagramError,
     FixtureError,
     PseudoError,

@@ -7,8 +7,8 @@ and one column per arc; deleting a base row and column gives the reduced
 matrix C whose |det| is the diagram determinant and whose cokernel is the
 reduced coloring group. Both are built as sparse rows straight from the
 diagram's crossing arcs, at most three nonzeros a row, and stay sparse
-through the determinant, the Smith form and its certificate; only
-crossing_matrix, for what is printed and for the tests, is dense.
+through the Smith form and its certificate; only crossing_matrix, for
+what is printed and for the tests, is dense.
 
 With n1 the largest invariant factor of that group, L = n1 * C^(-1) is an
 integer matrix and its columns mod n1 are Fox n1-colorings with the base
@@ -26,9 +26,8 @@ V's column order, and one transposed replay of V's column operations on
 them, which reads no column of V. Every column is checked at the crossings
 before it is read: mod n1 by the Fox relation, exactly by C col = n1
 e_j. The report stops reading at the first perfect column. The
-certified diagonal's product is |det C|, which verify_gkh reads off it;
-link_determinant computes the determinant apart, by linalg.determinant,
-and never factors.
+certified diagonal's product is |det C|: link_determinant, and so every
+determinant kh prints, is read off that one factorization.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .linalg import (
     SparseMatrix,
     _apply,
     check_smith_form,
-    determinant,
     smith_normal_form,
 )
 
@@ -191,10 +189,11 @@ def _base_arc(d: Diagram, base: int | None) -> int:
 
 
 def link_determinant(d: Diagram) -> int:
-    """delta(D) = |det C(D)| at any base arc; 0 when the crossing matrix is
+    """delta(D) = |det C(D)| at any base arc, the product of the certified
+    Smith diagonal of C(D) at the last arc; 0 when the crossing matrix is
     not square."""
     try:
-        return abs(determinant(_reduced(d, None)[0]))
+        return prod(ColoringAnalysis(d).snf.diagonal)
     except ZeroDeterminantError:
         return 0
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants and certified Smith normal forms.
+"""Exact integer linear algebra: certified Smith normal forms.
 
 Everything here works over Z, with no floats or rationals. The library
 derives C^(-1), the coloring group and the coloring counts from the one
@@ -8,8 +8,8 @@ the test suite.
 A crossing matrix has at most three nonzeros a row, so the library keeps
 it as a SparseMatrix, one {col: value} dict per row, from the diagram to
 the certificate; the dense IntMatrix is for what is printed and for the
-products the tests and the benchmark take. determinant, smith_normal_form
-and check_smith_form read either form as sparse rows. The Smith form is
+products the tests and the benchmark take. smith_normal_form and
+check_smith_form read either form as sparse rows. The Smith form is
 one sparse loop over rows and columns kept as dicts: it pivots on the
 smallest entry, +-1 first and a short row in a short column first among
 equals, takes Euclid steps where no unit is left, and puts the few
@@ -31,29 +31,19 @@ the record, checks that every operation is elementary and that the row
 operations on A's rows give the final matrix times the undone column
 operations, which makes U and V unimodular and |det A| the product of
 the diagonal; each row of U and column of V read off the record is then
-checked against that certificate's products. The determinant that kh
-det and link_determinant print is computed apart from the Smith form, and
-the tests keep it as an oracle for the diagonal: sparse elimination on
-the same dict rows modulo Proth primes from a checked-in table, each
-proven on first use, fewest-rows column first, joined by the Chinese
-remainder theorem; the fewest primes whose product passes twice the
-Hadamard bound make it exact.
+checked against that certificate's products.
 """
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 
 from ._record import record
 
 
 class LinalgError(Exception):
     pass
-
-
-class DeterminantBoundError(LinalgError):
-    """The determinant's Hadamard bound is past what the prime table reaches."""
 
 
 @record
@@ -85,10 +75,6 @@ class IntMatrix:
         # empties. Built that way on every kh command, such tuples made a
         # process that runs many commands grow with each one.
         return cls(n, m, tuple([x for r in rows for x in r]))
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -154,10 +140,6 @@ class SparseMatrix:
             i = next(i for i, b in enumerate(bad) if b)
             raise LinalgError(f"row {i} has a zero or an index outside 0..{self.cols - 1}")
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def dense(self) -> IntMatrix:
         cols = self.cols
         entries = [0] * (self.rows * cols)
@@ -172,144 +154,6 @@ class SparseMatrix:
 
 def _sparse(a: IntMatrix | SparseMatrix) -> SparseMatrix:
     return a if isinstance(a, SparseMatrix) else a.sparse()
-
-
-def determinant(a: IntMatrix | SparseMatrix) -> int:
-    """Exact determinant by sparse elimination modulo primes, joined by CRT.
-
-    By Hadamard's inequality |det A| is at most the product of the row
-    norms, so once the primes' product M satisfies M^2 > 4 prod |row|^2,
-    det A is the residue mod M taken in (-M/2, M/2): the result is exact,
-    not probabilistic (Abbott, Bronstein & Mulders 1999). The primes are
-    the fewest _PROTH entries that pass the bound (see _moduli); a bound
-    past them all raises DeterminantBoundError before the first
-    elimination. A zero row makes the bound 0 and the answer 0 before any
-    prime is used.
-    """
-    if not a.is_square:
-        raise LinalgError("determinant needs a square matrix")
-    rows = _sparse(a).row_maps
-    bound = 4 * prod(sum(x * x for x in r.values()) for r in rows)
-    values, reach, capacity = _table(_PROTH)
-    if capacity <= bound:
-        raise DeterminantBoundError(
-            f"the determinant's bound needs a modulus of {(bound.bit_length() + 1) // 2} "
-            f"bits, past the {reach.bit_length()} bits of the prime table's product"
-        )
-    residue, modulus = 0, 1
-    for i in _moduli(values, bound):
-        p = _prime(i)
-        residue += modulus * ((_det_mod(rows, p) - residue) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return residue - modulus if 2 * residue > modulus else residue
-
-
-# Proth primes N = k 2^m + 1 (k odd, k < 2^m), smallest first: one each of 80,
-# 160, 320 and 640 bits, then 50 of 1280 bits (m = 1268). Each k is the least
-# odd k above 2^11 (in the block, the next ones) for which N has no factor
-# below 20000 and passes _prime's proof.
-_PROTH = ((2061, 68), (2133, 148), (2101, 308), (2571, 628)) + tuple((k, 1268) for k in (
-    2331, 2601, 3717, 6931, 7045, 8221, 9891, 10125, 11031, 13677, 15351, 16365, 16657, 20041,
-    20461, 21441, 23377, 25041, 26965, 28855, 29827, 29857, 30643, 32157, 32755, 34491, 36487,
-    36541, 37767, 38767, 41371, 41913, 42513, 43297, 44257, 44485, 44625, 44731, 45531, 48063,
-    48127, 48595, 48625, 48997, 49483, 50037, 50085, 50955, 51297, 51405,
-))
-_PRIMES: list[int] = []  # entry i of _PROTH once _prime has proven it, else 0
-
-
-@cache
-def _table(table) -> tuple[tuple[int, ...], int, int]:
-    """The table's k 2^m + 1, read off (k, m) without proving any entry,
-    their product M and M^2, which no bound may reach."""
-    values = tuple([(k << m) + 1 for k, m in table])
-    reach = prod(values)
-    return values, reach, reach * reach
-
-
-def _moduli(values, bound: int) -> list[int]:
-    """Indices of the fewest ascending values whose product M has M^2 > bound:
-    the largest but one and the smallest that completes them, since an
-    elimination costs about as much at 80 bits as at 1280."""
-    last = len(values)
-    product = 1
-    while product * product <= bound:
-        last -= 1
-        product *= values[last]
-    if last == len(values):
-        return []
-    rest = product // values[last]
-    first = next(i for i in range(last + 1) if (rest * values[i]) ** 2 > bound)
-    return [first, *range(last + 1, len(values))]
-
-
-def _prime(i: int) -> int:
-    """Entry i of _PROTH, proven on first use by Proth's theorem (1878): N = k 2^m + 1,
-    k odd and k < 2^m, is prime if a^((N-1)/2) = -1 mod N for some a. A prime gives
-    +-1 for every a (Euler), so the first small prime a not giving 1 must give -1."""
-    if i < len(_PRIMES) and _PRIMES[i]:
-        return _PRIMES[i]
-    k, m = _PROTH[i]
-    n = (k << m) + 1
-    x = next((x for a in (3, 5, 7, 11, 13, 17, 19, 23) if (x := pow(a, n >> 1, n)) != 1), 1)
-    if not (k % 2 and k < 1 << m and x == n - 1):
-        raise LinalgError(f"Proth entry {i} (k = {k}, m = {m}) is not proven prime")
-    _PRIMES.extend([0] * (i + 1 - len(_PRIMES)))
-    _PRIMES[i] = n
-    return n
-
-
-def _det_mod(rows, p: int) -> int:
-    """det mod the prime p of the square matrix with sparse rows {col: x}.
-
-    Each step pivots on a live column with the fewest live rows, taken
-    from buckets of columns by that count, then on that column's
-    shortest row, and clears the column below it. The pivot positions
-    (r, q) make a permutation whose sign fixes the product's.
-    """
-    n = len(rows)
-    d_rows = [{j: y for j, x in r.items() if (y := x % p)} for r in rows]
-    in_col = _column_index(d_rows, n)
-    count = [len(s) for s in in_col]
-    buckets = [set() for _ in range(n + 1)]
-    for j, k in enumerate(count):
-        buckets[k].add(j)
-    col_of = [-1] * n
-    det = 1
-    for _ in range(n):
-        if buckets[0]:
-            return 0
-        q = next(b for b in buckets if b).pop()
-        col = in_col[q]
-        r = min(col, key=lambda i: len(d_rows[i]))
-        pivot_row = d_rows[r]
-        x = pivot_row[q]
-        det = det * x % p
-        inverse = pow(x, -1, p)
-        for i in col - {r}:
-            target = d_rows[i]
-            f = -target[q] * inverse % p
-            for j, y in pivot_row.items():
-                z = (target.get(j, 0) + f * y) % p
-                if z:
-                    if j not in target:
-                        in_col[j].add(i)
-                    target[j] = z
-                else:
-                    del target[j]
-                    in_col[j].discard(i)
-        for j in pivot_row:
-            in_col[j].discard(r)
-            if j != q:
-                buckets[count[j]].discard(j)
-                count[j] = len(in_col[j])
-                buckets[count[j]].add(j)
-        col_of[r] = q
-    for i in range(n):  # sort r -> q by swaps, one sign flip each
-        while col_of[i] != i:
-            j = col_of[i]
-            col_of[i], col_of[j] = col_of[j], j
-            det = -det
-    return det % p
 
 
 def _column_index(rows, cols: int) -> list[set]:

@@ -99,7 +99,8 @@ class VerificationReport:
 
 
 def hypotheses_of(d: Diagram) -> Hypotheses:
-    """The theorems' hypotheses, the determinant by link_determinant."""
+    """The theorems' hypotheses; the determinant is link_determinant's, the
+    product of the certified Smith diagonal of C(D) at the last arc."""
     return _hypotheses(d, link_determinant(d))
 
 

@@ -127,7 +127,7 @@ def dense_crossing_matrix(d) -> IntMatrix:
 def reduced_crossing_matrix(c_prime: IntMatrix, base: int | None = None) -> IntMatrix:
     """C(D) from the dense C'(D): the base row and column deleted, base
     the last arc by default."""
-    if not c_prime.is_square:
+    if c_prime.rows != c_prime.cols:
         raise ZeroDeterminantError("the crossing matrix is not square")
     if base is None:
         base = c_prime.rows - 1
@@ -152,7 +152,7 @@ class NonIntegralEntryError(LinalgError):
 
 def rational_inverse(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse over Q via Gauss-Jordan elimination."""
-    if not a.is_square:
+    if a.rows != a.cols:
         raise LinalgError("inverse needs a square matrix")
     n = a.rows
     m = [[Fraction(x) for x in a.row(i)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -202,7 +202,7 @@ def bareiss_determinant(a: IntMatrix) -> int:
     0 in the pivot column is only rescaled by pivot / prev, or left alone
     when the two are equal.
     """
-    if not a.is_square:
+    if a.rows != a.cols:
         raise LinalgError("determinant needs a square matrix")
     n = a.rows
     if n == 0:

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,6 @@ from gkh.linalg import (
     SnfDecomposition,
     SparseMatrix,
     check_smith_form,
-    determinant,
     smith_normal_form,
 )
 from gkh.pseudo import classify_assignment, pseudo_from_inverse_columns
@@ -86,7 +86,7 @@ def oracle_pseudos(d, base):
 def assert_matches_oracles(d, base=None):
     analysis = ColoringAnalysis(d, base)
     n1 = analysis.modulus
-    assert determinant(analysis.c) == bareiss_determinant(analysis.c.dense())
+    assert prod(analysis.snf.diagonal) == abs(bareiss_determinant(analysis.c.dense()))
     oracle_l = scaled_inverse(analysis.c.dense(), n1)
     assert analysis.l_mod == reduced_mod(oracle_l, n1)  # built before l, from the s factors
     assert analysis.l == oracle_l
@@ -167,9 +167,10 @@ def assert_sparse_rows_match_the_dense_matrix(d):
             with pytest.raises(type(err)):
                 ColoringAnalysis(d, base)
             continue
-        c = ColoringAnalysis(d, base).c
+        analysis = ColoringAnalysis(d, base)
+        c = analysis.c
         assert isinstance(c, SparseMatrix) and c.dense() == expected, base
-        assert determinant(c) == bareiss_determinant(expected), base
+        assert prod(analysis.snf.diagonal) == abs(bareiss_determinant(expected)), base
         assert same_factors(c, expected), base
 
 
@@ -643,11 +644,12 @@ def test_verify_factors_once_and_inverts_nothing(counts, dense_views):
 def test_verify_builds_one_crossing_matrix_and_no_determinant(monkeypatch):
     # the one build is the sparse C; the dense crossing_matrix is never
     # called, and the determinant is the product of the certified diagonal
-    calls = {"_crossing_rows": 0, "crossing_matrix": 0, "determinant": 0}
+    # of the one Smith form
+    calls = {"_crossing_rows": 0, "crossing_matrix": 0, "smith_normal_form": 0}
     for module in MODULES:
         for name in calls:
             original = getattr(module, name, None)
-            if original is not None and original is getattr(gkh.coloring, name, gkh.linalg.determinant):
+            if original is not None and original is getattr(gkh.coloring, name):
 
                 def counted(*args, name=name, original=original):
                     calls[name] += 1
@@ -655,13 +657,19 @@ def test_verify_builds_one_crossing_matrix_and_no_determinant(monkeypatch):
 
                 monkeypatch.setattr(module, name, counted)
     report = verify_gkh(turks_head(6))
-    assert calls == {"_crossing_rows": 1, "crossing_matrix": 0, "determinant": 0}
+    assert calls == {"_crossing_rows": 1, "crossing_matrix": 0, "smith_normal_form": 1}
     assert report.hypotheses.determinant == 320
 
 
-def test_determinant_never_factors(counts):
+def test_determinant_factors_once(counts, monkeypatch):
+    # link_determinant reads the one certified Smith diagonal
+    checks = []
+    check = gkh.linalg.check_smith_form
+    for module in MODULES:
+        if getattr(module, "check_smith_form", None) is check:
+            monkeypatch.setattr(module, "check_smith_form", lambda *args: checks.append(1) or check(*args))
     assert link_determinant(turks_head(6)) == 320
-    assert counts["snf"] == 0
+    assert counts == {"snf": 1, "l": 0} and checks == [1]
 
 
 def test_group_builds_no_l(counts):

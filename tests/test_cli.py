@@ -11,16 +11,25 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import gkh.cli
 import gkh.coloring
-import gkh.linalg
 from gkh.cli import build_parser, main
-from gkh.coloring import crossing_matrix
+from gkh.codec import BraidWord
+from gkh.coloring import ZeroDeterminantError, crossing_matrix, link_determinant
+from gkh.diagram import braid_closure
 from gkh.fixtures import fixture, fixture_diagram, fixture_names
-from gkh.linalg import LinalgError
-from gkh.verify import random_alternating_diagram, verify_gkh
-from oracles import is_fox_coloring, reduced_crossing_matrix, reduced_mod, scaled_inverse
+from gkh.verify import hypotheses_of, random_alternating_diagram, verify_gkh
+from oracles import (
+    bareiss_determinant,
+    dense_crossing_matrix,
+    is_fox_coloring,
+    reduced_crossing_matrix,
+    reduced_mod,
+    scaled_inverse,
+)
+from test_diagram import closable_braids
 
 
 def run(capsys, *argv):
@@ -37,6 +46,47 @@ def test_det_fixture(capsys):
 def test_det_braid(capsys):
     code, out, _ = run(capsys, "det", "--braid", "1 1 1")
     assert code == 0 and out.strip() == "3"
+
+
+def kh(*argv) -> tuple[int, str]:
+    """The exit code and stdout of kh argv, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def assert_every_determinant_is_the_oracle(d, *source):
+    """link_determinant, hypotheses_of, kh det, kh parse --json and, when
+    it is not 0, kh group --json all give |det C| by Bareiss elimination on
+    the dense C, 0 where C' is not square: an oracle apart from the one
+    certified Smith form that all of them read."""
+    try:
+        expected = abs(bareiss_determinant(reduced_crossing_matrix(dense_crossing_matrix(d))))
+    except ZeroDeterminantError:  # C' is not square
+        expected = 0
+    assert link_determinant(d) == hypotheses_of(d).determinant == expected
+    assert kh("det", *source) == (0, f"{expected}\n")
+    code, out = kh("parse", *source, "--json")
+    assert code == 0 and json.loads(out)["determinant"] == expected
+    if expected:
+        code, out = kh("group", *source, "--json")
+        assert code == 0 and json.loads(out)["determinant"] == expected
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_determinant_is_the_oracle(name):
+    assert_every_determinant_is_the_oracle(fixture_diagram(name), "--name", name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closable_braids(4, 1, 14))
+@example(BraidWord(2, (1, -1)))  # one component never passes under: C' is not square
+@example(BraidWord(4, (1, 1, 3, 3)))  # two disjoint Hopf links: determinant 0
+def test_random_closure_determinant_is_the_oracle(word):
+    letters = " ".join(map(str, word.letters))
+    source = ("--braid", f"strands={word.strands}; {letters}")
+    assert_every_determinant_is_the_oracle(braid_closure(word), *source)
 
 
 def test_group_json(capsys):
@@ -241,7 +291,7 @@ def test_verify_all_fixtures_stable(capsys):
 
 def test_verify_all_fixtures_reads_each_group_off_one_certified_factorization(capsys, monkeypatch):
     calls = []
-    for name in ("smith_normal_form", "check_smith_form", "determinant"):
+    for name in ("smith_normal_form", "check_smith_form"):
         original = getattr(gkh.coloring, name)
 
         def counted(*args, name=name, original=original):
@@ -359,24 +409,6 @@ def test_zero_determinant_pseudo_is_input_error(capsys):
     code, out, err = run(capsys, "pseudo", "--name", "split")
     assert code == 2 and out == ""
     assert err.startswith("kh:") and "determinant 0" in err
-
-
-def test_det_past_the_prime_table_is_input_error(capsys, monkeypatch):
-    # one 4-bit entry, 13 = 3 * 2^2 + 1: 10_123's bound needs more than it
-    monkeypatch.setattr(gkh.linalg, "_PROTH", ((3, 2),))
-    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
-    code, out, err = run(capsys, "det", "--name", "10_123")
-    assert code == 2 and out == ""
-    assert err.startswith("kh: the determinant's bound needs a modulus of ")
-    assert err.endswith("past the 4 bits of the prime table's product\n")
-
-
-def test_a_failed_prime_proof_is_not_an_input_error(monkeypatch):
-    # a certificate failure surfaces as a traceback, not as exit 2
-    monkeypatch.setattr(gkh.linalg, "_PROTH", ((2063, 68),))
-    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
-    with pytest.raises(LinalgError, match="not proven prime"):
-        main(["det", "--name", "3_1"])
 
 
 def test_verify_json_reports_inverse_pseudos(capsys):

@@ -8,19 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gkh.linalg
 from gkh.codec import BraidWord, parse_pd
 from gkh.coloring import crossing_matrix, link_determinant
 from gkh.diagram import braid_closure, from_pd, pretzel, turks_head
 from gkh.fixtures import fixture_diagram, fixture_names
 from gkh.linalg import (
-    DeterminantBoundError,
     IntMatrix,
     LinalgError,
     SnfDecomposition,
     SparseMatrix,
     check_smith_form,
-    determinant,
     smith_normal_form,
 )
 from oracles import (
@@ -199,7 +196,7 @@ def test_cached_pivot_keys_pick_the_full_scan_pivots(a):
 def test_fixture_factors_match_the_full_scan_at_every_base(name):
     c_prime = crossing_matrix(fixture_diagram(name))
     assert_same_factors(c_prime)
-    if c_prime.is_square:
+    if c_prime.rows == c_prime.cols:
         for base in range(c_prime.rows):
             assert_same_factors(reduced_crossing_matrix(c_prime, base))
 
@@ -343,7 +340,7 @@ def test_fixture_dense_records_certify_their_swaps():
     row_swaps = column_swaps = 0
     for name in fixture_names():
         c_prime = crossing_matrix(fixture_diagram(name))
-        for a in [c_prime] + ([reduced_crossing_matrix(c_prime)] if c_prime.is_square else []):
+        for a in [c_prime] + ([reduced_crossing_matrix(c_prime)] if c_prime.rows == c_prime.cols else []):
             u_ops, _, v_ops, _ = assert_dense_record_replays(a)
             row_swaps += len(swaps(u_ops))
             column_swaps += len(swaps(v_ops))
@@ -458,19 +455,26 @@ def test_permuted_roundtrip():
     assert p.at(0, 2) == m.at(1, 1)
 
 
+def certified_determinant(a) -> int:
+    """|det A| as link_determinant reads it: the product of A's Smith
+    diagonal, once check_smith_form has certified the factorization."""
+    snf = smith_normal_form(a)
+    check_smith_form(a, snf)
+    return prod(snf.diagonal)
+
+
 def test_determinant_known_values():
-    assert determinant(IntMatrix(0, 0, ())) == 1
-    assert determinant(IntMatrix.from_rows([[7]])) == 7
-    assert determinant(IntMatrix.from_rows([[2, -1], [-1, 2]])) == 3
-    assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
-    with pytest.raises(LinalgError):
-        determinant(IntMatrix(2, 3, (0,) * 6))
+    assert certified_determinant(IntMatrix(0, 0, ())) == 1
+    assert certified_determinant(IntMatrix.from_rows([[7]])) == 7
+    assert certified_determinant(IntMatrix.from_rows([[-7]])) == 7
+    assert certified_determinant(IntMatrix.from_rows([[2, -1], [-1, 2]])) == 3
+    assert certified_determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
 
 
 @settings(max_examples=200)
 @given(small_square_matrices)
 def test_determinant_matches_cofactor_oracle(m):
-    assert determinant(m) == laplace_determinant(m.row_list())
+    assert certified_determinant(m) == abs(laplace_determinant(m.row_list()))
 
 
 sparse_square_matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -483,8 +487,8 @@ sparse_square_matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=200)
 @given(sparse_square_matrices)
 def test_sparse_determinant_matches_cofactor_oracle(m):
-    # mostly zero pivot columns: rows are rescaled, skipped, or swapped up
-    assert determinant(m) == laplace_determinant(m.row_list())
+    # mostly zero columns: zero rows and columns, and pivots alone in theirs
+    assert certified_determinant(m) == abs(laplace_determinant(m.row_list()))
 
 
 singular_square_matrices = st.integers(2, 5).flatmap(
@@ -497,102 +501,19 @@ singular_square_matrices = st.integers(2, 5).flatmap(
 @example(IntMatrix.from_rows([[0, 1], [1, 0]]))
 @example(IntMatrix.from_rows([[2, 4], [1, 2]]))
 def test_determinant_matches_bareiss(m):
-    assert determinant(m) == bareiss_determinant(m)
-
-
-def test_determinant_signs_match_bareiss():
-    rng = random.Random(11)
-    signs = set()
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        m = IntMatrix(n, n, tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n * n)))
-        value = determinant(m)
-        assert value == bareiss_determinant(m)
-        signs.add((value > 0) - (value < 0))
-    assert signs == {-1, 0, 1}
-
-
-def test_determinant_divisible_by_the_first_primes():
-    # both residues are 0; the third prime alone fixes the value
-    p, q = gkh.linalg._prime(0), gkh.linalg._prime(1)
-    lower = IntMatrix.from_rows([[1, 0, 0], [4, 1, 0], [-2, 5, 1]])
-    middle = IntMatrix.from_rows([[p, 0, 0], [0, -3, 0], [0, 0, q]])
-    upper = IntMatrix.from_rows([[1, -3, 7], [0, 1, 2], [0, 0, 1]])
-    m = lower @ middle @ upper
-    assert determinant(m) == bareiss_determinant(m) == -3 * p * q
+    assert certified_determinant(m) == abs(bareiss_determinant(m))
 
 
 def test_determinant_of_a_dense_matrix_with_200_bit_entries():
+    # no unit to pivot on: Euclid steps on 200-bit entries, then the sweep
     rng = random.Random(5)
     m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 200), 1 << 200) for _ in range(64)))
-    assert determinant(m) == bareiss_determinant(m)
-    # twice the Hadamard bound, about 2^1607, is past the 1200-bit product of
-    # the 80- to 640-bit primes; the fewest primes that pass it are two, the
-    # 640-bit one and a 1280-bit one
-    bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
-    assert prod(gkh.linalg._prime(k) for k in range(4)) ** 2 <= bound
-    assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 > bound
-
-
-def test_every_proth_entry_is_proven():
-    # _prime proves each entry by Proth's theorem on first use; Fermat with
-    # three bases the proof never tries is an independent check
-    primes = [gkh.linalg._prime(i) for i in range(len(gkh.linalg._PROTH))]
-    assert primes == sorted(set(primes)) == gkh.linalg._PRIMES
-    assert [p.bit_length() for p in primes[:5]] == [80, 160, 320, 640, 1280]
-    assert all(pow(b, p - 1, p) == 1 for p in primes for b in (41, 43, 47))
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        (2063, 68),  # the first entry's k + 2: 2063 * 2^68 + 1 is divisible by 3
-        (4122, 67),  # the first entry's prime, with an even k
-        (5, 1),  # 11 = 5 * 2 + 1 is prime and 7^5 = -1 mod 11, but k >= 2^m
-    ],
-)
-def test_a_tampered_proth_entry_is_refused(monkeypatch, entry):
-    monkeypatch.setattr(gkh.linalg, "_PROTH", (entry,) + gkh.linalg._PROTH[1:])
-    monkeypatch.setattr(gkh.linalg, "_PRIMES", [])
-    k, m = entry
-    # det [[5]] has the bound 4 * 5^2 = 100 < 11^2, so entry 0 alone passes
-    # it and is the one entry used, and proven
-    with pytest.raises(LinalgError, match=f"entry 0 \\(k = {k}, m = {m}\\)"):
-        determinant(IntMatrix.from_rows([[5]]))
-
-
-@pytest.mark.parametrize("primes", [1, 2, 5])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_determinant_sign_at_the_edge_of_the_bound(primes, sign):
-    # a diagonal matrix's |det| is its Hadamard bound H. With 2H = M - 1, M
-    # the product of the first primes, those primes pass 2H and det = -H is
-    # the residue M - H, just past M / 2; with 2H = M + 1 one more is needed
-    modulus = prod(gkh.linalg._prime(k) for k in range(primes))
-    for h in ((modulus - 1) // 2, (modulus + 1) // 2):
-        for m, det in (
-            (IntMatrix.from_rows([[sign * h]]), sign * h),
-            (IntMatrix.from_rows([[1, 0, 0], [0, sign * h, 0], [0, 0, -1]]), -sign * h),
-            (IntMatrix.from_rows([[0, -h], [sign, 0]]), sign * h),  # a permuted diagonal
-        ):
-            assert determinant(m) == bareiss_determinant(m) == det
-
-
-def test_determinant_runs_into_the_1280_bit_block():
-    rng = random.Random(7)
-    m = IntMatrix(8, 8, tuple(rng.randrange(-(1 << 400), 1 << 400) for _ in range(64)))
-    assert determinant(m) == bareiss_determinant(m)
-    # twice the Hadamard bound, about 2^3207, is past the 80- to 640-bit
-    # primes and one of the 1280-bit block; the fewest that pass it are three
-    # of that block
-    bound = 4 * prod(sum(x * x for x in m.row(i)) for i in range(8))
-    assert prod(gkh.linalg._prime(k) for k in range(5)) ** 2 <= bound
-    assert prod(gkh.linalg._prime(k) for k in range(6)) ** 2 > bound
+    assert certified_determinant(m) == abs(bareiss_determinant(m))
 
 
 def test_determinant_of_split_diagrams_is_zero():
-    # a zero determinant is settled only when the primes pass the bound:
-    # 1000 disjoint Hopf links, 2000 crossings, take the 640-bit prime and two
-    # of the 1280-bit block
+    # a zero determinant is a zero on the certified diagonal, at any size:
+    # 1000 disjoint Hopf links have 2000 crossings
     def hopf_links(n):
         return from_pd(
             parse_pd(
@@ -612,20 +533,6 @@ def test_determinant_of_split_diagrams_is_zero():
     assert link_determinant(hopf_links(1000)) == 0
 
 
-def test_a_bound_past_the_prime_table_is_refused(monkeypatch):
-    # 4 * (2^70000)^2 has 140003 bits, so the modulus needs 70002; the
-    # product of the table's 54 primes has 65328, read off the table before
-    # any elimination and without proving an entry
-    calls = []
-    det_mod = gkh.linalg._det_mod
-    monkeypatch.setattr(gkh.linalg, "_det_mod", lambda *args: calls.append(args) or det_mod(*args))
-    proven = list(gkh.linalg._PRIMES)
-    m = SparseMatrix(1, 1, ({0: 1 << 70000},))
-    with pytest.raises(DeterminantBoundError, match="modulus of 70002 bits, past the 65328 bits"):
-        determinant(m)
-    assert calls == [] and gkh.linalg._PRIMES == proven
-
-
 @pytest.mark.parametrize(
     "rows, bad",
     [(({0: 1}, {3: 1}), 1), (({-1: 2}, {0: 1}), 0), (({0: 1}, {1: 2, 2: 0}), 1), (({}, {2: 1}), None)],
@@ -639,31 +546,12 @@ def test_sparse_rows_are_checked(rows, bad):
 
 
 def test_determinant_of_turks_head_300_is_the_lucas_value():
-    # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2;
-    # 599 rows need one prime, of 1280 bits
+    # |det| of the closure of (s1 s2^-1)^n is the Lucas number L_2n minus 2,
+    # a 417-bit product on the diagonal of 599 rows
     lucas = [2, 1]
     while len(lucas) <= 600:
         lucas.append(lucas[-1] + lucas[-2])
-    c = reduced_crossing_matrix(crossing_matrix(turks_head(300)))
-    assert abs(determinant(c)) == lucas[600] - 2
-
-
-def test_determinant_takes_the_fewest_primes(monkeypatch):
-    # turks_head(500)'s 999 rows need a modulus of 1292 bits: the largest
-    # 1280-bit prime and the 80-bit one, two eliminations where the 80- to
-    # 640-bit primes and a 1280-bit one took five
-    calls = []
-    det_mod = gkh.linalg._det_mod
-    monkeypatch.setattr(gkh.linalg, "_det_mod", lambda rows, p: calls.append(p) or det_mod(rows, p))
-    lucas = [2, 1]
-    while len(lucas) <= 1000:
-        lucas.append(lucas[-1] + lucas[-2])
-    assert link_determinant(turks_head(500)) == lucas[1000] - 2
-    assert [p.bit_length() for p in calls] == [80, 1284]
-    # a bound one prime passes takes the smallest such prime alone
-    calls.clear()
-    assert link_determinant(fixture_diagram("10_123")) == 121
-    assert [p.bit_length() for p in calls] == [80]
+    assert link_determinant(turks_head(300)) == lucas[600] - 2
 
 
 @settings(max_examples=200)
@@ -671,8 +559,8 @@ def test_determinant_takes_the_fewest_primes(monkeypatch):
 def test_snf_decomposition_properties(a):
     snf = smith_normal_form(a)
     assert snf.u @ a @ snf.v == snf.d
-    assert abs(determinant(snf.u)) == 1
-    assert abs(determinant(snf.v)) == 1
+    assert abs(bareiss_determinant(snf.u)) == 1
+    assert abs(bareiss_determinant(snf.v)) == 1
     diag = snf.diagonal
     # diagonal matrix, nonnegative entries, divisibility chain, zeros trailing
     for i in range(snf.d.rows):
@@ -748,5 +636,5 @@ def test_snf_random_self_checks():
         a = IntMatrix(n, m, tuple(rng.randint(-30, 30) for _ in range(n * m)))
         snf = smith_normal_form(a)
         assert snf.u @ a @ snf.v == snf.d
-        assert abs(determinant(snf.u)) == 1
-        assert abs(determinant(snf.v)) == 1
+        assert abs(bareiss_determinant(snf.u)) == 1
+        assert abs(bareiss_determinant(snf.v)) == 1

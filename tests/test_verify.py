@@ -19,7 +19,7 @@ from gkh.coloring import (
 )
 from gkh.diagram import braid_closure, from_pd
 from gkh.fixtures import fixture_diagram, fixture_names
-from gkh.linalg import determinant, smith_normal_form
+from gkh.linalg import smith_normal_form
 from gkh.verify import (
     _MAX_CROSSINGS,
     GenerationError,
@@ -30,6 +30,7 @@ from gkh.verify import (
     verify_gkh,
 )
 from oracles import (
+    bareiss_determinant,
     block_diag,
     brute_force_coloring_count,
     count_colorings,
@@ -320,12 +321,13 @@ def test_report_matches_the_dense_smith_form_at_every_base(index, monkeypatch):
 
 def assert_certified_diagonal_is_the_determinant(d):
     """At every base arc, the product of the certified Smith diagonal is
-    |det C| by the multi-modular determinant, kept as an independent
+    |det C| by Bareiss elimination on the dense C, kept as an independent
     oracle, and verify_gkh's hypotheses carry link_determinant's value."""
     expected = link_determinant(d)
     for base in range(len(d.arcs)):
         analysis = ColoringAnalysis(d, base)
-        assert prod(analysis.snf.diagonal) == abs(determinant(analysis.c)) == expected, base
+        oracle = abs(bareiss_determinant(analysis.c.dense()))
+        assert prod(analysis.snf.diagonal) == oracle == expected, base
         if expected:
             assert verify_gkh(d, base=base).hypotheses.determinant == expected, base
 
@@ -349,7 +351,7 @@ def test_random_closures_certified_diagonal_is_the_multi_modular_determinant(wor
 def test_hypotheses_of_disjoint_hopf_links_stays_sparse():
     # 250 disjoint Hopf links, 500 crossings: the dense crossing matrix and
     # its reduced copy took 8.1 MB at the traced peak; the sparse rows and
-    # the multi-modular determinant take about 0.6 MB
+    # their certified Smith form take about 0.8 MB
     crossings = ",".join(
         f"X({4 * i + 1},{4 * i + 3},{4 * i + 2},{4 * i + 4}),"
         f"X({4 * i + 3},{4 * i + 1},{4 * i + 4},{4 * i + 2})"
